@@ -26,7 +26,7 @@ from .core import (
     RollingWindow,
 )
 from .dataio import CsvError, emit_csv, format_csv, ingest_csv, write_report
-from .engines import EngineSpec, ImputationPolicy, evaluate
+from .engines import CHAINABLE_FAMILIES, ENGINE_FAMILIES, EngineSpec, ImputationPolicy, evaluate
 from .harness import (
     AxiomTest,
     ScenarioParams,
@@ -55,7 +55,6 @@ EX_DATA = 65
 EX_ENGINE = 70
 EX_IO = 74
 
-_ENGINE_FAMILIES = ("gk", "mgk", "guv", "wgm", "tornqvist", "tpd", "geks", "rq", "rqp")
 _PRICE_SCHEMES = {
     "lehr": LehrUnitValue,
     "fixed-base": FixedBase,
@@ -92,7 +91,7 @@ def build_parser() -> _Parser:
 
     compute = sub.add_parser("compute", help="compute an index value from a CSV dataset")
     compute.add_argument("--input", "-i", required=True, help="CSV path, or - for stdin")
-    compute.add_argument("--engine", "-e", required=True, choices=_ENGINE_FAMILIES)
+    compute.add_argument("--engine", "-e", required=True, choices=ENGINE_FAMILIES)
     compute.add_argument("--base", type=int, required=True)
     compute.add_argument("--current", type=int, required=True)
     compute.add_argument("--policy", choices=("bilateral", "full-history", "rolling"),
@@ -105,8 +104,8 @@ def build_parser() -> _Parser:
     compute.add_argument("--alpha", type=float, default=0.5)
     compute.add_argument("--birth-markup", type=float, default=1.05)
     compute.add_argument("--death-markup", type=float, default=1.05)
-    compute.add_argument("--inner", choices=("mgk", "guv", "wgm", "tornqvist"),
-                         default="mgk", help="bilateral engine chained by geks")
+    compute.add_argument("--inner", choices=CHAINABLE_FAMILIES, default="mgk",
+                         help="bilateral engine chained by geks")
     compute.add_argument("--series", action="store_true",
                          help="print the whole per-period series")
     compute.add_argument("--json", help="also write a machine-readable report here")
@@ -144,9 +143,8 @@ def build_parser() -> _Parser:
     counter.add_argument("--test", required=True,
                          choices=("T1", "T2", "T3", "T4", "t3", "t4", "T5", "t5",
                                   "transitivity"))
-    counter.add_argument("--engine", choices=_ENGINE_FAMILIES, default="mgk")
-    counter.add_argument("--inner", choices=("mgk", "guv", "wgm", "tornqvist"),
-                         default="mgk")
+    counter.add_argument("--engine", choices=ENGINE_FAMILIES, default="mgk")
+    counter.add_argument("--inner", choices=CHAINABLE_FAMILIES, default="mgk")
     counter.add_argument("--budget", type=int, default=100)
     counter.add_argument("--seed", type=int, default=None)
     counter.add_argument("--items", type=int, default=6)
@@ -169,20 +167,17 @@ def _policy_from_args(args: argparse.Namespace):
 
 
 def _engine_from_args(args: argparse.Namespace, family: str) -> EngineSpec:
-    kwargs: dict = {}
-    price_scheme = _PRICE_SCHEMES[getattr(args, "reference_price", "lehr")]()
-    if family in ("guv", "wgm", "rqp"):
-        kwargs["reference_price"] = price_scheme
-    if family in ("rq", "rqp"):
-        kwargs["reference_quantity"] = _QUANTITY_SCHEMES[getattr(args, "quantity_scheme", "mean")]()
-        kwargs["imputation"] = ImputationPolicy(
+    """Every engine option from args; a family ignores the ones it does not read."""
+    return EngineSpec(
+        family,
+        reference_price=_PRICE_SCHEMES[getattr(args, "reference_price", "lehr")](),
+        reference_quantity=_QUANTITY_SCHEMES[getattr(args, "quantity_scheme", "mean")](),
+        alpha=getattr(args, "alpha", 0.5),
+        imputation=ImputationPolicy(
             getattr(args, "birth_markup", 1.05), getattr(args, "death_markup", 1.05)
-        )
-    if family == "rqp":
-        kwargs["alpha"] = getattr(args, "alpha", 0.5)
-    if family == "geks":
-        kwargs["inner"] = EngineSpec(getattr(args, "inner", "mgk"))
-    return EngineSpec(family, **kwargs)
+        ),
+        inner=EngineSpec(getattr(args, "inner", "mgk")),
+    )
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -396,6 +391,9 @@ def main(argv: list[str] | None = None) -> int:
     except PriceIndexError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return EX_ENGINE
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EX_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EX_IO

@@ -202,36 +202,20 @@ class Violation:
     message: str
 
 
+@dataclass(frozen=True)
 class Bilateral:
     """Reference set {base, current}: the direct two-period comparison."""
 
     def reference_periods(self, dataset: Dataset, base: int, current: int) -> tuple[int, ...]:
         return (base, current)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "Bilateral()"
 
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Bilateral
-
-    def __hash__(self) -> int:
-        return hash(Bilateral)
-
-
+@dataclass(frozen=True)
 class FullHistory:
     """Reference set {base, base+1, ..., current}."""
 
     def reference_periods(self, dataset: Dataset, base: int, current: int) -> tuple[int, ...]:
         return tuple(range(base, current + 1))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "FullHistory()"
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is FullHistory
-
-    def __hash__(self) -> int:
-        return hash(FullHistory)
 
 
 @dataclass(frozen=True)

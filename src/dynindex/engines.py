@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .core import (
     Bilateral,
@@ -78,7 +78,84 @@ def _quantity_index(
 
 
 # ---------------------------------------------------------------------------
+# Reference prices and the per-period index they imply
+
+
+@dataclass(frozen=True)
+class _CoupledEquations:
+    """Reference prices and the index they imply, for one comparison.
+
+    index_at(r, prices) is the index of period r against the base, which
+    is pinned to 1.0. Index-free schemes price the two compared universes
+    once; coupled ones price every reference period's universe and are
+    solved jointly with the index series.
+    """
+
+    dataset: Dataset
+    spec: ComparisonSpec
+    scheme: ReferencePriceScheme
+    periods: tuple[int, ...]
+    items: frozenset[ItemId]
+    index_at: Callable[[int, Mapping[ItemId, float]], float]
+
+    def prices_from_index(self, index_series: Mapping[int, float] | None) -> dict[ItemId, float]:
+        return reference_prices(
+            self.dataset, self.scheme, self.items, self.periods,
+            self.spec.base, self.spec.current, index_series,
+        )
+
+    def index_from_prices(self, prices: Mapping[ItemId, float]) -> dict[int, float]:
+        base = self.spec.base
+        return {r: self.index_at(r, prices) if r != base else 1.0 for r in self.periods}
+
+    def solve(self, config: FixedPointConfig | None) -> tuple[
+        dict[int, float] | None, dict[ItemId, float], FixedPointReport | None
+    ]:
+        """(series, prices, report); an index-free scheme has no series or report."""
+        if not self.scheme.needs_index:
+            return None, self.prices_from_index(None), None
+        return solve_fixed_point(self.dataset, self.spec, self, config)
+
+
+def _coupled_equations(
+    dataset: Dataset, spec: ComparisonSpec, scheme: ReferencePriceScheme, index_at: Callable
+) -> _CoupledEquations:
+    periods = spec.reference_periods(dataset)
+    if scheme.needs_index:
+        items = frozenset().union(*(dataset.universe(r) for r in periods))
+    else:
+        items = dataset.universe(spec.base) | dataset.universe(spec.current)
+    return _CoupledEquations(dataset, spec, scheme, periods, items, index_at)
+
+
+# ---------------------------------------------------------------------------
 # Value-ratio-deflating family: GUV, MGK, GK
+
+
+def _guv_equations(
+    dataset: Dataset, spec: ComparisonSpec, scheme: ReferencePriceScheme
+) -> _CoupledEquations:
+    def index_at(r: int, prices: Mapping[ItemId, float]) -> float:
+        return dataset.value_ratio(spec.base, r) / _quantity_index(dataset, spec.base, r, prices)
+
+    return _coupled_equations(dataset, spec, scheme, index_at)
+
+
+def _guv(
+    dataset: Dataset,
+    spec: ComparisonSpec,
+    scheme: ReferencePriceScheme,
+    config: FixedPointConfig | None,
+) -> tuple[IndexResult, dict[ItemId, float] | None]:
+    """The GUV result, plus its reference prices when the scheme is index-free."""
+    series, prices, report = _guv_equations(dataset, spec, scheme).solve(config)
+    value_ratio = dataset.value_ratio(spec.base, spec.current)
+    if series is None:
+        # The divisor itself: value_ratio / value can differ from it in the last bit.
+        quantity = _quantity_index(dataset, spec.base, spec.current, prices)
+        return IndexResult(value_ratio / quantity, decomposition=(value_ratio, quantity)), prices
+    value = series[spec.current]
+    return IndexResult(value, report, (value_ratio, value_ratio / value), series), None
 
 
 def guv_index(
@@ -93,14 +170,7 @@ def guv_index(
     index itself are solved jointly through the fixed-point solver.
     """
     scheme = reference_price if reference_price is not None else LehrUnitValue()
-    if scheme.needs_index:
-        return _solve_deflating(dataset, spec, scheme, config)
-    periods = spec.reference_periods(dataset)
-    items = dataset.universe(spec.base) | dataset.universe(spec.current)
-    prices = reference_prices(dataset, scheme, items, periods, spec.base, spec.current)
-    value_ratio = dataset.value_ratio(spec.base, spec.current)
-    quantity = _quantity_index(dataset, spec.base, spec.current, prices)
-    return IndexResult(value_ratio / quantity, decomposition=(value_ratio, quantity))
+    return _guv(dataset, spec, scheme, config)[0]
 
 
 def mgk_index(dataset: Dataset, spec: ComparisonSpec) -> IndexResult:
@@ -113,52 +183,6 @@ def gk_index(
 ) -> IndexResult:
     """GK index: jointly solved index-deflated unit-value reference prices."""
     return guv_index(dataset, spec, DeflatedUnitValue(), config)
-
-
-@dataclass(frozen=True)
-class _DeflatingEquations:
-    """Coupled maps for the value-ratio family with an index-dependent scheme."""
-
-    dataset: Dataset
-    spec: ComparisonSpec
-    scheme: ReferencePriceScheme
-    periods: tuple[int, ...]
-    items: frozenset[ItemId]
-
-    def prices_from_index(self, index_series: Mapping[int, float]) -> dict[ItemId, float]:
-        return reference_prices(
-            self.dataset, self.scheme, self.items, self.periods,
-            self.spec.base, self.spec.current, index_series,
-        )
-
-    def index_from_prices(self, prices: Mapping[ItemId, float]) -> dict[int, float]:
-        base = self.spec.base
-        return {
-            r: self.dataset.value_ratio(base, r) / _quantity_index(self.dataset, base, r, prices)
-            if r != base
-            else 1.0
-            for r in self.periods
-        }
-
-
-def _solve_deflating(
-    dataset: Dataset,
-    spec: ComparisonSpec,
-    scheme: ReferencePriceScheme,
-    config: FixedPointConfig | None,
-) -> IndexResult:
-    periods = spec.reference_periods(dataset)
-    items = frozenset().union(*(dataset.universe(r) for r in periods))
-    equations = _DeflatingEquations(dataset, spec, scheme, periods, items)
-    series, _prices, report = solve_fixed_point(dataset, spec, equations, config)
-    value = series[spec.current]
-    value_ratio = dataset.value_ratio(spec.base, spec.current)
-    return IndexResult(
-        value,
-        diagnostics=report,
-        decomposition=(value_ratio, value_ratio / value),
-        series=dict(series),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +252,16 @@ def _wgm_value(
     return math.exp(math.fsum(log_terms))
 
 
+def _wgm_equations(
+    dataset: Dataset, spec: ComparisonSpec, weights: object, scheme: ReferencePriceScheme
+) -> _CoupledEquations:
+    def index_at(r: int, prices: Mapping[ItemId, float]) -> float:
+        w0, wr = weights.weights_pair(dataset, spec.base, r)
+        return _wgm_value(dataset, spec.base, r, prices, w0, wr)
+
+    return _coupled_equations(dataset, spec, scheme, index_at)
+
+
 def wgm_index(
     dataset: Dataset,
     spec: ComparisonSpec,
@@ -238,13 +272,11 @@ def wgm_index(
     """Ratio of weighted geometric means of price-to-reference-price relatives."""
     weight_scheme = weights if weights is not None else ExpenditureShare()
     scheme = reference_price if reference_price is not None else LehrUnitValue()
-    if scheme.needs_index:
-        return _solve_wgm(dataset, spec, weight_scheme, scheme, config)
-    periods = spec.reference_periods(dataset)
-    items = dataset.universe(spec.base) | dataset.universe(spec.current)
-    prices = reference_prices(dataset, scheme, items, periods, spec.base, spec.current)
-    w0, wt = weight_scheme.weights_pair(dataset, spec.base, spec.current)
-    return IndexResult(_wgm_value(dataset, spec.base, spec.current, prices, w0, wt))
+    equations = _wgm_equations(dataset, spec, weight_scheme, scheme)
+    series, prices, report = equations.solve(config)
+    if series is None:
+        return IndexResult(equations.index_at(spec.current, prices))
+    return IndexResult(series[spec.current], diagnostics=report, series=series)
 
 
 def tornqvist_index(dataset: Dataset, spec: ComparisonSpec) -> IndexResult:
@@ -254,47 +286,6 @@ def tornqvist_index(dataset: Dataset, spec: ComparisonSpec) -> IndexResult:
     result is the weighted geometric mean of the price relatives.
     """
     return wgm_index(dataset, spec, TornqvistWeights(), LehrUnitValue())
-
-
-@dataclass(frozen=True)
-class _WgmEquations:
-    dataset: Dataset
-    spec: ComparisonSpec
-    scheme: ReferencePriceScheme
-    weight_scheme: object
-    periods: tuple[int, ...]
-    items: frozenset[ItemId]
-
-    def prices_from_index(self, index_series: Mapping[int, float]) -> dict[ItemId, float]:
-        return reference_prices(
-            self.dataset, self.scheme, self.items, self.periods,
-            self.spec.base, self.spec.current, index_series,
-        )
-
-    def index_from_prices(self, prices: Mapping[ItemId, float]) -> dict[int, float]:
-        base = self.spec.base
-        values = {}
-        for r in self.periods:
-            if r == base:
-                values[r] = 1.0
-                continue
-            w0, wr = self.weight_scheme.weights_pair(self.dataset, base, r)
-            values[r] = _wgm_value(self.dataset, base, r, prices, w0, wr)
-        return values
-
-
-def _solve_wgm(
-    dataset: Dataset,
-    spec: ComparisonSpec,
-    weight_scheme: object,
-    scheme: ReferencePriceScheme,
-    config: FixedPointConfig | None,
-) -> IndexResult:
-    periods = spec.reference_periods(dataset)
-    items = frozenset().union(*(dataset.universe(r) for r in periods))
-    equations = _WgmEquations(dataset, spec, scheme, weight_scheme, periods, items)
-    series, _prices, report = solve_fixed_point(dataset, spec, equations, config)
-    return IndexResult(series[spec.current], diagnostics=report, series=dict(series))
 
 
 def tpd_index(
@@ -439,21 +430,15 @@ def rqp_index(
     """Geometric mixture of the reference-quantity and unit-value indices.
 
     alpha = 1 evaluates identically to the unit-value index, alpha = 0 to
-    the reference-quantity index. The unit-value side's reference prices
-    are also offered to the quantity scheme, so expenditure-over-price
-    quantities stay consistent between the two sides.
+    the reference-quantity index. An index-free unit-value side's
+    reference prices are also offered to the quantity scheme, so
+    expenditure-over-price quantities stay consistent between the two
+    sides; index-deflated prices are not offered.
     """
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     scheme = reference_price if reference_price is not None else LehrUnitValue()
-    guv = guv_index(dataset, spec, scheme, config)
-    shared_prices = None
-    if not scheme.needs_index:
-        periods = spec.reference_periods(dataset)
-        items = dataset.universe(spec.base) | dataset.universe(spec.current)
-        shared_prices = reference_prices(
-            dataset, scheme, items, periods, spec.base, spec.current
-        )
+    guv, shared_prices = _guv(dataset, spec, scheme, config)
     rq = rq_index(dataset, spec, quantities, imputation, shared_prices)
     value = rq.value ** (1.0 - alpha) * guv.value**alpha
     return IndexResult(
@@ -494,7 +479,8 @@ def adjusted_laspeyres(
 
     The self-referential equation P = L / P is iterated in log space with
     half damping until stable; the solution is the square root of the
-    plain Laspeyres index.
+    plain Laspeyres index. Undamped, it oscillates between 1 and L and
+    raises NumericalError.
     """
     cfg = config or FixedPointConfig(damping=0.5)
     laspeyres, _, _ = classical_indices(dataset, base, current)
@@ -506,16 +492,36 @@ def adjusted_laspeyres(
         log_p = new_log_p
         if moved <= cfg.tolerance:
             break
+    else:
+        raise NumericalError(f"adjusted Laspeyres did not converge in {cfg.max_iterations} sweeps")
     return math.exp(log_p)
 
 
 # ---------------------------------------------------------------------------
-# Engine selection and uniform dispatch
+# Engine registry and uniform dispatch
 
 
-_FAMILIES = ("gk", "mgk", "guv", "wgm", "tornqvist", "tpd", "geks", "rq", "rqp")
-
-_REVERSIBLE_INNER_FAMILIES = ("mgk", "guv", "wgm", "tornqvist")
+# family: (runner, usable as a GEKS inner). Runners look their engine up by
+# module-level name at call time, so a wrapper installed on this module's
+# attributes sees every dispatched call.
+_REGISTRY = {
+    "gk": (lambda d, s, e: gk_index(d, s, e.fixed_point), False),
+    "mgk": (lambda d, s, e: mgk_index(d, s), True),
+    "guv": (lambda d, s, e: guv_index(d, s, e.reference_price, e.fixed_point), True),
+    "wgm": (lambda d, s, e: wgm_index(d, s, e.weights, e.reference_price, e.fixed_point), True),
+    "tornqvist": (lambda d, s, e: tornqvist_index(d, s), True),
+    "tpd": (lambda d, s, e: tpd_index(d, s, e.fixed_point), False),
+    "geks": (lambda d, s, e: geks_index(d, s, e.inner), False),
+    "rq": (lambda d, s, e: rq_index(d, s, e.reference_quantity, e.imputation), False),
+    "rqp": (
+        lambda d, s, e: rqp_index(
+            d, s, e.alpha, e.reference_quantity, e.imputation, e.reference_price, e.fixed_point
+        ),
+        False,
+    ),
+}
+ENGINE_FAMILIES = tuple(_REGISTRY)
+CHAINABLE_FAMILIES = tuple(name for name, (_run, chainable) in _REGISTRY.items() if chainable)
 
 
 @dataclass(frozen=True)
@@ -532,7 +538,7 @@ class EngineSpec:
     fixed_point: FixedPointConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        if self.family not in ENGINE_FAMILIES:
             raise ValueError(f"unknown engine family {self.family!r}")
         if not 0 <= self.alpha <= 1:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
@@ -549,7 +555,7 @@ class EngineSpec:
 
 
 def _require_time_reversible(inner: EngineSpec) -> None:
-    if inner.family not in _REVERSIBLE_INNER_FAMILIES:
+    if inner.family not in CHAINABLE_FAMILIES:
         raise ValueError(f"engine family {inner.family!r} is not a time-reversible bilateral")
     scheme = inner.reference_price
     if scheme is not None and scheme.needs_index:
@@ -562,33 +568,5 @@ def _require_time_reversible(inner: EngineSpec) -> None:
 
 def evaluate(dataset: Dataset, spec: ComparisonSpec, engine: EngineSpec) -> IndexResult:
     """Run the engine described by ``engine`` on one comparison."""
-    family = engine.family
-    if family == "gk":
-        return gk_index(dataset, spec, engine.fixed_point)
-    if family == "mgk":
-        return mgk_index(dataset, spec)
-    if family == "guv":
-        return guv_index(dataset, spec, engine.reference_price, engine.fixed_point)
-    if family == "wgm":
-        return wgm_index(
-            dataset, spec, engine.weights, engine.reference_price, engine.fixed_point
-        )
-    if family == "tornqvist":
-        return tornqvist_index(dataset, spec)
-    if family == "tpd":
-        return tpd_index(dataset, spec, engine.fixed_point)
-    if family == "geks":
-        return geks_index(dataset, spec, engine.inner)
-    if family == "rq":
-        return rq_index(dataset, spec, engine.reference_quantity, engine.imputation)
-    if family == "rqp":
-        return rqp_index(
-            dataset,
-            spec,
-            engine.alpha,
-            engine.reference_quantity,
-            engine.imputation,
-            engine.reference_price,
-            engine.fixed_point,
-        )
-    raise ValueError(f"unknown engine family {family!r}")  # pragma: no cover
+    run, _chainable = _REGISTRY[engine.family]
+    return run(dataset, spec, engine)

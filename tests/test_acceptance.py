@@ -39,7 +39,7 @@ from dynindex import (
     tpd_index,
     wgm_index,
 )
-from dynindex.engines import _DeflatingEquations, _WgmEquations
+from dynindex.engines import _guv_equations, _wgm_equations
 from dynindex.harness import derive_seed
 from dynindex.references import DeflatedUnitValue, TPDGeometric
 from helpers import desk_scale_market, fixed_market, random_market, relabeled, scaled, swapped
@@ -249,14 +249,9 @@ def test_criterion_5_fixed_point_convergence_and_idempotence():
         ds = desk_scale_market(derive_seed("acceptance-fixed-point", k))
         spec = ComparisonSpec(ds.first_period, ds.last_period, FullHistory())
         periods = spec.reference_periods(ds)
-        items = frozenset().union(*(ds.universe(r) for r in periods))
         for name, solve, equations in (
-            ("gk", gk_index, _DeflatingEquations(ds, spec, DeflatedUnitValue(), periods, items)),
-            (
-                "tpd",
-                tpd_index,
-                _WgmEquations(ds, spec, TPDGeometric(), ExpenditureShare(), periods, items),
-            ),
+            ("gk", gk_index, _guv_equations(ds, spec, DeflatedUnitValue())),
+            ("tpd", tpd_index, _wgm_equations(ds, spec, ExpenditureShare(), TPDGeometric())),
         ):
             result = solve(ds, spec, config)
             if not result.diagnostics.converged:

@@ -10,6 +10,7 @@ from dynindex import (
     Dataset,
     EngineSpec,
     FixedBase,
+    FixedPointConfig,
     FullHistory,
     ImputationPolicy,
     InvalidComparisonError,
@@ -29,7 +30,8 @@ from dynindex import (
     tpd_index,
     wgm_index,
 )
-from helpers import small_dyn, small_fixed
+from dynindex.engines import CHAINABLE_FAMILIES, ENGINE_FAMILIES
+from helpers import fixed_market, small_dyn, small_fixed
 
 BILATERAL = ComparisonSpec(0, 1, Bilateral())
 
@@ -263,6 +265,13 @@ class TestClassical:
             math.sqrt(1.5), abs=1e-12
         )
 
+    @pytest.mark.parametrize("max_iterations", [1000, 1001])
+    def test_adjusted_laspeyres_undamped_does_not_converge(self, max_iterations):
+        # undamped, P = L / P alternates between 1 and L and never reaches sqrt(L)
+        config = FixedPointConfig(max_iterations=max_iterations)
+        with pytest.raises(NumericalError):
+            adjusted_laspeyres(small_fixed(), 0, 1, config)
+
     def test_empty_persistent_universe(self):
         ds = Dataset.build({0: {"A": (1, 1)}, 1: {"B": (1, 1)}})
         with pytest.raises(InvalidComparisonError):
@@ -274,9 +283,12 @@ class TestEngineSpec:
         with pytest.raises(ValueError):
             EngineSpec("median")
 
-    def test_geks_inner_must_be_reversible(self):
+    @pytest.mark.parametrize(
+        "family", [f for f in ENGINE_FAMILIES if f not in CHAINABLE_FAMILIES]
+    )
+    def test_geks_inner_must_be_reversible(self, family):
         with pytest.raises(ValueError):
-            EngineSpec("geks", inner=EngineSpec("gk"))
+            EngineSpec("geks", inner=EngineSpec(family))
         with pytest.raises(ValueError):
             EngineSpec("geks", inner=EngineSpec("guv", reference_price=FixedBase()))
 
@@ -284,9 +296,23 @@ class TestEngineSpec:
         spec = EngineSpec("geks", inner=EngineSpec("guv", reference_price=LehrUnitValue()))
         assert spec.label() == "geks(guv)"
 
-    def test_dispatch_matches_direct_call(self):
-        ds = small_dyn()
-        assert evaluate(ds, BILATERAL, EngineSpec("mgk")).value == mgk_index(ds, BILATERAL).value
+    @pytest.mark.parametrize("family", ENGINE_FAMILIES)
+    def test_dispatch_matches_direct_call(self, family):
+        direct = {
+            "gk": gk_index,
+            "mgk": mgk_index,
+            "guv": guv_index,
+            "wgm": wgm_index,
+            "tornqvist": tornqvist_index,
+            "tpd": tpd_index,
+            "geks": geks_index,
+            "rq": rq_index,
+            "rqp": rqp_index,
+        }[family]
+        # fixed universe, so every family (tornqvist too) is defined
+        ds = fixed_market(5, periods=3, items=4)
+        spec = ComparisonSpec(0, 2, FullHistory())
+        assert evaluate(ds, spec, EngineSpec(family)) == direct(ds, spec)
 
     def test_disjoint_universes_still_evaluate(self):
         ds = Dataset.build({0: {"A": (1, 2)}, 1: {"B": (3, 4)}})

@@ -15,6 +15,7 @@ from dynindex import (
     write_report,
 )
 from dynindex.cli import EX_DATA, EX_NOT_FOUND, EX_OK, EX_USAGE, main
+from dynindex.engines import ENGINE_FAMILIES
 from helpers import random_market, small_fixed
 
 SF_CSV = """period,item,price,quantity
@@ -205,6 +206,38 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["compute", "--engine", "mgk"])
         assert exc.value.code == EX_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "-e", "rq", "--birth-markup", "0.5"],
+            ["compute", "-e", "rqp", "--alpha", "2"],
+            ["compute", "-e", "mgk", "--alpha", "2"],
+            ["matrix", "--trials", "0"],
+            ["counterexample", "--test", "T1", "--budget", "0"],
+            ["synth", "--periods", "0"],
+            ["synth", "--churn", "2"],
+        ],
+        ids=["rq-birth-markup", "rqp-alpha", "mgk-alpha", "matrix-trials",
+             "counterexample-budget", "synth-periods", "synth-churn"],
+    )
+    def test_out_of_range_option_is_usage_error(self, tmp_path, capsys, argv):
+        if argv[0] == "compute":
+            argv = argv + ["--input", self._write_small_fixed(tmp_path),
+                           "--base", "0", "--current", "1"]
+        assert main(argv) == EX_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("family", ENGINE_FAMILIES)
+    def test_compute_every_family_on_fixed_universe(self, tmp_path, capsys, family):
+        path = str(tmp_path / "market.csv")
+        assert main(["synth", "--periods", "3", "--items", "5", "--churn", "0",
+                     "--seed", "4", "--out", path]) == EX_OK
+        capsys.readouterr()
+        code = main(["compute", "--input", path, "--engine", family, "--base", "0",
+                     "--current", "2", "--policy", "full-history"])
+        assert code == EX_OK
+        assert float(capsys.readouterr().out) > 0
 
     def test_matrix_expect_table1(self, capsys):
         code = main(["matrix", "--trials", "50", "--seed", "0", "--expect-table1"])

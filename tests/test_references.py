@@ -18,7 +18,7 @@ from dynindex import (
     solve_fixed_point,
     tpd_price,
 )
-from dynindex.engines import _DeflatingEquations
+from dynindex.engines import _guv_equations
 from helpers import small_dyn, small_fixed
 
 
@@ -137,9 +137,7 @@ class TestFixedPointConfig:
 def _gk_equations(dataset, spec):
     from dynindex.references import DeflatedUnitValue
 
-    periods = spec.reference_periods(dataset)
-    items = frozenset().union(*(dataset.universe(r) for r in periods))
-    return _DeflatingEquations(dataset, spec, DeflatedUnitValue(), periods, items)
+    return _guv_equations(dataset, spec, DeflatedUnitValue())
 
 
 class TestSolveFixedPoint:
