@@ -44,6 +44,7 @@ from .references import (
     FixedBase,
     LehrUnitValue,
     TPDGeometric,
+    require_tolerance,
 )
 from .simulate import SynthConfig, synth
 
@@ -211,6 +212,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
                 "converged": result.diagnostics.converged,
                 "iterations": result.diagnostics.iterations,
                 "final_residual": result.diagnostics.final_residual,
+                "method": result.diagnostics.method,
             }
         write_report(args.json, payload)
     if result.diagnostics is not None and not result.diagnostics.converged:
@@ -336,6 +338,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    # The transitivity search does not read the tolerance, but rejects a bad one too.
+    require_tolerance(args.tolerance)
     if args.test == "transitivity":
         witness = find_intransitivity_witness(
             inner=EngineSpec(args.inner),

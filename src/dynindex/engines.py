@@ -37,8 +37,10 @@ from .references import (
     ReferenceQuantityScheme,
     SchemeError,
     TPDGeometric,
+    gk_start,
     reference_prices,
     solve_fixed_point,
+    tpd_start,
 )
 
 
@@ -88,7 +90,8 @@ class _CoupledEquations:
     index_at(r, prices) is the index of period r against the base, which
     is pinned to 1.0. Index-free schemes price the two compared universes
     once; coupled ones price every reference period's universe and are
-    solved jointly with the index series.
+    solved jointly with the index series, starting from linear_start's
+    direct solve where the system is linear and that solve succeeds.
     """
 
     dataset: Dataset
@@ -97,6 +100,7 @@ class _CoupledEquations:
     periods: tuple[int, ...]
     items: frozenset[ItemId]
     index_at: Callable[[int, Mapping[ItemId, float]], float]
+    linear_start: Callable[[Dataset, tuple[int, ...], int], dict[int, float] | None] | None
 
     def prices_from_index(self, index_series: Mapping[int, float] | None) -> dict[ItemId, float]:
         return reference_prices(
@@ -114,18 +118,25 @@ class _CoupledEquations:
         """(series, prices, report); an index-free scheme has no series or report."""
         if not self.scheme.needs_index:
             return None, self.prices_from_index(None), None
-        return solve_fixed_point(self.dataset, self.spec, self, config)
+        start = None
+        if self.linear_start is not None:
+            start = self.linear_start(self.dataset, self.periods, self.spec.base)
+        return solve_fixed_point(self.dataset, self.spec, self, config, start)
 
 
 def _coupled_equations(
-    dataset: Dataset, spec: ComparisonSpec, scheme: ReferencePriceScheme, index_at: Callable
+    dataset: Dataset,
+    spec: ComparisonSpec,
+    scheme: ReferencePriceScheme,
+    index_at: Callable,
+    linear_start: Callable | None,
 ) -> _CoupledEquations:
     periods = spec.reference_periods(dataset)
     if scheme.needs_index:
         items = frozenset().union(*(dataset.universe(r) for r in periods))
     else:
         items = dataset.universe(spec.base) | dataset.universe(spec.current)
-    return _CoupledEquations(dataset, spec, scheme, periods, items, index_at)
+    return _CoupledEquations(dataset, spec, scheme, periods, items, index_at, linear_start)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +149,8 @@ def _guv_equations(
     def index_at(r: int, prices: Mapping[ItemId, float]) -> float:
         return dataset.value_ratio(spec.base, r) / _quantity_index(dataset, spec.base, r, prices)
 
-    return _coupled_equations(dataset, spec, scheme, index_at)
+    linear = isinstance(scheme, DeflatedUnitValue)
+    return _coupled_equations(dataset, spec, scheme, index_at, gk_start if linear else None)
 
 
 def _guv(
@@ -259,7 +271,8 @@ def _wgm_equations(
         w0, wr = weights.weights_pair(dataset, spec.base, r)
         return _wgm_value(dataset, spec.base, r, prices, w0, wr)
 
-    return _coupled_equations(dataset, spec, scheme, index_at)
+    linear = isinstance(weights, ExpenditureShare) and isinstance(scheme, TPDGeometric)
+    return _coupled_equations(dataset, spec, scheme, index_at, tpd_start if linear else None)
 
 
 def wgm_index(

@@ -44,7 +44,7 @@ from .engines import (
     gk_index,
     mgk_index,
 )
-from .references import FixedPointConfig
+from .references import FixedPointConfig, require_tolerance
 from .simulate import SynthConfig, synth
 
 
@@ -538,6 +538,7 @@ def run_matrix(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    require_tolerance(tolerance)
     plan = _default_plan()
     if engines is not None:
         unknown = set(engines) - set(plan)
@@ -595,6 +596,7 @@ def find_counterexample(
     """First failing verdict within the scenario budget, or None."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    require_tolerance(tolerance)
     for k in range(budget):
         scenario = generate_scenario(test, derive_seed(seed, "counterexample", k), params)
         verdict = check(test, engine, scenario, tolerance)
@@ -657,6 +659,7 @@ def closed_form_suite(seed: int = 0, tolerance: float = 1e-9) -> list[Verdict]:
     forms. Every check is an independent recomputation: expected values
     come from direct sums over the raw data, never from engine code.
     """
+    require_tolerance(tolerance)
     verdicts = []
     tight = FixedPointConfig(tolerance=1e-13, max_iterations=5000)
 

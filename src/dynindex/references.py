@@ -3,13 +3,16 @@
 Reference prices make quantities of different items commensurable; some
 constructions (deflated unit values, the geometric product-dummy price)
 depend on the index series itself and must be solved jointly with it.
-The solver alternates the two maps from the identity series, with
-optional damping in log space.
+The solver alternates the two maps, with optional damping in log space,
+from the identity series or from a direct solve of the GK or TPD system,
+which are linear in the right variables; its first sweep then certifies
+that solve.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Protocol
 
@@ -18,6 +21,7 @@ from .core import (
     Dataset,
     ItemId,
     NumericalError,
+    Observation,
     PriceIndexError,
 )
 
@@ -287,7 +291,147 @@ def reference_quantity(
 
 
 # ---------------------------------------------------------------------------
+# Direct starts for the two coupled systems that are linear
+
+
+# exp(v) and exp(-v) are positive and finite exactly when |v| is below this.
+_MAX_LOG = math.log(sys.float_info.max)
+
+
+def _period_maps(
+    dataset: Dataset, periods: tuple[int, ...]
+) -> list[Mapping[ItemId, Observation]] | None:
+    """Each reference period's observations; None unless all prices and quantities are positive."""
+    maps = [dataset.period_data(r).items for r in periods]
+    if all(obs.price > 0 and obs.quantity > 0 for m in maps for obs in m.values()):
+        return maps
+    return None
+
+
+def _solve_linked(
+    links: list[list[float]], rhs: list[float], pin: int, value: float
+) -> list[float] | None:
+    """Solve the Laplacian system of a weighted period graph with z[pin] = value.
+
+    links[r][s] (r != s) is positive exactly when periods r and s share an
+    item; None if that graph is not connected. Row r reads
+    sum_s links[s][r] * z[r] - sum_s links[r][s] * z[s] = rhs[r] over s != r.
+    Its columns sum to zero, so row pin is dropped and the other n - 1 rows
+    are solved by Gaussian elimination with partial pivoting.
+    """
+    n = len(links)
+    reached, frontier = {pin}, [pin]
+    while frontier:
+        r = frontier.pop()
+        for s in range(n):
+            if s not in reached and links[r][s] > 0:
+                reached.add(s)
+                frontier.append(s)
+    if len(reached) < n:
+        return None
+    keep = [r for r in range(n) if r != pin]
+    degree = [math.fsum(links[s][r] for s in range(n) if s != r) for r in range(n)]
+    rows = [
+        [degree[r] if s == r else -links[r][s] for s in keep] + [rhs[r] + links[r][pin] * value]
+        for r in keep
+    ]
+    m = n - 1
+    for c in range(m):
+        p = max(range(c, m), key=lambda r: abs(rows[r][c]))
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(c + 1, m):
+            factor = rows[r][c] / rows[c][c]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
+    z = [0.0] * m
+    for r in reversed(range(m)):
+        z[r] = (rows[r][m] - math.fsum(rows[r][s] * z[s] for s in range(r + 1, m))) / rows[r][r]
+    z.insert(pin, value)
+    return z
+
+
+def _series_from_logs(periods: tuple[int, ...], logs: list[float] | None) -> dict[int, float] | None:
+    """exp of each log, or None unless every value is positive and finite."""
+    if logs is None or not all(abs(v) < _MAX_LOG for v in logs):
+        return None
+    return dict(zip(periods, map(math.exp, logs)))
+
+
+def gk_start(dataset: Dataset, periods: tuple[int, ...], base: int) -> dict[int, float] | None:
+    """The GUV series with deflated unit values (GK), solved directly.
+
+    With x_r = 1/P_r the equations read (diag(E) - M) x = 0, the
+    eigenvector form of Diewert and Fox, where M_rs = sum_i q_ir e_is / Q_i
+    over the items present in r and s, Q_i is the item's quantity summed
+    over the reference periods, and E_r = sum_s M_sr is period r's
+    expenditure. None where the reference periods are not linked by common
+    items or the data or the solution is not positive and finite.
+    """
+    maps = _period_maps(dataset, periods)
+    if maps is None:
+        return None
+    items = frozenset().union(*maps)
+    quantity = {i: math.fsum(m[i].quantity for m in maps if i in m) for i in items}
+    links = [
+        [
+            math.fsum(obs.quantity * ms[i].expenditure / quantity[i]
+                      for i, obs in mr.items() if i in ms) if r != s else 0.0
+            for s, ms in enumerate(maps)
+        ]
+        for r, mr in enumerate(maps)
+    ]
+    x = _solve_linked(links, [0.0] * len(maps), periods.index(base), 1.0)
+    if x is None or not all(v > 0 for v in x):
+        return None
+    return _series_from_logs(periods, [-math.log(v) for v in x])
+
+
+def tpd_start(dataset: Dataset, periods: tuple[int, ...], base: int) -> dict[int, float] | None:
+    """The WGM series with expenditure shares and TPD prices, solved directly.
+
+    In y_r = log P_r the equations are the weighted time-product-dummy
+    normal equations (I - B) y = c (Rao 2005), where w_ir is the item's
+    expenditure share in period r, W_i = sum_r w_ir,
+    B_rs = sum_i w_ir w_is / W_i and c_r = sum_i w_ir (log p_ir - L_i), with
+    L_i the item's w-weighted mean log price. None where the reference
+    periods are not linked by common items or the data or the solution is
+    not positive and finite.
+    """
+    maps = _period_maps(dataset, periods)
+    if maps is None:
+        return None
+    totals = [dataset.period_data(r).total_expenditure() for r in periods]
+    items = frozenset().union(*maps)
+    weight = {
+        i: math.fsum(m[i].expenditure / t for m, t in zip(maps, totals) if i in m) for i in items
+    }
+    mean_log = {
+        i: math.fsum(m[i].expenditure / t * math.log(m[i].price)
+                     for m, t in zip(maps, totals) if i in m) / weight[i]
+        for i in items
+    }
+    n = len(maps)
+    links = [[0.0] * n for _ in range(n)]
+    for r in range(n):
+        for s in range(r + 1, n):
+            links[r][s] = links[s][r] = math.fsum(
+                obs.expenditure / totals[r] * maps[s][i].expenditure / totals[s] / weight[i]
+                for i, obs in maps[r].items() if i in maps[s]
+            )
+    rhs = [
+        math.fsum(obs.expenditure / t * (math.log(obs.price) - mean_log[i]) for i, obs in m.items())
+        for m, t in zip(maps, totals)
+    ]
+    return _series_from_logs(periods, _solve_linked(links, rhs, periods.index(base), 0.0))
+
+
+# ---------------------------------------------------------------------------
 # Fixed point solver
+
+
+def require_tolerance(tolerance: float) -> None:
+    """Raise ValueError unless the tolerance is positive and finite."""
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -304,8 +448,7 @@ class FixedPointConfig:
     damping: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        require_tolerance(self.tolerance)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not (0 < self.damping <= 1):
@@ -314,9 +457,17 @@ class FixedPointConfig:
 
 @dataclass(frozen=True)
 class FixedPointReport:
+    """How a coupled series was found.
+
+    method is "direct" when the sweeps started from a direct solve of a
+    linear system, whose first sweep then certifies it, and "sweep" when
+    they started from the identity series.
+    """
+
     converged: bool
     iterations: int
     final_residual: float
+    method: str = "sweep"
 
 
 class EngineEquations(Protocol):
@@ -332,17 +483,21 @@ def solve_fixed_point(
     spec: ComparisonSpec,
     equations: EngineEquations,
     config: FixedPointConfig | None = None,
+    start: Mapping[int, float] | None = None,
 ) -> tuple[dict[int, float], dict[ItemId, float], FixedPointReport]:
     """Alternate reference prices and index values until the series is stable.
 
-    Starts from the identity series (all ones), renormalizes the base
-    period to one after every sweep, and stops when no index value moves
-    by more than the tolerance in log space. Non-convergence is reported,
-    not raised; an index value reaching zero or infinity is a hard error.
+    Starts from ``start`` (a directly solved series, with the base at one)
+    or else the identity series (all ones), renormalizes the base period
+    to one after every sweep, and stops when no index value moves by more
+    than the tolerance in log space. Returns the last sweep's series, the
+    reference prices that sweep computed (from the series it started
+    from) and the report. Non-convergence is reported, not raised; an
+    index value reaching zero or infinity is a hard error.
     """
     cfg = config or FixedPointConfig()
     periods = spec.reference_periods(dataset)
-    series = {r: 1.0 for r in periods}
+    series = dict(start) if start is not None else {r: 1.0 for r in periods}
     iterations = 0
     residual = math.inf
     converged = False
@@ -365,5 +520,5 @@ def solve_fixed_point(
         if residual <= cfg.tolerance:
             converged = True
             break
-    prices = equations.prices_from_index(series)
-    return series, prices, FixedPointReport(converged, iterations, residual)
+    method = "sweep" if start is None else "direct"
+    return series, prices, FixedPointReport(converged, iterations, residual, method)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from dynindex import (
@@ -214,6 +216,21 @@ class TestCounterexamples:
         witness = find_intransitivity_witness(budget=100, seed=0)
         assert witness is not None
         assert witness["gap"] > 1e-6
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda tolerance: run_matrix(trials=1, tolerance=tolerance),
+        lambda tolerance: closed_form_suite(tolerance=tolerance),
+        lambda tolerance: find_counterexample(MGK, AxiomTest.T1_IDENTITY, 1, tolerance=tolerance),
+    ],
+    ids=["run_matrix", "closed_form_suite", "find_counterexample"],
+)
+def test_tolerance_must_be_positive_and_finite(run, tolerance):
+    with pytest.raises(ValueError, match="positive and finite"):
+        run(tolerance)
 
 
 class TestClosedForms:

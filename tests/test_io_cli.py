@@ -193,6 +193,7 @@ class TestCli:
         report = json.loads(out.read_text())
         assert report["value"] == pytest.approx(1.5, abs=1e-9)
         assert report["fixed_point"]["converged"] is True
+        assert report["fixed_point"]["method"] == "direct"
         assert report["tool"]["name"] == "dynindex"
 
     def test_compute_rejects_bad_csv(self, tmp_path, capsys):
@@ -227,6 +228,21 @@ class TestCli:
                            "--base", "0", "--current", "1"]
         assert main(argv) == EX_USAGE
         assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closed-forms"],
+            ["matrix", "--trials", "1"],
+            ["counterexample", "--test", "T1"],
+            ["counterexample", "--test", "transitivity"],
+        ],
+        ids=["closed-forms", "matrix", "counterexample", "counterexample-transitivity"],
+    )
+    def test_tolerance_not_positive_and_finite_is_usage_error(self, capsys, argv, tolerance):
+        assert main(argv + ["--tolerance", tolerance]) == EX_USAGE
+        assert capsys.readouterr().err.startswith("usage error: tolerance")
 
     @pytest.mark.parametrize("family", ENGINE_FAMILIES)
     def test_compute_every_family_on_fixed_universe(self, tmp_path, capsys, family):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,17 +11,25 @@ from dynindex import (
     ComparisonSpec,
     CustomPrices,
     Dataset,
+    DeflatedUnitValue,
+    EngineSpec,
     ExpenditureOverReferencePrice,
+    ExpenditureShare,
     FixedPointConfig,
+    FixedPointReport,
+    FullHistory,
+    RollingWindow,
     SchemeError,
+    TPDGeometric,
     deflated_price,
+    evaluate,
     lehr_price,
     reference_quantity,
     solve_fixed_point,
     tpd_price,
 )
-from dynindex.engines import _guv_equations
-from helpers import small_dyn, small_fixed
+from dynindex.engines import _guv_equations, _wgm_equations
+from helpers import random_market, small_dyn, small_fixed
 
 
 class TestLehrPrice:
@@ -133,10 +143,17 @@ class TestFixedPointConfig:
         with pytest.raises(ValueError):
             FixedPointConfig(damping=0)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        with pytest.raises(ValueError, match="positive and finite"):
+            FixedPointConfig(tolerance=tolerance)
+
+
+def test_report_method_defaults_to_sweep():
+    assert FixedPointReport(True, 3, 1e-12) == FixedPointReport(True, 3, 1e-12, "sweep")
+
 
 def _gk_equations(dataset, spec):
-    from dynindex.references import DeflatedUnitValue
-
     return _guv_equations(dataset, spec, DeflatedUnitValue())
 
 
@@ -187,6 +204,102 @@ class TestSolveFixedPoint:
         _, _, report = solve_fixed_point(ds, spec, _gk_equations(ds, spec), config)
         assert not report.converged
         assert report.iterations == 2
+
+    def test_prices_come_from_the_last_sweep(self):
+        ds = random_market(3, periods=4)
+        spec = ComparisonSpec(0, 3, FullHistory())
+        equations = _gk_equations(ds, spec)
+        priced_from = []
+
+        class Recording:
+            def prices_from_index(self, series):
+                priced_from.append(dict(series))
+                return equations.prices_from_index(series)
+
+            index_from_prices = staticmethod(equations.index_from_prices)
+
+        _, prices, report = solve_fixed_point(ds, spec, Recording())
+        assert report.iterations > 1
+        assert len(priced_from) == report.iterations
+        assert prices == equations.prices_from_index(priced_from[-1])
+
+
+# An identity-start sweep run this tight is the reference for the direct start.
+TIGHT = FixedPointConfig(tolerance=1e-14, max_iterations=100_000)
+
+
+def _coupled(family, ds, spec):
+    if family == "tpd":
+        return _wgm_equations(ds, spec, ExpenditureShare(), TPDGeometric())
+    return _guv_equations(ds, spec, DeflatedUnitValue())
+
+
+def _evaluate(family, ds, spec, config=None):
+    if family == "rqp":
+        engine = EngineSpec("rqp", reference_price=DeflatedUnitValue(), fixed_point=config)
+    else:
+        engine = EngineSpec(family, fixed_point=config)
+    return evaluate(ds, spec, engine)
+
+
+class TestDirectStart:
+    """GK and TPD start from a direct solve that one sweep certifies."""
+
+    @pytest.mark.parametrize("family", ["gk", "tpd", "rqp"])
+    @pytest.mark.parametrize(
+        "spec, config",
+        [
+            (ComparisonSpec(0, 1, Bilateral()), None),
+            (ComparisonSpec(0, 4, FullHistory()), None),
+            (ComparisonSpec(2, 4, RollingWindow(4)), None),
+            (ComparisonSpec(0, 4, FullHistory()), FixedPointConfig(damping=0.5)),
+        ],
+        ids=["bilateral", "full-history", "rolling-base-mid-window", "damped"],
+    )
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_sweep_certifies_the_fixed_point(self, family, spec, config, seed):
+        ds = random_market(seed, periods=5, items=12)
+        result = _evaluate(family, ds, spec, config)
+        assert result.diagnostics.method == "direct"
+        assert result.diagnostics.iterations == 1
+        assert result.diagnostics.converged
+        reference, _, report = solve_fixed_point(ds, spec, _coupled(family, ds, spec), TIGHT)
+        assert report.converged and report.method == "sweep"
+        if family == "rqp":
+            solved = {spec.current: result.components["guv"]}
+        else:
+            solved = result.series
+            assert solved.keys() == reference.keys()
+        for r, value in solved.items():
+            assert abs(math.log(value) - math.log(reference[r])) <= 1e-11
+
+    @pytest.mark.parametrize("family", ["gk", "tpd"])
+    @pytest.mark.parametrize(
+        "data, spec",
+        [
+            ({0: {"A": (1, 2)}, 1: {"B": (3, 4)}}, ComparisonSpec(0, 1, Bilateral())),
+            (
+                {
+                    0: {"A": (1.0, 2.0), "B": (2.0, 1.0)},
+                    1: {"C": (5.0, 1.0)},
+                    2: {"A": (1.5, 1.0), "B": (1.8, 3.0)},
+                },
+                ComparisonSpec(0, 2, FullHistory()),
+            ),
+            (
+                {0: {"A": (1.0, 0.0), "B": (2.0, 1.0)}, 1: {"A": (1.5, 1.0), "B": (2.5, 2.0)}},
+                ComparisonSpec(0, 1, Bilateral()),
+            ),
+        ],
+        ids=["disjoint-universes", "unlinked-middle-period", "zero-quantity"],
+    )
+    def test_identity_start_where_no_direct_solve(self, family, data, spec):
+        ds = Dataset.build(data)
+        result = _evaluate(family, ds, spec)
+        series, _, report = solve_fixed_point(ds, spec, _coupled(family, ds, spec))
+        assert result.diagnostics == report
+        assert report.method == "sweep"
+        assert result.series == series
 
 
 def test_scale_equivariance_of_reference_prices():
