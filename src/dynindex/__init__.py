@@ -72,13 +72,13 @@ from .references import (
     FixedPointConfig,
     FixedPointReport,
     LehrUnitValue,
+    ReferenceData,
     SchemeError,
     TPDGeometric,
-    deflated_price,
-    lehr_price,
-    reference_quantity,
+    reference_data,
+    reference_prices,
+    reference_quantities,
     solve_fixed_point,
-    tpd_price,
 )
 from .simulate import SynthConfig, SynthResult, synth
 

@@ -24,6 +24,7 @@ from .core import (
     InvalidComparisonError,
     PriceIndexError,
     RollingWindow,
+    UnknownPeriodError,
 )
 from .dataio import CsvError, emit_csv, format_csv, ingest_csv, write_report
 from .engines import CHAINABLE_FAMILIES, ENGINE_FAMILIES, EngineSpec, ImputationPolicy, evaluate
@@ -82,7 +83,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(EX_USAGE)
+        raise ValueError(f"DYNINDEX_SEED must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> _Parser:
@@ -389,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     except CsvError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EX_DATA
-    except InvalidComparisonError as exc:
+    except (InvalidComparisonError, UnknownPeriodError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
     except PriceIndexError as exc:

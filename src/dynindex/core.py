@@ -28,6 +28,9 @@ class PriceIndexError(Exception):
 class UnknownPeriodError(PriceIndexError, KeyError):
     """A period index is not present in the dataset."""
 
+    def __str__(self) -> str:
+        return f"period {self.args[0]!r} is not in the dataset"
+
 
 class InvalidComparisonError(PriceIndexError, ValueError):
     """A comparison does not fit the dataset (bad periods or window)."""

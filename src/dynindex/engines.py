@@ -33,12 +33,15 @@ from .references import (
     FixedPointConfig,
     FixedPointReport,
     LehrUnitValue,
+    ReferenceData,
     ReferencePriceScheme,
     ReferenceQuantityScheme,
     SchemeError,
     TPDGeometric,
     gk_start,
+    reference_data,
     reference_prices,
+    reference_quantities,
     solve_fixed_point,
     tpd_start,
 )
@@ -88,29 +91,26 @@ class _CoupledEquations:
     """Reference prices and the index they imply, for one comparison.
 
     index_at(r, prices) is the index of period r against the base, which
-    is pinned to 1.0. Index-free schemes price the two compared universes
-    once; coupled ones price every reference period's universe and are
-    solved jointly with the index series, starting from linear_start's
-    direct solve where the system is linear and that solve succeeds.
+    is pinned to 1.0. data holds the items an index-free scheme prices once
+    (the two compared universes) or a coupled one prices every sweep (every
+    reference period's universe); a coupled scheme is solved jointly with
+    the index series, starting from linear_start's direct solve where the
+    system is linear and that solve succeeds.
     """
 
     dataset: Dataset
     spec: ComparisonSpec
+    data: ReferenceData
     scheme: ReferencePriceScheme
-    periods: tuple[int, ...]
-    items: frozenset[ItemId]
     index_at: Callable[[int, Mapping[ItemId, float]], float]
-    linear_start: Callable[[Dataset, tuple[int, ...], int], dict[int, float] | None] | None
+    linear_start: Callable[[ReferenceData], dict[int, float] | None] | None
 
     def prices_from_index(self, index_series: Mapping[int, float] | None) -> dict[ItemId, float]:
-        return reference_prices(
-            self.dataset, self.scheme, self.items, self.periods,
-            self.spec.base, self.spec.current, index_series,
-        )
+        return reference_prices(self.data, self.scheme, index_series)
 
     def index_from_prices(self, prices: Mapping[ItemId, float]) -> dict[int, float]:
         base = self.spec.base
-        return {r: self.index_at(r, prices) if r != base else 1.0 for r in self.periods}
+        return {r: self.index_at(r, prices) if r != base else 1.0 for r in self.data.periods}
 
     def solve(self, config: FixedPointConfig | None) -> tuple[
         dict[int, float] | None, dict[ItemId, float], FixedPointReport | None
@@ -118,10 +118,13 @@ class _CoupledEquations:
         """(series, prices, report); an index-free scheme has no series or report."""
         if not self.scheme.needs_index:
             return None, self.prices_from_index(None), None
-        start = None
-        if self.linear_start is not None:
-            start = self.linear_start(self.dataset, self.periods, self.spec.base)
+        start = self.linear_start(self.data) if self.linear_start is not None else None
         return solve_fixed_point(self.dataset, self.spec, self, config, start)
+
+
+def _compared_items(dataset: Dataset, spec: ComparisonSpec) -> frozenset[ItemId]:
+    """The union of the base and current universes."""
+    return dataset.universe(spec.base) | dataset.universe(spec.current)
 
 
 def _coupled_equations(
@@ -131,12 +134,9 @@ def _coupled_equations(
     index_at: Callable,
     linear_start: Callable | None,
 ) -> _CoupledEquations:
-    periods = spec.reference_periods(dataset)
-    if scheme.needs_index:
-        items = frozenset().union(*(dataset.universe(r) for r in periods))
-    else:
-        items = dataset.universe(spec.base) | dataset.universe(spec.current)
-    return _CoupledEquations(dataset, spec, scheme, periods, items, index_at, linear_start)
+    items = None if scheme.needs_index else _compared_items(dataset, spec)
+    data = reference_data(dataset, spec, items)
+    return _CoupledEquations(dataset, spec, data, scheme, index_at, linear_start)
 
 
 # ---------------------------------------------------------------------------
@@ -404,26 +404,20 @@ def rq_index(
     """
     scheme = quantities if quantities is not None else ArithmeticMeanQuantity()
     policy = imputation if imputation is not None else ImputationPolicy()
-    base, current = spec.base, spec.current
-    persistent, births, deaths = dataset.universe_algebra(base, current)
-    periods = spec.reference_periods(dataset)
+    data = reference_data(dataset, spec, _compared_items(dataset, spec))
     numerator_terms = []
     denominator_terms = []
-    for item in persistent | births | deaths:
-        quantity = scheme.quantity_for(
-            dataset, item, periods, base, current, prices_for_quantities
-        )
-        if quantity <= 0 or not math.isfinite(quantity):
-            raise SchemeError(f"reference quantity for {item!r} is {quantity!r}")
-        if item in births:
-            current_price = dataset.observation(current, item).price
+    for item, quantity in reference_quantities(data, scheme, prices_for_quantities).items():
+        present = data.observations[item]
+        base_obs, current_obs = present.get(data.base), present.get(data.current)
+        if base_obs is None:
+            current_price = current_obs.price
             base_price = policy.base_price_for_birth(item, current_price)
-        elif item in deaths:
-            base_price = dataset.observation(base, item).price
+        elif current_obs is None:
+            base_price = base_obs.price
             current_price = policy.current_price_for_death(item, base_price)
         else:
-            base_price = dataset.observation(base, item).price
-            current_price = dataset.observation(current, item).price
+            base_price, current_price = base_obs.price, current_obs.price
         if base_price <= 0 or current_price <= 0:
             raise SchemeError(f"imputed price for {item!r} is not positive")
         numerator_terms.append(quantity * current_price)

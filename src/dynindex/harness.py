@@ -538,9 +538,13 @@ def run_matrix(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if responsiveness_batch < 1:
+        raise ValueError(f"responsiveness_batch must be at least 1, got {responsiveness_batch}")
     require_tolerance(tolerance)
     plan = _default_plan()
     if engines is not None:
+        if not engines:
+            raise ValueError("engines must name at least one matrix row")
         unknown = set(engines) - set(plan)
         if unknown:
             raise ValueError(f"unknown matrix rows {sorted(unknown)}")

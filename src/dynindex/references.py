@@ -1,8 +1,11 @@
 """Reference prices, reference quantities, and the fixed-point solver.
 
-Reference prices make quantities of different items commensurable; some
-constructions (deflated unit values, the geometric product-dummy price)
-depend on the index series itself and must be solved jointly with it.
+Each scheme is one call per comparison over its ``ReferenceData``, the
+reference periods' observations grouped once by ``reference_data``, and
+returns every item's value. Reference prices make quantities of
+different items commensurable; some constructions (deflated unit values,
+the geometric product-dummy price) depend on the index series itself
+and must be solved jointly with it.
 The solver alternates the two maps, with optional damping in log space,
 from the identity series or from a direct solve of the GK or TPD system,
 which are linear in the right variables; its first sweep then certifies
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from typing import Iterable, Mapping, Protocol
 
 from .core import (
     ComparisonSpec,
@@ -30,133 +33,137 @@ class SchemeError(PriceIndexError):
     """A reference price or quantity scheme is inapplicable to an item."""
 
 
-def _item_periods(dataset: Dataset, item: ItemId, reference_periods: tuple[int, ...]) -> list[int]:
-    periods = [r for r in reference_periods if dataset.has(r, item)]
-    if not periods:
-        raise SchemeError(f"item {item!r} absent from all reference periods {reference_periods}")
-    return periods
+@dataclass(frozen=True)
+class ReferenceData:
+    """The observations one comparison's schemes read, grouped once.
 
-
-def lehr_price(dataset: Dataset, item: ItemId, reference_periods: tuple[int, ...]) -> float:
-    """Quantity-weighted unit value of the item over the periods it is present."""
-    periods = _item_periods(dataset, item, reference_periods)
-    num = math.fsum(dataset.observation(r, item).expenditure for r in periods)
-    den = math.fsum(dataset.observation(r, item).quantity for r in periods)
-    return num / den
-
-
-def deflated_price(
-    dataset: Dataset,
-    item: ItemId,
-    reference_periods: tuple[int, ...],
-    index_series: Mapping[int, float],
-) -> float:
-    """Quantity-weighted mean of index-deflated prices over the item's periods."""
-    periods = _item_periods(dataset, item, reference_periods)
-    terms = []
-    weights = []
-    for r in periods:
-        obs = dataset.observation(r, item)
-        deflator = _series_value(index_series, r)
-        terms.append(obs.price / deflator * obs.quantity)
-        weights.append(obs.quantity)
-    num = math.fsum(terms)
-    den = math.fsum(weights)
-    return num / den
-
-
-def tpd_price(
-    dataset: Dataset,
-    item: ItemId,
-    reference_periods: tuple[int, ...],
-    index_series: Mapping[int, float],
-) -> float:
-    """Expenditure-share-weighted geometric mean of index-deflated prices.
-
-    The per-period weight is the item's expenditure share within that
-    period's universe; exponents are normalized to sum to one over the
-    periods the item is present.
+    period_items[k] and totals[k] are the item map and total expenditure
+    of reference period periods[k]; base and current are the positions of
+    the compared periods. observations maps each requested item to its
+    observations keyed by the positions of the periods it is present in,
+    in period order. The observations are the dataset's own.
     """
-    periods = _item_periods(dataset, item, reference_periods)
-    shares = []
-    logs = []
-    for r in periods:
-        obs = dataset.observation(r, item)
-        total = dataset.period_data(r).total_expenditure()
-        shares.append(obs.expenditure / total)
-        logs.append(math.log(obs.price / _series_value(index_series, r)))
-    weight_sum = math.fsum(shares)
-    return math.exp(math.fsum(w / weight_sum * lg for w, lg in zip(shares, logs)))
+
+    periods: tuple[int, ...]
+    base: int
+    current: int
+    period_items: tuple[Mapping[ItemId, Observation], ...]
+    totals: tuple[float, ...]
+    observations: Mapping[ItemId, Mapping[int, Observation]]
 
 
-def _series_value(index_series: Mapping[int, float], r: int) -> float:
-    try:
-        value = index_series[r]
-    except KeyError:
-        raise SchemeError(f"index series has no value for period {r}") from None
-    if value <= 0 or not math.isfinite(value):
-        raise NumericalError(f"index series value for period {r} is {value!r}")
-    return value
+def reference_data(
+    dataset: Dataset, spec: ComparisonSpec, items: Iterable[ItemId] | None = None
+) -> ReferenceData:
+    """Group the reference periods' observations of ``items`` (default: all of them).
+
+    Raises SchemeError for an item present in no reference period.
+    """
+    periods = spec.reference_periods(dataset)
+    period_data = [dataset.period_data(r) for r in periods]
+    period_items = tuple(pd.items for pd in period_data)
+    if items is None:
+        items = frozenset().union(*period_items)
+    observations = {item: {} for item in items}
+    for k, m in enumerate(period_items):
+        for item, obs in m.items():
+            present = observations.get(item)
+            if present is not None:
+                present[k] = obs
+    for item, present in observations.items():
+        if not present:
+            raise SchemeError(f"item {item!r} absent from all reference periods {periods}")
+    return ReferenceData(
+        periods,
+        periods.index(spec.base),
+        periods.index(spec.current),
+        period_items,
+        tuple(pd.total_expenditure() for pd in period_data),
+        observations,
+    )
+
+
+def _deflators(data: ReferenceData, index_series: Mapping[int, float] | None) -> list[float]:
+    """The index value of each reference period, checked once."""
+    if index_series is None:
+        raise SchemeError("index-deflated reference prices need an index series")
+    for r in data.periods:
+        if r not in index_series:
+            raise SchemeError(f"index series has no value for period {r}")
+        if not 0 < index_series[r] < math.inf:
+            raise NumericalError(f"index series value for period {r} is {index_series[r]!r}")
+    return [index_series[r] for r in data.periods]
 
 
 # ---------------------------------------------------------------------------
 # Reference price schemes
 
 
+@dataclass(frozen=True)
 class LehrUnitValue:
     """Undeflated unit value over the reference periods. Index-free."""
 
     needs_index = False
 
-    def price_for(self, dataset, item, reference_periods, base, current, index_series=None):
-        return lehr_price(dataset, item, reference_periods)
+    def prices_for(self, data, index_series=None):
+        return {
+            item: math.fsum(o.expenditure for o in obs.values())
+            / math.fsum(o.quantity for o in obs.values())
+            for item, obs in data.observations.items()
+        }
 
-    def __repr__(self) -> str:
-        return "LehrUnitValue()"
 
-
+@dataclass(frozen=True)
 class DeflatedUnitValue:
     """Unit value of index-deflated prices; requires a concurrent index series."""
 
     needs_index = True
 
-    def price_for(self, dataset, item, reference_periods, base, current, index_series=None):
-        if index_series is None:
-            raise SchemeError("deflated unit values need an index series")
-        return deflated_price(dataset, item, reference_periods, index_series)
+    def prices_for(self, data, index_series=None):
+        deflators = _deflators(data, index_series)
+        return {
+            item: math.fsum(o.price / deflators[k] * o.quantity for k, o in obs.items())
+            / math.fsum(o.quantity for o in obs.values())
+            for item, obs in data.observations.items()
+        }
 
-    def __repr__(self) -> str:
-        return "DeflatedUnitValue()"
 
-
+@dataclass(frozen=True)
 class TPDGeometric:
-    """Share-weighted geometric deflated price; requires a concurrent index series."""
+    """Share-weighted geometric deflated price; requires a concurrent index series.
+
+    The per-period weight is the item's expenditure share within that
+    period's universe; exponents are normalized to sum to one over the
+    periods the item is present.
+    """
 
     needs_index = True
 
-    def price_for(self, dataset, item, reference_periods, base, current, index_series=None):
-        if index_series is None:
-            raise SchemeError("geometric product-dummy prices need an index series")
-        return tpd_price(dataset, item, reference_periods, index_series)
+    def prices_for(self, data, index_series=None):
+        deflators = _deflators(data, index_series)
+        prices = {}
+        for item, obs in data.observations.items():
+            terms = [(o.expenditure / data.totals[k], math.log(o.price / deflators[k]))
+                     for k, o in obs.items()]
+            weight_sum = math.fsum(w for w, _ in terms)
+            prices[item] = math.exp(math.fsum(w / weight_sum * lg for w, lg in terms))
+        return prices
 
-    def __repr__(self) -> str:
-        return "TPDGeometric()"
 
-
+@dataclass(frozen=True)
 class FixedBase:
     """Base-period price where available, current-period price otherwise."""
 
     needs_index = False
 
-    def price_for(self, dataset, item, reference_periods, base, current, index_series=None):
-        if dataset.has(base, item):
-            return dataset.observation(base, item).price
-        if dataset.has(current, item):
-            return dataset.observation(current, item).price
-        raise SchemeError(f"item {item!r} absent from both compared periods")
-
-    def __repr__(self) -> str:
-        return "FixedBase()"
+    def prices_for(self, data, index_series=None):
+        prices = {}
+        for item, obs in data.observations.items():
+            found = obs.get(data.base, obs.get(data.current))
+            if found is None:
+                raise SchemeError(f"item {item!r} absent from both compared periods")
+            prices[item] = found.price
+        return prices
 
 
 @dataclass(frozen=True)
@@ -166,86 +173,80 @@ class CustomPrices:
     prices: Mapping[ItemId, float]
     needs_index = False
 
-    def price_for(self, dataset, item, reference_periods, base, current, index_series=None):
-        try:
-            value = self.prices[item]
-        except KeyError:
-            raise SchemeError(f"no custom reference price for item {item!r}") from None
-        if value <= 0:
-            raise SchemeError(f"custom reference price for {item!r} is not positive")
-        return value
+    def prices_for(self, data, index_series=None):
+        for item in data.observations:
+            if item not in self.prices:
+                raise SchemeError(f"no custom reference price for item {item!r}")
+            if self.prices[item] <= 0:
+                raise SchemeError(f"custom reference price for {item!r} is not positive")
+        return {item: self.prices[item] for item in data.observations}
 
 
 class ReferencePriceScheme(Protocol):
     needs_index: bool
 
-    def price_for(
-        self,
-        dataset: Dataset,
-        item: ItemId,
-        reference_periods: tuple[int, ...],
-        base: int,
-        current: int,
-        index_series: Mapping[int, float] | None = None,
-    ) -> float: ...
+    def prices_for(
+        self, data: ReferenceData, index_series: Mapping[int, float] | None = None
+    ) -> dict[ItemId, float]: ...
 
 
 def reference_prices(
-    dataset: Dataset,
+    data: ReferenceData,
     scheme: ReferencePriceScheme,
-    items: frozenset[ItemId],
-    reference_periods: tuple[int, ...],
-    base: int,
-    current: int,
     index_series: Mapping[int, float] | None = None,
 ) -> dict[ItemId, float]:
-    return {
-        item: scheme.price_for(dataset, item, reference_periods, base, current, index_series)
-        for item in items
-    }
+    """Every item's reference price under the scheme."""
+    return scheme.prices_for(data, index_series)
 
 
 # ---------------------------------------------------------------------------
 # Reference quantity schemes
 
 
+def _quantity_at(data: ReferenceData, position: int, what: str) -> dict[ItemId, float]:
+    quantities = {}
+    for item, obs in data.observations.items():
+        if position not in obs:
+            raise SchemeError(f"item {item!r} has no {what}-period quantity")
+        quantities[item] = obs[position].quantity
+    return quantities
+
+
 class BaseQuantity:
     """Base-period transaction quantity; only defined for base-period items."""
 
-    def quantity_for(self, dataset, item, reference_periods, base, current, prices=None):
-        if not dataset.has(base, item):
-            raise SchemeError(f"item {item!r} has no base-period quantity")
-        return dataset.observation(base, item).quantity
+    def quantities_for(self, data, prices=None):
+        return _quantity_at(data, data.base, "base")
 
 
 class CurrentQuantity:
     """Current-period transaction quantity."""
 
-    def quantity_for(self, dataset, item, reference_periods, base, current, prices=None):
-        if not dataset.has(current, item):
-            raise SchemeError(f"item {item!r} has no current-period quantity")
-        return dataset.observation(current, item).quantity
+    def quantities_for(self, data, prices=None):
+        return _quantity_at(data, data.current, "current")
 
 
 class ArithmeticMeanQuantity:
     """Mean quantity over the reference periods in which the item is present."""
 
-    def quantity_for(self, dataset, item, reference_periods, base, current, prices=None):
-        periods = _item_periods(dataset, item, reference_periods)
-        return math.fsum(dataset.observation(r, item).quantity for r in periods) / len(periods)
+    def quantities_for(self, data, prices=None):
+        return {
+            item: math.fsum(o.quantity for o in obs.values()) / len(obs)
+            for item, obs in data.observations.items()
+        }
 
 
 class ExpenditureOverReferencePrice:
     """Mean expenditure over the item's reference periods divided by its reference price."""
 
-    def quantity_for(self, dataset, item, reference_periods, base, current, prices=None):
-        if prices is None or item not in prices:
-            raise SchemeError(f"no reference price available for item {item!r}")
-        periods = _item_periods(dataset, item, reference_periods)
-        mean_expenditure = math.fsum(
-            dataset.observation(r, item).expenditure for r in periods
-        ) / len(periods)
-        return mean_expenditure / prices[item]
+    def quantities_for(self, data, prices=None):
+        quantities = {}
+        for item, obs in data.observations.items():
+            if prices is None or item not in prices:
+                raise SchemeError(f"no reference price available for item {item!r}")
+            mean_expenditure = math.fsum(o.expenditure for o in obs.values()) / len(obs)
+            quantities[item] = mean_expenditure / prices[item]
+        return quantities
 
 
 @dataclass(frozen=True)
@@ -254,40 +255,30 @@ class CustomQuantities:
 
     quantities: Mapping[ItemId, float]
 
-    def quantity_for(self, dataset, item, reference_periods, base, current, prices=None):
-        try:
-            value = self.quantities[item]
-        except KeyError:
-            raise SchemeError(f"no custom reference quantity for item {item!r}") from None
-        return value
+    def quantities_for(self, data, prices=None):
+        for item in data.observations:
+            if item not in self.quantities:
+                raise SchemeError(f"no custom reference quantity for item {item!r}")
+        return {item: self.quantities[item] for item in data.observations}
 
 
 class ReferenceQuantityScheme(Protocol):
-    def quantity_for(
-        self,
-        dataset: Dataset,
-        item: ItemId,
-        reference_periods: tuple[int, ...],
-        base: int,
-        current: int,
-        prices: Mapping[ItemId, float] | None = None,
-    ) -> float: ...
+    def quantities_for(
+        self, data: ReferenceData, prices: Mapping[ItemId, float] | None = None
+    ) -> dict[ItemId, float]: ...
 
 
-def reference_quantity(
-    dataset: Dataset,
+def reference_quantities(
+    data: ReferenceData,
     scheme: ReferenceQuantityScheme,
-    item: ItemId,
-    spec: ComparisonSpec,
     prices: Mapping[ItemId, float] | None = None,
-) -> float:
-    """Resolve one reference quantity; positive or SchemeError."""
-    value = scheme.quantity_for(
-        dataset, item, spec.reference_periods(dataset), spec.base, spec.current, prices
-    )
-    if value <= 0 or not math.isfinite(value):
-        raise SchemeError(f"reference quantity for {item!r} is {value!r}")
-    return value
+) -> dict[ItemId, float]:
+    """Every item's reference quantity under the scheme; each positive or SchemeError."""
+    quantities = scheme.quantities_for(data, prices)
+    for item, value in quantities.items():
+        if not 0 < value < math.inf:
+            raise SchemeError(f"reference quantity for {item!r} is {value!r}")
+    return quantities
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +289,9 @@ def reference_quantity(
 _MAX_LOG = math.log(sys.float_info.max)
 
 
-def _period_maps(
-    dataset: Dataset, periods: tuple[int, ...]
-) -> list[Mapping[ItemId, Observation]] | None:
-    """Each reference period's observations; None unless all prices and quantities are positive."""
-    maps = [dataset.period_data(r).items for r in periods]
-    if all(obs.price > 0 and obs.quantity > 0 for m in maps for obs in m.values()):
-        return maps
-    return None
+def _positive(data: ReferenceData) -> bool:
+    """Whether every reference-period price and quantity is positive."""
+    return all(o.price > 0 and o.quantity > 0 for m in data.period_items for o in m.values())
 
 
 def _solve_linked(
@@ -356,21 +342,23 @@ def _series_from_logs(periods: tuple[int, ...], logs: list[float] | None) -> dic
     return dict(zip(periods, map(math.exp, logs)))
 
 
-def gk_start(dataset: Dataset, periods: tuple[int, ...], base: int) -> dict[int, float] | None:
+def gk_start(data: ReferenceData) -> dict[int, float] | None:
     """The GUV series with deflated unit values (GK), solved directly.
 
     With x_r = 1/P_r the equations read (diag(E) - M) x = 0, the
     eigenvector form of Diewert and Fox, where M_rs = sum_i q_ir e_is / Q_i
     over the items present in r and s, Q_i is the item's quantity summed
     over the reference periods, and E_r = sum_s M_sr is period r's
-    expenditure. None where the reference periods are not linked by common
-    items or the data or the solution is not positive and finite.
+    expenditure. data must cover every item of its reference periods.
+    None where the reference periods are not linked by common items or the
+    data or the solution is not positive and finite.
     """
-    maps = _period_maps(dataset, periods)
-    if maps is None:
+    if not _positive(data):
         return None
-    items = frozenset().union(*maps)
-    quantity = {i: math.fsum(m[i].quantity for m in maps if i in m) for i in items}
+    maps = data.period_items
+    quantity = {
+        i: math.fsum(o.quantity for o in obs.values()) for i, obs in data.observations.items()
+    }
     links = [
         [
             math.fsum(obs.quantity * ms[i].expenditure / quantity[i]
@@ -379,35 +367,35 @@ def gk_start(dataset: Dataset, periods: tuple[int, ...], base: int) -> dict[int,
         ]
         for r, mr in enumerate(maps)
     ]
-    x = _solve_linked(links, [0.0] * len(maps), periods.index(base), 1.0)
+    x = _solve_linked(links, [0.0] * len(maps), data.base, 1.0)
     if x is None or not all(v > 0 for v in x):
         return None
-    return _series_from_logs(periods, [-math.log(v) for v in x])
+    return _series_from_logs(data.periods, [-math.log(v) for v in x])
 
 
-def tpd_start(dataset: Dataset, periods: tuple[int, ...], base: int) -> dict[int, float] | None:
+def tpd_start(data: ReferenceData) -> dict[int, float] | None:
     """The WGM series with expenditure shares and TPD prices, solved directly.
 
     In y_r = log P_r the equations are the weighted time-product-dummy
     normal equations (I - B) y = c (Rao 2005), where w_ir is the item's
     expenditure share in period r, W_i = sum_r w_ir,
     B_rs = sum_i w_ir w_is / W_i and c_r = sum_i w_ir (log p_ir - L_i), with
-    L_i the item's w-weighted mean log price. None where the reference
-    periods are not linked by common items or the data or the solution is
-    not positive and finite.
+    L_i the item's w-weighted mean log price. data must cover every item
+    of its reference periods. None where the reference periods are not
+    linked by common items or the data or the solution is not positive and
+    finite.
     """
-    maps = _period_maps(dataset, periods)
-    if maps is None:
+    if not _positive(data):
         return None
-    totals = [dataset.period_data(r).total_expenditure() for r in periods]
-    items = frozenset().union(*maps)
+    maps, totals = data.period_items, data.totals
     weight = {
-        i: math.fsum(m[i].expenditure / t for m, t in zip(maps, totals) if i in m) for i in items
+        i: math.fsum(o.expenditure / totals[k] for k, o in obs.items())
+        for i, obs in data.observations.items()
     }
     mean_log = {
-        i: math.fsum(m[i].expenditure / t * math.log(m[i].price)
-                     for m, t in zip(maps, totals) if i in m) / weight[i]
-        for i in items
+        i: math.fsum(o.expenditure / totals[k] * math.log(o.price) for k, o in obs.items())
+        / weight[i]
+        for i, obs in data.observations.items()
     }
     n = len(maps)
     links = [[0.0] * n for _ in range(n)]
@@ -421,7 +409,7 @@ def tpd_start(dataset: Dataset, periods: tuple[int, ...], base: int) -> dict[int
         math.fsum(obs.expenditure / t * (math.log(obs.price) - mean_log[i]) for i, obs in m.items())
         for m, t in zip(maps, totals)
     ]
-    return _series_from_logs(periods, _solve_linked(links, rhs, periods.index(base), 0.0))
+    return _series_from_logs(data.periods, _solve_linked(links, rhs, data.base, 0.0))
 
 
 # ---------------------------------------------------------------------------

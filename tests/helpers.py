@@ -116,3 +116,41 @@ def presence_mgk(dataset: Dataset, base: int = 0, current: int = 1) -> float:
     a, b = total(base, u0 & ut), total(current, u0 & ut)
     c, d = total(current, ut - u0), total(base, u0 - ut)
     return (b + c) / (a + d) * (a + b + 2 * d) / (a + b + 2 * c)
+
+
+def raw_reference_values(
+    dataset: Dataset,
+    periods: tuple[int, ...],
+    base: int,
+    current: int,
+    item,
+    series: dict[int, float],
+) -> dict[str, float | None]:
+    """Every built-in scheme's reference value for one item, from raw sums.
+
+    Reads each reference period's observation of the item directly; the
+    deflated and TPD prices deflate by ``series``. Keys: lehr, deflated,
+    tpd, fixed-base (prices); mean, expenditure (over the Lehr price),
+    base, current (quantities; None where the item is absent).
+    """
+    present = [r for r in periods if item in dataset.period_data(r).items]
+    obs = {r: dataset.observation(r, item) for r in present}
+    quantity = math.fsum(obs[r].quantity for r in present)
+    expenditure = math.fsum(obs[r].price * obs[r].quantity for r in present)
+    totals = {r: math.fsum(o.price * o.quantity for o in dataset.period_data(r).items.values())
+              for r in present}
+    shares = {r: obs[r].price * obs[r].quantity / totals[r] for r in present}
+    share_sum = math.fsum(shares.values())
+    lehr = expenditure / quantity
+    fixed = obs.get(base, obs.get(current))
+    return {
+        "lehr": lehr,
+        "deflated": math.fsum(obs[r].price / series[r] * obs[r].quantity for r in present)
+        / quantity,
+        "tpd": math.prod((obs[r].price / series[r]) ** (shares[r] / share_sum) for r in present),
+        "fixed-base": fixed.price if fixed is not None else None,
+        "mean": quantity / len(present),
+        "expenditure": expenditure / len(present) / lehr,
+        "base": obs[base].quantity if base in obs else None,
+        "current": obs[current].quantity if current in obs else None,
+    }

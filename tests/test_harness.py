@@ -194,6 +194,15 @@ class TestMatrix:
         matrix = run_matrix(engines=["GUV (MGK)"], tests=["Fixed-basket"], trials=1, seed=0)
         assert matrix.cell("GUV (MGK)", "Fixed-basket").passes == 1
 
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_responsiveness_batch_must_be_positive(self, batch):
+        with pytest.raises(ValueError, match="responsiveness_batch"):
+            run_matrix(trials=1, responsiveness_batch=batch)
+
+    def test_engines_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="engines"):
+            run_matrix(engines=[], trials=1)
+
     def test_text_rendering_contains_qualifications(self):
         text = run_matrix(trials=5, seed=0).to_text()
         assert "if R_B" in text and "if R_M" in text

@@ -229,6 +229,26 @@ class TestCli:
         assert main(argv) == EX_USAGE
         assert capsys.readouterr().err.startswith("usage error: ")
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["matrix", "--batch", "0"], "responsiveness_batch"),
+            (["matrix", "--batch", "-3"], "responsiveness_batch"),
+            (["matrix", "--rows", ","], "engines"),
+        ],
+        ids=["batch-0", "batch-negative", "rows-empty"],
+    )
+    def test_matrix_empty_batch_or_rows_is_usage_error(self, capsys, argv, named):
+        assert main(argv + ["--trials", "1"]) == EX_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {named} must")
+
+    def test_compute_unknown_period_is_usage_error(self, tmp_path, capsys):
+        code = main(["compute", "--input", self._write_small_fixed(tmp_path), "--engine", "mgk",
+                     "--base", "0", "--current", "9"])
+        assert code == EX_USAGE
+        assert capsys.readouterr().err == "usage error: period 9 is not in the dataset\n"
+
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
     @pytest.mark.parametrize(
         "argv",
@@ -308,6 +328,13 @@ class TestCli:
         assert code == EX_OK
         witness = json.loads(capsys.readouterr().out)
         assert witness["test"] == "T1"
+
+    def test_seed_env_var_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("DYNINDEX_SEED", "abc")
+        assert main(["closed-forms"]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: DYNINDEX_SEED must be an integer, got 'abc'\n"
+        assert captured.out == ""
 
     def test_seed_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DYNINDEX_SEED", "7")

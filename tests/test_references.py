@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,43 +10,86 @@ from dynindex import (
     BaseQuantity,
     Bilateral,
     ComparisonSpec,
+    CurrentQuantity,
     CustomPrices,
     Dataset,
     DeflatedUnitValue,
     EngineSpec,
     ExpenditureOverReferencePrice,
     ExpenditureShare,
+    FixedBase,
     FixedPointConfig,
     FixedPointReport,
     FullHistory,
+    LehrUnitValue,
     RollingWindow,
     SchemeError,
     TPDGeometric,
-    deflated_price,
     evaluate,
-    lehr_price,
-    reference_quantity,
+    reference_data,
+    reference_prices,
+    reference_quantities,
     solve_fixed_point,
-    tpd_price,
 )
 from dynindex.engines import _guv_equations, _wgm_equations
-from helpers import random_market, small_dyn, small_fixed
+from helpers import SMALL_DYN, random_market, raw_reference_values, small_dyn, small_fixed
+
+BILATERAL = ComparisonSpec(0, 1, Bilateral())
+
+
+def _price(scheme, dataset, item, series=None):
+    """One item's reference price over the bilateral comparison 0 -> 1."""
+    return reference_prices(reference_data(dataset, BILATERAL, {item}), scheme, series)[item]
+
+
+def lehr_price(dataset, item):
+    return _price(LehrUnitValue(), dataset, item)
+
+
+def deflated_price(dataset, item, series):
+    return _price(DeflatedUnitValue(), dataset, item, series)
+
+
+def tpd_price(dataset, item, series):
+    return _price(TPDGeometric(), dataset, item, series)
+
+
+def reference_quantity(dataset, scheme, item, spec, prices=None):
+    return reference_quantities(reference_data(dataset, spec, {item}), scheme, prices)[item]
+
+
+class TestReferenceData:
+    def test_absent_item(self):
+        ds = Dataset.build({**SMALL_DYN, 2: {"D": (1.0, 1.0)}})
+        with pytest.raises(SchemeError):
+            reference_data(ds, BILATERAL, {"A", "D"})
+
+    def test_groups_observations_by_position(self):
+        ds = random_market(4, periods=5, items=6, churn=0.5)
+        spec = ComparisonSpec(2, 4, RollingWindow(4))
+        data = reference_data(ds, spec)
+        assert data.periods == (1, 2, 3, 4)
+        assert (data.base, data.current) == (1, 3)
+        for k, r in enumerate(data.periods):
+            assert data.period_items[k] is ds.period_data(r).items
+            assert data.totals[k] == ds.period_data(r).total_expenditure()
+        assert set(data.observations) == set().union(*(ds.universe(r) for r in data.periods))
+        for item, present in data.observations.items():
+            assert list(present) == [k for k, r in enumerate(data.periods) if ds.has(r, item)]
+            for k, obs in present.items():
+                assert obs is ds.observation(data.periods[k], item)
 
 
 class TestLehrPrice:
     def test_small_fixed_item_a(self):
-        assert lehr_price(small_fixed(), "A", (0, 1)) == pytest.approx(1.5, abs=1e-15)
+        assert lehr_price(small_fixed(), "A") == pytest.approx(1.5, abs=1e-15)
 
     def test_single_observation(self):
-        assert lehr_price(small_dyn(), "B", (0, 1)) == 2.0
+        assert lehr_price(small_dyn(), "B") == 2.0
 
     def test_constant_price(self):
         ds = Dataset.build({0: {"A": (3.5, 2.0)}, 1: {"A": (3.5, 9.0)}})
-        assert lehr_price(ds, "A", (0, 1)) == pytest.approx(3.5, rel=1e-15)
-
-    def test_absent_item(self):
-        with pytest.raises(SchemeError):
-            lehr_price(small_dyn(), "C", (0,))
+        assert lehr_price(ds, "A") == pytest.approx(3.5, rel=1e-15)
 
     @given(
         p0=st.floats(0.1, 50, allow_nan=False),
@@ -56,7 +100,7 @@ class TestLehrPrice:
     @settings(max_examples=200)
     def test_within_observed_price_range(self, p0, p1, q0, q1):
         ds = Dataset.build({0: {"A": (p0, q0)}, 1: {"A": (p1, q1)}})
-        value = lehr_price(ds, "A", (0, 1))
+        value = lehr_price(ds, "A")
         assert min(p0, p1) * (1 - 1e-12) <= value <= max(p0, p1) * (1 + 1e-12)
 
 
@@ -64,39 +108,39 @@ class TestDeflatedPrice:
     def test_unit_series_equals_lehr(self):
         ds = small_fixed()
         series = {0: 1.0, 1: 1.0}
-        assert deflated_price(ds, "A", (0, 1), series) == lehr_price(ds, "A", (0, 1))
+        assert deflated_price(ds, "A", series) == lehr_price(ds, "A")
 
     def test_small_dyn_item_a(self):
-        value = deflated_price(small_dyn(), "A", (0, 1), {0: 1.0, 1: 1.2})
+        value = deflated_price(small_dyn(), "A", {0: 1.0, 1: 1.2})
         assert value == pytest.approx(1.0, abs=1e-15)
 
     def test_single_period_item(self):
-        value = deflated_price(small_dyn(), "C", (0, 1), {0: 1.0, 1: 1.5})
+        value = deflated_price(small_dyn(), "C", {0: 1.0, 1: 1.5})
         assert value == pytest.approx(3.0 / 1.5, rel=1e-15)
 
     def test_missing_index_value(self):
         with pytest.raises(SchemeError):
-            deflated_price(small_dyn(), "A", (0, 1), {0: 1.0})
+            deflated_price(small_dyn(), "A", {0: 1.0})
 
 
 class TestTpdPrice:
     def test_constant_price_unit_series(self):
         ds = Dataset.build({0: {"A": (3.5, 2.0), "B": (1, 5)}, 1: {"A": (3.5, 9.0), "B": (2, 1)}})
-        assert tpd_price(ds, "A", (0, 1), {0: 1.0, 1: 1.0}) == pytest.approx(3.5, rel=1e-12)
+        assert tpd_price(ds, "A", {0: 1.0, 1: 1.0}) == pytest.approx(3.5, rel=1e-12)
 
     def test_single_period_item(self):
-        value = tpd_price(small_dyn(), "C", (0, 1), {0: 1.0, 1: 2.0})
+        value = tpd_price(small_dyn(), "C", {0: 1.0, 1: 2.0})
         assert value == pytest.approx(1.5, rel=1e-15)
 
     def test_small_fixed_item_a_exponents(self):
         # shares 1/2 and 2/3 normalize to 3/7 and 4/7, giving 2**(4/7)
-        value = tpd_price(small_fixed(), "A", (0, 1), {0: 1.0, 1: 1.0})
+        value = tpd_price(small_fixed(), "A", {0: 1.0, 1: 1.0})
         assert value == pytest.approx(2 ** (4 / 7), rel=1e-14)
 
     def test_equal_shares_unit_index_is_geometric_mean(self):
         # equal expenditure in both periods makes the exponents 1/2 each
         ds = Dataset.build({0: {"A": (2.0, 3.0), "B": (6.0, 1.0)}, 1: {"A": (8.0, 1.0), "B": (4.0, 2.0)}})
-        value = tpd_price(ds, "A", (0, 1), {0: 1.0, 1: 1.0})
+        value = tpd_price(ds, "A", {0: 1.0, 1: 1.0})
         assert value == pytest.approx((2.0 * 8.0) ** 0.5, rel=1e-14)
 
 
@@ -126,12 +170,55 @@ class TestCustomPrices:
     def test_missing_coverage(self):
         scheme = CustomPrices({"A": 1.0})
         with pytest.raises(SchemeError):
-            scheme.price_for(small_dyn(), "B", (0, 1), 0, 1)
+            _price(scheme, small_dyn(), "B")
 
     def test_non_positive(self):
         scheme = CustomPrices({"A": 0.0})
         with pytest.raises(SchemeError):
-            scheme.price_for(small_dyn(), "A", (0, 1), 0, 1)
+            _price(scheme, small_dyn(), "A")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ComparisonSpec(1, 3, Bilateral()),
+        ComparisonSpec(1, 4, FullHistory()),
+        ComparisonSpec(2, 4, RollingWindow(4)),
+    ],
+    ids=["bilateral", "full-history", "rolling-base-mid-window"],
+)
+@pytest.mark.parametrize("seed", range(8))
+def test_table_schemes_match_raw_sums(seed, spec):
+    ds = random_market(seed, periods=5, items=9, churn=0.4)
+    rng = random.Random(seed)
+    periods = spec.reference_periods(ds)
+    series = {r: rng.uniform(0.5, 2.0) for r in periods}
+    universe = frozenset().union(*(ds.universe(r) for r in periods))
+    compared = ds.universe(spec.base) | ds.universe(spec.current)
+    oracle = {item: raw_reference_values(ds, periods, spec.base, spec.current, item, series)
+              for item in universe}
+
+    def check(key, values, items):
+        assert set(values) == items
+        for item in items:
+            assert values[item] == pytest.approx(oracle[item][key], rel=1e-12), (key, item)
+
+    everything = reference_data(ds, spec)
+    check("lehr", reference_prices(everything, LehrUnitValue()), universe)
+    check("deflated", reference_prices(everything, DeflatedUnitValue(), series), universe)
+    check("tpd", reference_prices(everything, TPDGeometric(), series), universe)
+    check("mean", reference_quantities(everything, ArithmeticMeanQuantity()), universe)
+    lehr = reference_prices(everything, LehrUnitValue())
+    check("expenditure", reference_quantities(everything, ExpenditureOverReferencePrice(), lehr),
+          universe)
+    check("fixed-base", reference_prices(reference_data(ds, spec, compared), FixedBase()), compared)
+    for key, scheme, period in (("base", BaseQuantity(), spec.base),
+                                ("current", CurrentQuantity(), spec.current)):
+        check(key, reference_quantities(reference_data(ds, spec, ds.universe(period)), scheme),
+              ds.universe(period))
+        if compared != ds.universe(period):
+            with pytest.raises(SchemeError):
+                reference_quantities(reference_data(ds, spec, compared), scheme)
 
 
 class TestFixedPointConfig:
@@ -310,9 +397,9 @@ def test_scale_equivariance_of_reference_prices():
             for t in (0, 1)
         }
     )
-    assert lehr_price(scaled, "A", (0, 1)) == pytest.approx(
-        7.0 * lehr_price(ds, "A", (0, 1)), rel=1e-12
+    assert lehr_price(scaled, "A") == pytest.approx(
+        7.0 * lehr_price(ds, "A"), rel=1e-12
     )
-    assert tpd_price(scaled, "A", (0, 1), {0: 1.0, 1: 1.0}) == pytest.approx(
-        7.0 * tpd_price(ds, "A", (0, 1), {0: 1.0, 1: 1.0}), rel=1e-12
+    assert tpd_price(scaled, "A", {0: 1.0, 1: 1.0}) == pytest.approx(
+        7.0 * tpd_price(ds, "A", {0: 1.0, 1: 1.0}), rel=1e-12
     )
