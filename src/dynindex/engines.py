@@ -15,7 +15,9 @@ depend on item iteration order.
 from __future__ import annotations
 
 import math
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Callable, Mapping
 
 from .core import (
@@ -42,6 +44,7 @@ from .references import (
     reference_data,
     reference_prices,
     reference_quantities,
+    share_total,
     solve_fixed_point,
     tpd_start,
 )
@@ -68,15 +71,11 @@ class IndexResult:
             raise NumericalError(f"index value {self.value!r} is not positive and finite")
 
 
-def _quantity_index(
-    dataset: Dataset, base: int, current: int, prices: Mapping[ItemId, float]
-) -> float:
-    numerator = math.fsum(
-        prices[i] * obs.quantity for i, obs in dataset.period_data(current).items.items()
-    )
-    denominator = math.fsum(
-        prices[i] * obs.quantity for i, obs in dataset.period_data(base).items.items()
-    )
+def _quantity_index(data: ReferenceData, position: int, prices: Mapping[ItemId, float]) -> float:
+    """The reference-price quantity index of the period at position against the base."""
+    current, base = data.period_items[position], data.period_items[data.base]
+    numerator = math.fsum([prices[i] * o.quantity for i, o in current.items()])
+    denominator = math.fsum([prices[i] * o.quantity for i, o in base.items()])
     if denominator <= 0 or numerator <= 0:
         raise NumericalError("reference-price quantity index is not positive")
     return numerator / denominator
@@ -90,12 +89,13 @@ def _quantity_index(
 class _CoupledEquations:
     """Reference prices and the index they imply, for one comparison.
 
-    index_at(r, prices) is the index of period r against the base, which
-    is pinned to 1.0. data holds the items an index-free scheme prices once
-    (the two compared universes) or a coupled one prices every sweep (every
-    reference period's universe); a coupled scheme is solved jointly with
-    the index series, starting from linear_start's direct solve where the
-    system is linear and that solve succeeds.
+    index_at(k, prices) is the index of the period at position k against
+    the base, which is pinned to 1.0. data holds the items an index-free
+    scheme prices once (the two compared universes) or a coupled one
+    prices every sweep (every reference period's universe); a coupled
+    scheme is solved jointly with the index series, starting from
+    linear_start's direct solve where the system is linear and that solve
+    succeeds.
     """
 
     dataset: Dataset
@@ -109,8 +109,9 @@ class _CoupledEquations:
         return reference_prices(self.data, self.scheme, index_series)
 
     def index_from_prices(self, prices: Mapping[ItemId, float]) -> dict[int, float]:
-        base = self.spec.base
-        return {r: self.index_at(r, prices) if r != base else 1.0 for r in self.data.periods}
+        base = self.data.base
+        return {r: self.index_at(k, prices) if k != base else 1.0
+                for k, r in enumerate(self.data.periods)}
 
     def solve(self, config: FixedPointConfig | None) -> tuple[
         dict[int, float] | None, dict[ItemId, float], FixedPointReport | None
@@ -122,21 +123,17 @@ class _CoupledEquations:
         return solve_fixed_point(self.dataset, self.spec, self, config, start)
 
 
-def _compared_items(dataset: Dataset, spec: ComparisonSpec) -> frozenset[ItemId]:
+def _compared_items(dataset: Dataset, spec: ComparisonSpec) -> AbstractSet[ItemId]:
     """The union of the base and current universes."""
-    return dataset.universe(spec.base) | dataset.universe(spec.current)
+    base, current = dataset.period_data(spec.base), dataset.period_data(spec.current)
+    return base.items.keys() | current.items.keys()
 
 
-def _coupled_equations(
-    dataset: Dataset,
-    spec: ComparisonSpec,
-    scheme: ReferencePriceScheme,
-    index_at: Callable,
-    linear_start: Callable | None,
-) -> _CoupledEquations:
+def _equation_data(
+    dataset: Dataset, spec: ComparisonSpec, scheme: ReferencePriceScheme
+) -> ReferenceData:
     items = None if scheme.needs_index else _compared_items(dataset, spec)
-    data = reference_data(dataset, spec, items)
-    return _CoupledEquations(dataset, spec, data, scheme, index_at, linear_start)
+    return reference_data(dataset, spec, items)
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +143,13 @@ def _coupled_equations(
 def _guv_equations(
     dataset: Dataset, spec: ComparisonSpec, scheme: ReferencePriceScheme
 ) -> _CoupledEquations:
-    def index_at(r: int, prices: Mapping[ItemId, float]) -> float:
-        return dataset.value_ratio(spec.base, r) / _quantity_index(dataset, spec.base, r, prices)
+    data = _equation_data(dataset, spec, scheme)
+
+    def index_at(k: int, prices: Mapping[ItemId, float]) -> float:
+        return dataset.value_ratio(spec.base, data.periods[k]) / _quantity_index(data, k, prices)
 
     linear = isinstance(scheme, DeflatedUnitValue)
-    return _coupled_equations(dataset, spec, scheme, index_at, gk_start if linear else None)
+    return _CoupledEquations(dataset, spec, data, scheme, index_at, gk_start if linear else None)
 
 
 def _guv(
@@ -160,11 +159,12 @@ def _guv(
     config: FixedPointConfig | None,
 ) -> tuple[IndexResult, dict[ItemId, float] | None]:
     """The GUV result, plus its reference prices when the scheme is index-free."""
-    series, prices, report = _guv_equations(dataset, spec, scheme).solve(config)
+    equations = _guv_equations(dataset, spec, scheme)
+    series, prices, report = equations.solve(config)
     value_ratio = dataset.value_ratio(spec.base, spec.current)
     if series is None:
         # The divisor itself: value_ratio / value can differ from it in the last bit.
-        quantity = _quantity_index(dataset, spec.base, spec.current, prices)
+        quantity = _quantity_index(equations.data, equations.data.current, prices)
         return IndexResult(value_ratio / quantity, decomposition=(value_ratio, quantity)), prices
     value = series[spec.current]
     return IndexResult(value, report, (value_ratio, value_ratio / value), series), None
@@ -201,30 +201,44 @@ def gk_index(
 # Weighted geometric mean family: WGM, Tornqvist, TPD
 
 
-def _expenditure_shares(dataset: Dataset, period: int) -> dict[ItemId, float]:
-    total = dataset.period_data(period).total_expenditure()
-    return {i: obs.expenditure / total for i, obs in dataset.period_data(period).items.items()}
+def _expenditure_shares(data: ReferenceData, position: int) -> dict[ItemId, float]:
+    total = share_total(data, position)
+    return {i: o.price * o.quantity / total for i, o in data.period_items[position].items()}
+
+
+def _base_shares(data: ReferenceData) -> Callable[[], dict[ItemId, float]]:
+    """The base period's expenditure shares, computed on the first call only."""
+    return cache(partial(_expenditure_shares, data, data.base))
+
+
+# A weight scheme's weights_for(data) returns weights(k): the base and the
+# period at position k's item weights, for the index of k against the base.
+# weights_for itself computes and checks nothing, so a pricing error is
+# raised before a weighting error.
 
 
 class ExpenditureShare:
     """Per-period expenditure shares; defined in any universe."""
 
-    def weights_pair(self, dataset, base, current):
-        return _expenditure_shares(dataset, base), _expenditure_shares(dataset, current)
+    def weights_for(self, data):
+        base = _base_shares(data)
+        return lambda k: (base(), _expenditure_shares(data, k))
 
 
 class TornqvistWeights:
     """Symmetric mean of the two periods' expenditure shares; fixed universe only."""
 
-    def weights_pair(self, dataset, base, current):
-        u0 = dataset.universe(base)
-        ut = dataset.universe(current)
-        if u0 != ut:
-            raise SchemeError("symmetric weights require a fixed item universe")
-        w0 = _expenditure_shares(dataset, base)
-        wt = _expenditure_shares(dataset, current)
-        shared = {i: 0.5 * (w0[i] + wt[i]) for i in u0}
-        return shared, shared
+    def weights_for(self, data):
+        base = _base_shares(data)
+
+        def weights(k):
+            if data.period_items[k].keys() != data.period_items[data.base].keys():
+                raise SchemeError("symmetric weights require a fixed item universe")
+            w0, wk = base(), _expenditure_shares(data, k)
+            shared = {i: 0.5 * (w0[i] + wk[i]) for i in w0}
+            return shared, shared
+
+        return weights
 
 
 @dataclass(frozen=True)
@@ -234,32 +248,36 @@ class CustomWeights:
     base_weights: Mapping[ItemId, float]
     current_weights: Mapping[ItemId, float]
 
-    def weights_pair(self, dataset, base, current):
-        for period, weights in ((base, self.base_weights), (current, self.current_weights)):
-            universe = dataset.universe(period)
-            if set(weights) != set(universe):
-                raise SchemeError(f"custom weights do not cover the period {period} universe")
+    def weights_for(self, data):
+        def check(k, weights):
+            if weights.keys() != data.period_items[k].keys():
+                raise SchemeError(
+                    f"custom weights do not cover the period {data.periods[k]} universe")
             total = math.fsum(weights.values())
             if abs(total - 1.0) > 1e-9:
-                raise SchemeError(f"custom weights for period {period} sum to {total!r}")
-        return dict(self.base_weights), dict(self.current_weights)
+                raise SchemeError(f"custom weights for period {data.periods[k]} sum to {total!r}")
+
+        def weights(k):
+            check(data.base, self.base_weights)
+            check(k, self.current_weights)
+            return self.base_weights, self.current_weights
+
+        return weights
 
 
 def _wgm_value(
-    dataset: Dataset,
-    base: int,
-    current: int,
+    data: ReferenceData,
+    position: int,
     prices: Mapping[ItemId, float],
     base_weights: Mapping[ItemId, float],
-    current_weights: Mapping[ItemId, float],
+    period_weights: Mapping[ItemId, float],
 ) -> float:
+    current, base = data.period_items[position], data.period_items[data.base]
     log_terms = [
-        w * (math.log(dataset.observation(current, i).price) - math.log(prices[i]))
-        for i, w in current_weights.items()
+        w * (math.log(current[i].price) - math.log(prices[i])) for i, w in period_weights.items()
     ]
     log_terms.extend(
-        -w * (math.log(dataset.observation(base, i).price) - math.log(prices[i]))
-        for i, w in base_weights.items()
+        -w * (math.log(base[i].price) - math.log(prices[i])) for i, w in base_weights.items()
     )
     return math.exp(math.fsum(log_terms))
 
@@ -267,12 +285,14 @@ def _wgm_value(
 def _wgm_equations(
     dataset: Dataset, spec: ComparisonSpec, weights: object, scheme: ReferencePriceScheme
 ) -> _CoupledEquations:
-    def index_at(r: int, prices: Mapping[ItemId, float]) -> float:
-        w0, wr = weights.weights_pair(dataset, spec.base, r)
-        return _wgm_value(dataset, spec.base, r, prices, w0, wr)
+    data = _equation_data(dataset, spec, scheme)
+    weights_at = weights.weights_for(data)
+
+    def index_at(k: int, prices: Mapping[ItemId, float]) -> float:
+        return _wgm_value(data, k, prices, *weights_at(k))
 
     linear = isinstance(weights, ExpenditureShare) and isinstance(scheme, TPDGeometric)
-    return _coupled_equations(dataset, spec, scheme, index_at, tpd_start if linear else None)
+    return _CoupledEquations(dataset, spec, data, scheme, index_at, tpd_start if linear else None)
 
 
 def wgm_index(
@@ -288,7 +308,7 @@ def wgm_index(
     equations = _wgm_equations(dataset, spec, weight_scheme, scheme)
     series, prices, report = equations.solve(config)
     if series is None:
-        return IndexResult(equations.index_at(spec.current, prices))
+        return IndexResult(equations.index_at(equations.data.current, prices))
     return IndexResult(series[spec.current], diagnostics=report, series=series)
 
 
@@ -405,11 +425,11 @@ def rq_index(
     scheme = quantities if quantities is not None else ArithmeticMeanQuantity()
     policy = imputation if imputation is not None else ImputationPolicy()
     data = reference_data(dataset, spec, _compared_items(dataset, spec))
+    base, current = data.period_items[data.base], data.period_items[data.current]
     numerator_terms = []
     denominator_terms = []
     for item, quantity in reference_quantities(data, scheme, prices_for_quantities).items():
-        present = data.observations[item]
-        base_obs, current_obs = present.get(data.base), present.get(data.current)
+        base_obs, current_obs = base.get(item), current.get(item)
         if base_obs is None:
             current_price = current_obs.price
             base_price = policy.base_price_for_birth(item, current_price)
@@ -461,19 +481,14 @@ def rqp_index(
 
 def classical_indices(dataset: Dataset, base: int, current: int) -> tuple[float, float, float]:
     """(Laspeyres, Paasche, Fisher) over the persistent universe."""
-    persistent = dataset.universe(base) & dataset.universe(current)
+    m0, mt = dataset.period_data(base).items, dataset.period_data(current).items
+    persistent = m0.keys() & mt.keys()
     if not persistent:
         raise InvalidComparisonError("classical indices need a non-empty persistent universe")
-    q0p0 = math.fsum(dataset.observation(base, i).expenditure for i in persistent)
-    qtpt = math.fsum(dataset.observation(current, i).expenditure for i in persistent)
-    q0pt = math.fsum(
-        dataset.observation(base, i).quantity * dataset.observation(current, i).price
-        for i in persistent
-    )
-    qtp0 = math.fsum(
-        dataset.observation(current, i).quantity * dataset.observation(base, i).price
-        for i in persistent
-    )
+    q0p0 = math.fsum([m0[i].expenditure for i in persistent])
+    qtpt = math.fsum([mt[i].expenditure for i in persistent])
+    q0pt = math.fsum([m0[i].quantity * mt[i].price for i in persistent])
+    qtp0 = math.fsum([mt[i].quantity * m0[i].price for i in persistent])
     laspeyres = q0pt / q0p0
     paasche = qtpt / qtp0
     return laspeyres, paasche, math.sqrt(laspeyres * paasche)

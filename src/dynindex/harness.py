@@ -414,14 +414,16 @@ class VerdictMatrix:
         return self.rows[row][column][sub]
 
     def to_text(self) -> str:
+        """The matrix as a table, with the columns that ran in their usual order."""
+        ran = [c for c in _COLUMNS if any(c in columns for columns in self.rows.values())]
         lines = []
         width = max(len(r) for r in self.rows) + 2
-        header = "".ljust(width) + " | ".join(c.ljust(18) for c in _COLUMNS)
+        header = "".ljust(width) + " | ".join(c.ljust(18) for c in ran)
         lines.append(header)
         lines.append("-" * len(header))
         for row, columns in self.rows.items():
             rendered = []
-            for column in _COLUMNS:
+            for column in ran:
                 cells = columns[column]
                 parts = [
                     f"{cell.label} {sub}".strip() if sub else cell.label
@@ -549,6 +551,12 @@ def run_matrix(
         if unknown:
             raise ValueError(f"unknown matrix rows {sorted(unknown)}")
         plan = {row: plan[row] for row in engines}
+    if tests is not None:
+        if not tests:
+            raise ValueError("tests must name at least one matrix column")
+        unknown = set(tests) - set(_COLUMNS)
+        if unknown:
+            raise ValueError(f"tests names unknown matrix columns {sorted(unknown)}")
     rows: dict[str, dict[str, dict[str, MatrixCell]]] = {}
     for row_label, columns in plan.items():
         row_cells: dict[str, dict[str, MatrixCell]] = {}

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol
+from functools import cached_property
+from typing import Iterable, Mapping, Protocol, Sequence
 
 from .core import (
     ComparisonSpec,
@@ -39,9 +41,10 @@ class ReferenceData:
 
     period_items[k] and totals[k] are the item map and total expenditure
     of reference period periods[k]; base and current are the positions of
-    the compared periods. observations maps each requested item to its
-    observations keyed by the positions of the periods it is present in,
-    in period order. The observations are the dataset's own.
+    the compared periods. observations maps each requested item, in order
+    of first appearance, to its observations in position order; the
+    observations are the dataset's own. positions holds the matching
+    positions, found on first use: only index-deflated schemes need them.
     """
 
     periods: tuple[int, ...]
@@ -49,7 +52,17 @@ class ReferenceData:
     current: int
     period_items: tuple[Mapping[ItemId, Observation], ...]
     totals: tuple[float, ...]
-    observations: Mapping[ItemId, Mapping[int, Observation]]
+    observations: Mapping[ItemId, Sequence[Observation]]
+
+    @cached_property
+    def positions(self) -> dict[ItemId, list[int]]:
+        positions: dict[ItemId, list[int]] = {item: [] for item in self.observations}
+        for k, m in enumerate(self.period_items):
+            for item in m:
+                present = positions.get(item)
+                if present is not None:
+                    present.append(k)
+        return positions
 
 
 def reference_data(
@@ -57,22 +70,24 @@ def reference_data(
 ) -> ReferenceData:
     """Group the reference periods' observations of ``items`` (default: all of them).
 
-    Raises SchemeError for an item present in no reference period.
+    One pass over the reference periods' item maps. Raises SchemeError for
+    an item present in no reference period.
     """
     periods = spec.reference_periods(dataset)
     period_data = [dataset.period_data(r) for r in periods]
     period_items = tuple(pd.items for pd in period_data)
-    if items is None:
-        items = frozenset().union(*period_items)
-    observations = {item: {} for item in items}
-    for k, m in enumerate(period_items):
+    wanted = items if items is None or isinstance(items, AbstractSet) else frozenset(items)
+    observations: dict[ItemId, list[Observation]] = {}
+    for m in period_items:
         for item, obs in m.items():
             present = observations.get(item)
             if present is not None:
-                present[k] = obs
-    for item, present in observations.items():
-        if not present:
-            raise SchemeError(f"item {item!r} absent from all reference periods {periods}")
+                present.append(obs)
+            elif wanted is None or item in wanted:
+                observations[item] = [obs]
+    if wanted is not None and len(observations) < len(wanted):
+        missing = next(item for item in wanted if item not in observations)
+        raise SchemeError(f"item {missing!r} absent from all reference periods {periods}")
     return ReferenceData(
         periods,
         periods.index(spec.base),
@@ -95,6 +110,18 @@ def _deflators(data: ReferenceData, index_series: Mapping[int, float] | None) ->
     return [index_series[r] for r in data.periods]
 
 
+def share_total(data: ReferenceData, position: int) -> float:
+    """The total that the period's expenditure shares divide by.
+
+    NumericalError unless it is positive and finite; an empty period has
+    no shares, and its total passes as it is.
+    """
+    total = data.totals[position]
+    if data.period_items[position] and not 0 < total < math.inf:
+        raise NumericalError(f"total expenditure of period {data.periods[position]} is {total!r}")
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Reference price schemes
 
@@ -106,11 +133,19 @@ class LehrUnitValue:
     needs_index = False
 
     def prices_for(self, data, index_series=None):
-        return {
-            item: math.fsum(o.expenditure for o in obs.values())
-            / math.fsum(o.quantity for o in obs.values())
-            for item, obs in data.observations.items()
-        }
+        # Expenditure over quantity, summed over the item's observations.
+        # This loop runs once per item of every GEKS leg, so expenditure is
+        # written out as price * quantity and an item seen in one period
+        # skips fsum: the fsum of one term is that term.
+        prices = {}
+        for item, obs in data.observations.items():
+            if len(obs) == 1:
+                (o,) = obs
+                prices[item] = o.price * o.quantity / o.quantity
+            else:
+                prices[item] = (math.fsum([o.price * o.quantity for o in obs])
+                                / math.fsum([o.quantity for o in obs]))
+        return prices
 
 
 @dataclass(frozen=True)
@@ -121,9 +156,11 @@ class DeflatedUnitValue:
 
     def prices_for(self, data, index_series=None):
         deflators = _deflators(data, index_series)
+        positions = data.positions
         return {
-            item: math.fsum(o.price / deflators[k] * o.quantity for k, o in obs.items())
-            / math.fsum(o.quantity for o in obs.values())
+            item: math.fsum([o.price / deflators[k] * o.quantity
+                             for k, o in zip(positions[item], obs)])
+            / math.fsum([o.quantity for o in obs])
             for item, obs in data.observations.items()
         }
 
@@ -141,11 +178,15 @@ class TPDGeometric:
 
     def prices_for(self, data, index_series=None):
         deflators = _deflators(data, index_series)
+        totals = [share_total(data, k) for k in range(len(data.periods))]
+        positions = data.positions
         prices = {}
         for item, obs in data.observations.items():
-            terms = [(o.expenditure / data.totals[k], math.log(o.price / deflators[k]))
-                     for k, o in obs.items()]
+            terms = [(o.expenditure / totals[k], math.log(o.price / deflators[k]))
+                     for k, o in zip(positions[item], obs)]
             weight_sum = math.fsum(w for w, _ in terms)
+            if weight_sum == 0:
+                raise NumericalError(f"expenditure shares of item {item!r} sum to {weight_sum!r}")
             prices[item] = math.exp(math.fsum(w / weight_sum * lg for w, lg in terms))
         return prices
 
@@ -157,9 +198,12 @@ class FixedBase:
     needs_index = False
 
     def prices_for(self, data, index_series=None):
+        base, current = data.period_items[data.base], data.period_items[data.current]
         prices = {}
-        for item, obs in data.observations.items():
-            found = obs.get(data.base, obs.get(data.current))
+        for item in data.observations:
+            found = base.get(item)
+            if found is None:
+                found = current.get(item)
             if found is None:
                 raise SchemeError(f"item {item!r} absent from both compared periods")
             prices[item] = found.price
@@ -204,11 +248,13 @@ def reference_prices(
 
 
 def _quantity_at(data: ReferenceData, position: int, what: str) -> dict[ItemId, float]:
+    period = data.period_items[position]
     quantities = {}
-    for item, obs in data.observations.items():
-        if position not in obs:
+    for item in data.observations:
+        obs = period.get(item)
+        if obs is None:
             raise SchemeError(f"item {item!r} has no {what}-period quantity")
-        quantities[item] = obs[position].quantity
+        quantities[item] = obs.quantity
     return quantities
 
 
@@ -231,7 +277,7 @@ class ArithmeticMeanQuantity:
 
     def quantities_for(self, data, prices=None):
         return {
-            item: math.fsum(o.quantity for o in obs.values()) / len(obs)
+            item: math.fsum([o.quantity for o in obs]) / len(obs)
             for item, obs in data.observations.items()
         }
 
@@ -244,7 +290,7 @@ class ExpenditureOverReferencePrice:
         for item, obs in data.observations.items():
             if prices is None or item not in prices:
                 raise SchemeError(f"no reference price available for item {item!r}")
-            mean_expenditure = math.fsum(o.expenditure for o in obs.values()) / len(obs)
+            mean_expenditure = math.fsum([o.expenditure for o in obs]) / len(obs)
             quantities[item] = mean_expenditure / prices[item]
         return quantities
 
@@ -357,7 +403,7 @@ def gk_start(data: ReferenceData) -> dict[int, float] | None:
         return None
     maps = data.period_items
     quantity = {
-        i: math.fsum(o.quantity for o in obs.values()) for i, obs in data.observations.items()
+        i: math.fsum([o.quantity for o in obs]) for i, obs in data.observations.items()
     }
     links = [
         [
@@ -382,18 +428,22 @@ def tpd_start(data: ReferenceData) -> dict[int, float] | None:
     B_rs = sum_i w_ir w_is / W_i and c_r = sum_i w_ir (log p_ir - L_i), with
     L_i the item's w-weighted mean log price. data must cover every item
     of its reference periods. None where the reference periods are not
-    linked by common items or the data or the solution is not positive and
-    finite.
+    linked by common items, or the data, an item's W_i (zero where its
+    expenditure underflows, nan where it overflows) or the solution is not
+    positive and finite.
     """
     if not _positive(data):
         return None
-    maps, totals = data.period_items, data.totals
+    maps, totals, positions = data.period_items, data.totals, data.positions
     weight = {
-        i: math.fsum(o.expenditure / totals[k] for k, o in obs.items())
+        i: math.fsum([o.expenditure / totals[k] for k, o in zip(positions[i], obs)])
         for i, obs in data.observations.items()
     }
+    if not all(w > 0 for w in weight.values()):
+        return None
     mean_log = {
-        i: math.fsum(o.expenditure / totals[k] * math.log(o.price) for k, o in obs.items())
+        i: math.fsum([o.expenditure / totals[k] * math.log(o.price)
+                      for k, o in zip(positions[i], obs)])
         / weight[i]
         for i, obs in data.observations.items()
     }

@@ -154,3 +154,20 @@ def raw_reference_values(
         "base": obs[base].quantity if base in obs else None,
         "current": obs[current].quantity if current in obs else None,
     }
+
+
+def raw_mgk(dataset: Dataset, base: int, current: int) -> float:
+    """Bilateral MGK from raw sums: the value ratio over the quantity index
+    priced at each item's Lehr unit value over the two periods."""
+    items = dataset.universe(base) | dataset.universe(current)
+    series = {base: 1.0, current: 1.0}
+    lehr = {i: raw_reference_values(dataset, (base, current), base, current, i, series)["lehr"]
+            for i in items}
+
+    def totals(t: int) -> tuple[float, float]:
+        observations = dataset.period_data(t).items
+        return (math.fsum(o.price * o.quantity for o in observations.values()),
+                math.fsum(lehr[i] * o.quantity for i, o in observations.items()))
+
+    (e0, v0), (e1, v1) = totals(base), totals(current)
+    return (e1 / e0) / (v1 / v0)

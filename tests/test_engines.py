@@ -16,6 +16,7 @@ from dynindex import (
     InvalidComparisonError,
     LehrUnitValue,
     NumericalError,
+    PriceIndexError,
     TornqvistWeights,
     adjusted_laspeyres,
     classical_indices,
@@ -31,7 +32,7 @@ from dynindex import (
     wgm_index,
 )
 from dynindex.engines import CHAINABLE_FAMILIES, ENGINE_FAMILIES
-from helpers import fixed_market, small_dyn, small_fixed
+from helpers import fixed_market, random_market, raw_mgk, small_dyn, small_fixed
 
 BILATERAL = ComparisonSpec(0, 1, Bilateral())
 
@@ -130,6 +131,14 @@ class TestWgm:
         with pytest.raises(SchemeError):
             tornqvist_index(small_dyn(), BILATERAL)
 
+    def test_tornqvist_universe_check_precedes_base_shares(self):
+        from dynindex import SchemeError
+
+        # period 0's total expenditure is zero, so its shares are undefined
+        ds = Dataset.build({0: {"A": (-1, 1), "B": (1, 1)}, 1: {"A": (1, 1), "C": (1, 1)}})
+        with pytest.raises(SchemeError, match="fixed item universe"):
+            wgm_index(ds, BILATERAL, TornqvistWeights(), LehrUnitValue())
+
 
 class TestTpd:
     def test_identical_periods_full_history(self):
@@ -149,6 +158,18 @@ class TestTpd:
         result = tpd_index(small_fixed(), BILATERAL)
         assert result.value == pytest.approx(2 ** (10 / 17), abs=1e-8)
         assert result.diagnostics.converged
+
+    def test_underflowing_expenditure_raises_numerical_error(self):
+        # a's expenditure 1e-300 * 1e-300 underflows to zero: its shares sum to zero
+        ds = Dataset.build({t: {"a": (1e-300, 1e-300), "b": (1.0 + t, 1.0)} for t in range(2)})
+        with pytest.raises(NumericalError, match="sum to 0.0"):
+            tpd_index(ds, BILATERAL)
+
+    def test_negative_share_sum_still_prices(self):
+        # a's quantity is negative in both periods, so its shares sum to
+        # -1/2 - 1/3; only a sum of zero leaves the TPD price undefined
+        ds = Dataset.build({0: {"a": (1, -1), "b": (3, 1)}, 1: {"a": (1, -1), "b": (4, 1)}})
+        assert tpd_index(ds, BILATERAL).value == pytest.approx(1.493939880513033, rel=1e-12)
 
 
 class TestGeks:
@@ -179,6 +200,25 @@ class TestGeks:
         ds = Dataset.build({t: {"A": (2, 3), "B": (5, 1)} for t in range(4)})
         result = geks_index(ds, ComparisonSpec(0, 3, FullHistory()))
         assert all(v == pytest.approx(1.0, abs=1e-14) for v in result.series.values())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_full_history_series_matches_raw_sum_legs(self, seed):
+        periods = 3 + seed % 4
+        ds = random_market(seed, periods=periods, items=7, churn=0.4)
+        last = ds.last_period
+
+        def leg(s, r):
+            if s == r:
+                return 1.0
+            return raw_mgk(ds, s, r) if s < r else 1.0 / raw_mgk(ds, r, s)
+
+        result = geks_index(ds, ComparisonSpec(0, last, FullHistory()))
+        assert sorted(result.series) == list(range(last + 1))
+        assert result.series[0] == 1.0
+        for r in range(1, last + 1):
+            logs = [math.log(leg(0, s)) + math.log(leg(s, r)) for s in range(r + 1)]
+            expected = math.exp(math.fsum(logs) / (r + 1))
+            assert result.series[r] == pytest.approx(expected, rel=1e-12), r
 
 
 class TestRq:
@@ -313,6 +353,23 @@ class TestEngineSpec:
         ds = fixed_market(5, periods=3, items=4)
         spec = ComparisonSpec(0, 2, FullHistory())
         assert evaluate(ds, spec, EngineSpec(family)) == direct(ds, spec)
+
+    @pytest.mark.parametrize("policy", [Bilateral(), FullHistory()],
+                             ids=["bilateral", "full-history"])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # period 0 has a total expenditure of zero
+            {0: {"a": (-1, 1), "b": (1, 1)}, 1: {"a": (1, 1), "b": (1, 1)}},
+            # a's expenditure, price times quantity, overflows to inf
+            {t: {"a": (1e200, 1e200), "b": (1, 1)} for t in range(2)},
+        ],
+        ids=["zero-total", "overflow"],
+    )
+    @pytest.mark.parametrize("family", ENGINE_FAMILIES)
+    def test_degenerate_totals_raise_price_index_errors(self, family, data, policy):
+        with pytest.raises(PriceIndexError):
+            evaluate(Dataset.build(data), ComparisonSpec(0, 1, policy), EngineSpec(family))
 
     def test_disjoint_universes_still_evaluate(self):
         ds = Dataset.build({0: {"A": (1, 2)}, 1: {"B": (3, 4)}})

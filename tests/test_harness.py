@@ -203,6 +203,19 @@ class TestMatrix:
         with pytest.raises(ValueError, match="engines"):
             run_matrix(engines=[], trials=1)
 
+    @pytest.mark.parametrize("tests", [[], ["Identity", "Transitivity"]], ids=["empty", "unknown"])
+    def test_tests_must_name_known_columns(self, tests):
+        with pytest.raises(ValueError, match="tests"):
+            run_matrix(tests=tests, trials=1)
+
+    def test_text_renders_only_the_columns_that_ran(self):
+        matrix = run_matrix(engines=["GUV (MGK)", "GEKS"], tests=["Lower-bound", "Identity"],
+                            trials=1, seed=0)
+        header, _rule, *rows = matrix.to_text().splitlines()
+        assert header.split() == ["Identity", "|", "Lower-bound"]
+        assert [row.split("  ")[0] for row in rows] == ["GUV (MGK)", "GEKS"]
+        assert "if R_B" in rows[0] and "Fixed-basket" not in header
+
     def test_text_rendering_contains_qualifications(self):
         text = run_matrix(trials=5, seed=0).to_text()
         assert "if R_B" in text and "if R_M" in text

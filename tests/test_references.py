@@ -74,10 +74,25 @@ class TestReferenceData:
             assert data.period_items[k] is ds.period_data(r).items
             assert data.totals[k] == ds.period_data(r).total_expenditure()
         assert set(data.observations) == set().union(*(ds.universe(r) for r in data.periods))
+        assert list(data.positions) == list(data.observations)
         for item, present in data.observations.items():
-            assert list(present) == [k for k, r in enumerate(data.periods) if ds.has(r, item)]
-            for k, obs in present.items():
+            positions = [k for k, r in enumerate(data.periods) if ds.has(r, item)]
+            assert data.positions[item] == positions
+            assert len(present) == len(positions)
+            for k, obs in zip(positions, present):
                 assert obs is ds.observation(data.periods[k], item)
+
+    def test_keeps_only_requested_items_in_first_appearance_order(self):
+        ds = Dataset.build({
+            0: {"A": (1.0, 1.0), "B": (2.0, 1.0)},
+            1: {"C": (3.0, 1.0), "A": (1.5, 2.0)},
+            2: {"D": (4.0, 1.0), "B": (2.5, 1.0)},
+        })
+        data = reference_data(ds, ComparisonSpec(0, 2, FullHistory()), ["B", "C", "A"])
+        assert list(data.observations) == ["A", "B", "C"]
+        assert [o.price for o in data.observations["A"]] == [1.0, 1.5]
+        assert [o.price for o in data.observations["B"]] == [2.0, 2.5]
+        assert data.positions == {"A": [0, 1], "B": [0, 2], "C": [1]}
 
 
 class TestLehrPrice:
@@ -86,6 +101,13 @@ class TestLehrPrice:
 
     def test_single_observation(self):
         assert lehr_price(small_dyn(), "B") == 2.0
+
+    def test_single_observation_is_expenditure_over_quantity(self):
+        # 0.1 * 3 / 3 rounds to 0.10000000000000002, not to the price 0.1
+        ds = Dataset.build({0: {"A": (0.1, 3.0)}, 1: {"B": (1.0, 1.0)}})
+        price = lehr_price(ds, "A")
+        assert price == 0.1 * 3.0 / 3.0 == 0.10000000000000002
+        assert price != 0.1
 
     def test_constant_price(self):
         ds = Dataset.build({0: {"A": (3.5, 2.0)}, 1: {"A": (3.5, 9.0)}})
