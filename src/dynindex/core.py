@@ -140,6 +140,7 @@ class Dataset:
             raise KeyError(f"item {item!r} not present in period {t}") from None
 
     def has(self, t: int, item: ItemId) -> bool:
+        """Whether ``item`` is in period ``t``'s universe (UnknownPeriodError if no ``t``)."""
         return item in self.period_data(t).items
 
     def universe_algebra(
@@ -161,15 +162,6 @@ class Dataset:
         if denominator <= 0 or not math.isfinite(numerator / denominator):
             raise NumericalError(f"degenerate value ratio {numerator}/{denominator}")
         return numerator / denominator
-
-    def normalized(self) -> "Dataset":
-        """Drop zero-quantity observations; presence means transactions occurred."""
-        return Dataset(
-            tuple(
-                PeriodData(pd.period, {i: o for i, o in pd.items.items() if o.quantity != 0})
-                for pd in self.periods
-            )
-        )
 
     def validate(self) -> list["Violation"]:
         """Report structural problems; an empty list means the dataset is ok."""

@@ -15,7 +15,6 @@ depend on item iteration order.
 from __future__ import annotations
 
 import math
-from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Mapping
@@ -83,73 +82,31 @@ def _quantity_index(data: ReferenceData, position: int, prices: Mapping[ItemId, 
 
 # ---------------------------------------------------------------------------
 # Reference prices and the per-period index they imply
+#
+# An engine's index_at(k, prices) is the index of the period at position k
+# of its table against the base. An index-free scheme prices a table of the
+# two compared universes once; a coupled one is solved jointly with the
+# index series over every reference period's universe, starting from a
+# direct solve where the system is linear and that solve succeeds.
 
 
-@dataclass(frozen=True)
-class _CoupledEquations:
-    """Reference prices and the index they imply, for one comparison.
-
-    index_at(k, prices) is the index of the period at position k against
-    the base, which is pinned to 1.0. data holds the items an index-free
-    scheme prices once (the two compared universes) or a coupled one
-    prices every sweep (every reference period's universe); a coupled
-    scheme is solved jointly with the index series, starting from
-    linear_start's direct solve where the system is linear and that solve
-    succeeds.
-    """
-
-    dataset: Dataset
-    spec: ComparisonSpec
-    data: ReferenceData
-    scheme: ReferencePriceScheme
-    index_at: Callable[[int, Mapping[ItemId, float]], float]
-    linear_start: Callable[[ReferenceData], dict[int, float] | None] | None
-
-    def prices_from_index(self, index_series: Mapping[int, float] | None) -> dict[ItemId, float]:
-        return reference_prices(self.data, self.scheme, index_series)
-
-    def index_from_prices(self, prices: Mapping[ItemId, float]) -> dict[int, float]:
-        base = self.data.base
-        return {r: self.index_at(k, prices) if k != base else 1.0
-                for k, r in enumerate(self.data.periods)}
-
-    def solve(self, config: FixedPointConfig | None) -> tuple[
-        dict[int, float] | None, dict[ItemId, float], FixedPointReport | None
-    ]:
-        """(series, prices, report); an index-free scheme has no series or report."""
-        if not self.scheme.needs_index:
-            return None, self.prices_from_index(None), None
-        start = self.linear_start(self.data) if self.linear_start is not None else None
-        return solve_fixed_point(self.dataset, self.spec, self, config, start)
-
-
-def _compared_items(dataset: Dataset, spec: ComparisonSpec) -> AbstractSet[ItemId]:
-    """The union of the base and current universes."""
+def _compared_table(dataset: Dataset, spec: ComparisonSpec) -> ReferenceData:
+    """The table of the items in the base or the current universe."""
     base, current = dataset.period_data(spec.base), dataset.period_data(spec.current)
-    return base.items.keys() | current.items.keys()
-
-
-def _equation_data(
-    dataset: Dataset, spec: ComparisonSpec, scheme: ReferencePriceScheme
-) -> ReferenceData:
-    items = None if scheme.needs_index else _compared_items(dataset, spec)
-    return reference_data(dataset, spec, items)
+    return reference_data(dataset, spec, base.items.keys() | current.items.keys())
 
 
 # ---------------------------------------------------------------------------
 # Value-ratio-deflating family: GUV, MGK, GK
 
 
-def _guv_equations(
-    dataset: Dataset, spec: ComparisonSpec, scheme: ReferencePriceScheme
-) -> _CoupledEquations:
-    data = _equation_data(dataset, spec, scheme)
-
+def _guv_index_at(
+    dataset: Dataset, spec: ComparisonSpec, data: ReferenceData
+) -> Callable[[int, Mapping[ItemId, float]], float]:
     def index_at(k: int, prices: Mapping[ItemId, float]) -> float:
         return dataset.value_ratio(spec.base, data.periods[k]) / _quantity_index(data, k, prices)
 
-    linear = isinstance(scheme, DeflatedUnitValue)
-    return _CoupledEquations(dataset, spec, data, scheme, index_at, gk_start if linear else None)
+    return index_at
 
 
 def _guv(
@@ -157,17 +114,23 @@ def _guv(
     spec: ComparisonSpec,
     scheme: ReferencePriceScheme,
     config: FixedPointConfig | None,
-) -> tuple[IndexResult, dict[ItemId, float] | None]:
-    """The GUV result, plus its reference prices when the scheme is index-free."""
-    equations = _guv_equations(dataset, spec, scheme)
-    series, prices, report = equations.solve(config)
-    value_ratio = dataset.value_ratio(spec.base, spec.current)
-    if series is None:
+) -> tuple[IndexResult, ReferenceData | None, dict[ItemId, float] | None]:
+    """The GUV result, plus its table and reference prices when the scheme is index-free."""
+    if not scheme.needs_index:
+        data = _compared_table(dataset, spec)
+        prices = reference_prices(data, scheme)
+        value_ratio = dataset.value_ratio(spec.base, spec.current)
         # The divisor itself: value_ratio / value can differ from it in the last bit.
-        quantity = _quantity_index(equations.data, equations.data.current, prices)
-        return IndexResult(value_ratio / quantity, decomposition=(value_ratio, quantity)), prices
+        quantity = _quantity_index(data, data.current, prices)
+        result = IndexResult(value_ratio / quantity, decomposition=(value_ratio, quantity))
+        return result, data, prices
+    data = reference_data(dataset, spec)
+    start = gk_start(data) if isinstance(scheme, DeflatedUnitValue) else None
+    series, _, report = solve_fixed_point(
+        data, scheme, _guv_index_at(dataset, spec, data), config, start)
+    value_ratio = dataset.value_ratio(spec.base, spec.current)
     value = series[spec.current]
-    return IndexResult(value, report, (value_ratio, value_ratio / value), series), None
+    return IndexResult(value, report, (value_ratio, value_ratio / value), series), None, None
 
 
 def guv_index(
@@ -282,17 +245,11 @@ def _wgm_value(
     return math.exp(math.fsum(log_terms))
 
 
-def _wgm_equations(
-    dataset: Dataset, spec: ComparisonSpec, weights: object, scheme: ReferencePriceScheme
-) -> _CoupledEquations:
-    data = _equation_data(dataset, spec, scheme)
+def _wgm_index_at(
+    data: ReferenceData, weights: object
+) -> Callable[[int, Mapping[ItemId, float]], float]:
     weights_at = weights.weights_for(data)
-
-    def index_at(k: int, prices: Mapping[ItemId, float]) -> float:
-        return _wgm_value(data, k, prices, *weights_at(k))
-
-    linear = isinstance(weights, ExpenditureShare) and isinstance(scheme, TPDGeometric)
-    return _CoupledEquations(dataset, spec, data, scheme, index_at, tpd_start if linear else None)
+    return lambda k, prices: _wgm_value(data, k, prices, *weights_at(k))
 
 
 def wgm_index(
@@ -305,10 +262,15 @@ def wgm_index(
     """Ratio of weighted geometric means of price-to-reference-price relatives."""
     weight_scheme = weights if weights is not None else ExpenditureShare()
     scheme = reference_price if reference_price is not None else LehrUnitValue()
-    equations = _wgm_equations(dataset, spec, weight_scheme, scheme)
-    series, prices, report = equations.solve(config)
-    if series is None:
-        return IndexResult(equations.index_at(equations.data.current, prices))
+    if not scheme.needs_index:
+        data = _compared_table(dataset, spec)
+        index_at = _wgm_index_at(data, weight_scheme)
+        return IndexResult(index_at(data.current, reference_prices(data, scheme)))
+    data = reference_data(dataset, spec)
+    linear = isinstance(weight_scheme, ExpenditureShare) and isinstance(scheme, TPDGeometric)
+    series, _, report = solve_fixed_point(
+        data, scheme, _wgm_index_at(data, weight_scheme), config,
+        tpd_start(data) if linear else None)
     return IndexResult(series[spec.current], diagnostics=report, series=series)
 
 
@@ -410,25 +372,23 @@ class ImputationPolicy:
         return self.death_markup * base_price
 
 
-def rq_index(
-    dataset: Dataset,
-    spec: ComparisonSpec,
-    quantities: ReferenceQuantityScheme | None = None,
-    imputation: ImputationPolicy | None = None,
-    prices_for_quantities: Mapping[ItemId, float] | None = None,
+def _rq(
+    data: ReferenceData,
+    quantities: ReferenceQuantityScheme | None,
+    imputation: ImputationPolicy | None,
+    prices: Mapping[ItemId, float] | None,
 ) -> IndexResult:
-    """Reference-quantity index over the union universe with imputed prices.
+    """The reference-quantity index over the compared items' table.
 
-    prices_for_quantities feeds quantity schemes that divide expenditure
-    by a reference price; other schemes ignore it.
+    prices feeds quantity schemes that divide expenditure by a reference
+    price; other schemes ignore it.
     """
     scheme = quantities if quantities is not None else ArithmeticMeanQuantity()
     policy = imputation if imputation is not None else ImputationPolicy()
-    data = reference_data(dataset, spec, _compared_items(dataset, spec))
     base, current = data.period_items[data.base], data.period_items[data.current]
     numerator_terms = []
     denominator_terms = []
-    for item, quantity in reference_quantities(data, scheme, prices_for_quantities).items():
+    for item, quantity in reference_quantities(data, scheme, prices).items():
         base_obs, current_obs = base.get(item), current.get(item)
         if base_obs is None:
             current_price = current_obs.price
@@ -445,6 +405,16 @@ def rq_index(
     return IndexResult(math.fsum(numerator_terms) / math.fsum(denominator_terms))
 
 
+def rq_index(
+    dataset: Dataset,
+    spec: ComparisonSpec,
+    quantities: ReferenceQuantityScheme | None = None,
+    imputation: ImputationPolicy | None = None,
+) -> IndexResult:
+    """Reference-quantity index over the union universe with imputed prices."""
+    return _rq(_compared_table(dataset, spec), quantities, imputation, None)
+
+
 def rqp_index(
     dataset: Dataset,
     spec: ComparisonSpec,
@@ -457,16 +427,18 @@ def rqp_index(
     """Geometric mixture of the reference-quantity and unit-value indices.
 
     alpha = 1 evaluates identically to the unit-value index, alpha = 0 to
-    the reference-quantity index. An index-free unit-value side's
-    reference prices are also offered to the quantity scheme, so
+    the reference-quantity index. An index-free unit-value side's table
+    and reference prices are shared with the quantity side, so
     expenditure-over-price quantities stay consistent between the two
     sides; index-deflated prices are not offered.
     """
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     scheme = reference_price if reference_price is not None else LehrUnitValue()
-    guv, shared_prices = _guv(dataset, spec, scheme, config)
-    rq = rq_index(dataset, spec, quantities, imputation, shared_prices)
+    guv, data, shared_prices = _guv(dataset, spec, scheme, config)
+    if data is None:
+        data = _compared_table(dataset, spec)
+    rq = _rq(data, quantities, imputation, shared_prices)
     value = rq.value ** (1.0 - alpha) * guv.value**alpha
     return IndexResult(
         value,

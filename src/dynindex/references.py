@@ -6,10 +6,11 @@ returns every item's value. Reference prices make quantities of
 different items commensurable; some constructions (deflated unit values,
 the geometric product-dummy price) depend on the index series itself
 and must be solved jointly with it.
-The solver alternates the two maps, with optional damping in log space,
-from the identity series or from a direct solve of the GK or TPD system,
-which are linear in the right variables; its first sweep then certifies
-that solve.
+The solver takes the table, the scheme and the engine's ``index_at``, the
+index of one period against the base at given prices, and alternates
+pricing and indexing, with optional damping in log space, from the
+identity series or from a direct solve of the GK or TPD system, which are
+linear in the right variables; its first sweep then certifies that solve.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .core import (
     ComparisonSpec,
@@ -126,6 +127,12 @@ def share_total(data: ReferenceData, position: int) -> float:
 # Reference price schemes
 
 
+def _zero_quantity(item: ItemId, data: ReferenceData) -> NumericalError:
+    """The error of a unit value whose quantities sum to zero."""
+    return NumericalError(
+        f"quantities of item {item!r} sum to zero over reference periods {data.periods}")
+
+
 @dataclass(frozen=True)
 class LehrUnitValue:
     """Undeflated unit value over the reference periods. Index-free."""
@@ -137,14 +144,18 @@ class LehrUnitValue:
         # This loop runs once per item of every GEKS leg, so expenditure is
         # written out as price * quantity and an item seen in one period
         # skips fsum: the fsum of one term is that term.
+        # A zero quantity sum is caught once, outside the loop.
         prices = {}
-        for item, obs in data.observations.items():
-            if len(obs) == 1:
-                (o,) = obs
-                prices[item] = o.price * o.quantity / o.quantity
-            else:
-                prices[item] = (math.fsum([o.price * o.quantity for o in obs])
-                                / math.fsum([o.quantity for o in obs]))
+        try:
+            for item, obs in data.observations.items():
+                if len(obs) == 1:
+                    (o,) = obs
+                    prices[item] = o.price * o.quantity / o.quantity
+                else:
+                    prices[item] = (math.fsum([o.price * o.quantity for o in obs])
+                                    / math.fsum([o.quantity for o in obs]))
+        except ZeroDivisionError:
+            raise _zero_quantity(item, data) from None
         return prices
 
 
@@ -157,12 +168,15 @@ class DeflatedUnitValue:
     def prices_for(self, data, index_series=None):
         deflators = _deflators(data, index_series)
         positions = data.positions
-        return {
-            item: math.fsum([o.price / deflators[k] * o.quantity
-                             for k, o in zip(positions[item], obs)])
-            / math.fsum([o.quantity for o in obs])
-            for item, obs in data.observations.items()
-        }
+        prices = {}
+        try:
+            for item, obs in data.observations.items():
+                prices[item] = (math.fsum([o.price / deflators[k] * o.quantity
+                                           for k, o in zip(positions[item], obs)])
+                                / math.fsum([o.quantity for o in obs]))
+        except ZeroDivisionError:
+            raise _zero_quantity(item, data) from None
+        return prices
 
 
 @dataclass(frozen=True)
@@ -508,46 +522,38 @@ class FixedPointReport:
     method: str = "sweep"
 
 
-class EngineEquations(Protocol):
-    """The two coupled maps of an index whose reference prices contain it."""
-
-    def prices_from_index(self, index_series: Mapping[int, float]) -> dict[ItemId, float]: ...
-
-    def index_from_prices(self, prices: Mapping[ItemId, float]) -> dict[int, float]: ...
-
-
 def solve_fixed_point(
-    dataset: Dataset,
-    spec: ComparisonSpec,
-    equations: EngineEquations,
+    data: ReferenceData,
+    scheme: ReferencePriceScheme,
+    index_at: Callable[[int, Mapping[ItemId, float]], float],
     config: FixedPointConfig | None = None,
     start: Mapping[int, float] | None = None,
 ) -> tuple[dict[int, float], dict[ItemId, float], FixedPointReport]:
     """Alternate reference prices and index values until the series is stable.
 
-    Starts from ``start`` (a directly solved series, with the base at one)
-    or else the identity series (all ones), renormalizes the base period
-    to one after every sweep, and stops when no index value moves by more
-    than the tolerance in log space. Returns the last sweep's series, the
-    reference prices that sweep computed (from the series it started
+    Each sweep prices data with the scheme, deflating by the current
+    series, and takes each non-base period's index from
+    index_at(position, prices); the base period stays at one. Starts from
+    ``start`` (a directly solved series, with the base at one) or else the
+    identity series (all ones), and stops when no index value moves by
+    more than the tolerance in log space. Returns the last sweep's series,
+    the reference prices that sweep computed (from the series it started
     from) and the report. Non-convergence is reported, not raised; an
     index value reaching zero or infinity is a hard error.
     """
     cfg = config or FixedPointConfig()
-    periods = spec.reference_periods(dataset)
+    periods, base = data.periods, data.base
     series = dict(start) if start is not None else {r: 1.0 for r in periods}
     iterations = 0
     residual = math.inf
     converged = False
     while iterations < cfg.max_iterations:
         iterations += 1
-        prices = equations.prices_from_index(series)
-        candidate = equations.index_from_prices(prices)
-        candidate[spec.base] = 1.0
+        prices = reference_prices(data, scheme, series)
+        candidate = [index_at(k, prices) if k != base else 1.0 for k in range(len(periods))]
         new_series = {}
         residual = 0.0
-        for r in periods:
-            value = candidate[r]
+        for r, value in zip(periods, candidate):
             if value <= 0 or not math.isfinite(value):
                 raise NumericalError(f"index value for period {r} left (0, inf): {value!r}")
             old_log = math.log(series[r])

@@ -39,9 +39,14 @@ from dynindex import (
     tpd_index,
     wgm_index,
 )
-from dynindex.engines import _guv_equations, _wgm_equations
+from dynindex.engines import _guv_index_at, _wgm_index_at
 from dynindex.harness import derive_seed
-from dynindex.references import DeflatedUnitValue, TPDGeometric
+from dynindex.references import (
+    DeflatedUnitValue,
+    TPDGeometric,
+    reference_data,
+    reference_prices,
+)
 from helpers import desk_scale_market, fixed_market, random_market, relabeled, scaled, swapped
 
 BILATERAL = ComparisonSpec(0, 1, Bilateral())
@@ -248,21 +253,21 @@ def test_criterion_5_fixed_point_convergence_and_idempotence():
     for k in range(500):
         ds = desk_scale_market(derive_seed("acceptance-fixed-point", k))
         spec = ComparisonSpec(ds.first_period, ds.last_period, FullHistory())
-        periods = spec.reference_periods(ds)
-        for name, solve, equations in (
-            ("gk", gk_index, _guv_equations(ds, spec, DeflatedUnitValue())),
-            ("tpd", tpd_index, _wgm_equations(ds, spec, ExpenditureShare(), TPDGeometric())),
+        data = reference_data(ds, spec)
+        for name, solve, scheme, index_at in (
+            ("gk", gk_index, DeflatedUnitValue(), _guv_index_at(ds, spec, data)),
+            ("tpd", tpd_index, TPDGeometric(), _wgm_index_at(data, ExpenditureShare())),
         ):
             result = solve(ds, spec, config)
             if not result.diagnostics.converged:
                 non_converged.append((k, name))
                 continue
             worst_residual = max(worst_residual, result.diagnostics.final_residual)
-            prices = equations.prices_from_index(result.series)
-            candidate = equations.index_from_prices(prices)
-            candidate[spec.base] = 1.0
+            prices = reference_prices(data, scheme, result.series)
+            candidate = {r: index_at(pos, prices) if pos != data.base else 1.0
+                         for pos, r in enumerate(data.periods)}
             gap = max(
-                abs(math.log(candidate[r]) - math.log(result.series[r])) for r in periods
+                abs(math.log(candidate[r]) - math.log(result.series[r])) for r in data.periods
             )
             worst_reapplication = max(worst_reapplication, gap)
     ok = not non_converged and worst_residual <= 1e-10 and worst_reapplication <= 1e-10

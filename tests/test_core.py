@@ -78,14 +78,10 @@ class TestValidate:
         assert any(v.code == "period-gap" for v in ds.validate())
 
     def test_empty_period(self):
-        ds = Dataset(tuple([small_fixed().period_data(0)])).normalized()
-        bad = Dataset.build({0: {"A": (1.0, 0.0)}}).normalized()
+        ds = Dataset(tuple([small_fixed().period_data(0)]))
+        bad = Dataset.build({0: {}})
         assert any(v.code == "empty-period" for v in bad.validate())
         assert ds.validate() == []
-
-    def test_normalized_drops_zero_quantity(self):
-        ds = Dataset.build({0: {"A": (1.0, 0.0), "B": (1.0, 2.0)}})
-        assert ds.normalized().universe(0) == {"B"}
 
 
 class TestObservation:

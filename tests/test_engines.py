@@ -8,7 +8,9 @@ from dynindex import (
     Bilateral,
     ComparisonSpec,
     Dataset,
+    DeflatedUnitValue,
     EngineSpec,
+    ExpenditureOverReferencePrice,
     FixedBase,
     FixedPointConfig,
     FullHistory,
@@ -17,6 +19,7 @@ from dynindex import (
     LehrUnitValue,
     NumericalError,
     PriceIndexError,
+    SchemeError,
     TornqvistWeights,
     adjusted_laspeyres,
     classical_indices,
@@ -32,7 +35,14 @@ from dynindex import (
     wgm_index,
 )
 from dynindex.engines import CHAINABLE_FAMILIES, ENGINE_FAMILIES
-from helpers import fixed_market, random_market, raw_mgk, small_dyn, small_fixed
+from helpers import (
+    fixed_market,
+    random_market,
+    raw_mgk,
+    raw_reference_values,
+    small_dyn,
+    small_fixed,
+)
 
 BILATERAL = ComparisonSpec(0, 1, Bilateral())
 
@@ -291,6 +301,35 @@ class TestRqp:
         with pytest.raises(ValueError):
             rqp_index(small_dyn(), BILATERAL, alpha=1.5)
 
+    @pytest.mark.parametrize("policy", [Bilateral(), FullHistory()],
+                             ids=["bilateral", "full-history"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_expenditure_quantities_divide_by_the_shared_lehr_prices(self, seed, policy):
+        ds = random_market(seed, periods=4, items=8, churn=0.4)
+        spec = ComparisonSpec(1, 3, policy)
+        periods = spec.reference_periods(ds)
+        series = {r: 1.0 for r in periods}
+        m0, m1 = ds.period_data(1).items, ds.period_data(3).items
+        numerator, denominator = [], []
+        for item in m0.keys() | m1.keys():
+            q = raw_reference_values(ds, periods, 1, 3, item, series)["expenditure"]
+            p0 = m0[item].price if item in m0 else 1.05 * m1[item].price
+            p1 = m1[item].price if item in m1 else 1.05 * m0[item].price
+            numerator.append(q * p1)
+            denominator.append(q * p0)
+        result = rqp_index(ds, spec, quantities=ExpenditureOverReferencePrice())
+        expected = math.fsum(numerator) / math.fsum(denominator)
+        assert result.components["rq"] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("policy", [Bilateral(), FullHistory()],
+                             ids=["bilateral", "full-history"])
+    def test_index_deflated_prices_are_not_shared(self, policy):
+        ds = random_market(0, periods=4, items=8, churn=0.4)
+        with pytest.raises(SchemeError, match="no reference price"):
+            rqp_index(ds, ComparisonSpec(1, 3, policy),
+                      quantities=ExpenditureOverReferencePrice(),
+                      reference_price=DeflatedUnitValue())
+
 
 class TestClassical:
     def test_small_fixed(self):
@@ -363,8 +402,10 @@ class TestEngineSpec:
             {0: {"a": (-1, 1), "b": (1, 1)}, 1: {"a": (1, 1), "b": (1, 1)}},
             # a's expenditure, price times quantity, overflows to inf
             {t: {"a": (1e200, 1e200), "b": (1, 1)} for t in range(2)},
+            # a's only quantity is zero, so its unit value is 0/0
+            {0: {"a": (1, 0), "b": (1, 1)}, 1: {"b": (1, 1), "c": (2, 1)}},
         ],
-        ids=["zero-total", "overflow"],
+        ids=["zero-total", "overflow", "zero-quantity"],
     )
     @pytest.mark.parametrize("family", ENGINE_FAMILIES)
     def test_degenerate_totals_raise_price_index_errors(self, family, data, policy):

@@ -31,7 +31,7 @@ from dynindex import (
     reference_quantities,
     solve_fixed_point,
 )
-from dynindex.engines import _guv_equations, _wgm_equations
+from dynindex.engines import _guv_index_at, _wgm_index_at
 from helpers import SMALL_DYN, random_market, raw_reference_values, small_dyn, small_fixed
 
 BILATERAL = ComparisonSpec(0, 1, Bilateral())
@@ -262,8 +262,12 @@ def test_report_method_defaults_to_sweep():
     assert FixedPointReport(True, 3, 1e-12) == FixedPointReport(True, 3, 1e-12, "sweep")
 
 
-def _gk_equations(dataset, spec):
-    return _guv_equations(dataset, spec, DeflatedUnitValue())
+def _coupled(family, ds, spec):
+    """The solver's (table, scheme, index_at) for the GK or TPD system."""
+    data = reference_data(ds, spec)
+    if family == "tpd":
+        return data, TPDGeometric(), _wgm_index_at(data, ExpenditureShare())
+    return data, DeflatedUnitValue(), _guv_index_at(ds, spec, data)
 
 
 class TestSolveFixedPoint:
@@ -272,7 +276,7 @@ class TestSolveFixedPoint:
         from dynindex import FullHistory
 
         spec = ComparisonSpec(0, 3, FullHistory())
-        series, prices, report = solve_fixed_point(ds, spec, _gk_equations(ds, spec))
+        series, prices, report = solve_fixed_point(*_coupled("gk", ds, spec))
         assert report.converged
         assert report.iterations <= 2
         assert all(v == pytest.approx(1.0, abs=1e-12) for v in series.values())
@@ -281,7 +285,7 @@ class TestSolveFixedPoint:
     def test_bilateral_small_dyn(self):
         spec = ComparisonSpec(0, 1, Bilateral())
         ds = small_dyn()
-        series, _, report = solve_fixed_point(ds, spec, _gk_equations(ds, spec))
+        series, _, report = solve_fixed_point(*_coupled("gk", ds, spec))
         assert report.converged
         assert series[1] == pytest.approx(1.2, abs=1e-9)
 
@@ -294,7 +298,7 @@ class TestSolveFixedPoint:
             pb = (1.0 + 1.0 / expected) / 2.0
             expected = 1.5 / ((pa + pb) / (pa + pb))
         spec = ComparisonSpec(0, 1, Bilateral())
-        series, _, report = solve_fixed_point(ds, spec, _gk_equations(ds, spec))
+        series, _, report = solve_fixed_point(*_coupled("gk", ds, spec))
         assert report.converged
         assert series[1] == pytest.approx(expected, abs=1e-9)
 
@@ -302,7 +306,7 @@ class TestSolveFixedPoint:
         spec = ComparisonSpec(0, 1, Bilateral())
         ds = small_dyn()
         config = FixedPointConfig(tolerance=1e-12)
-        _, _, report = solve_fixed_point(ds, spec, _gk_equations(ds, spec), config)
+        _, _, report = solve_fixed_point(*_coupled("gk", ds, spec), config)
         assert report.converged
         assert report.final_residual <= config.tolerance
 
@@ -310,37 +314,31 @@ class TestSolveFixedPoint:
         spec = ComparisonSpec(0, 1, Bilateral())
         ds = small_dyn()
         config = FixedPointConfig(max_iterations=2)
-        _, _, report = solve_fixed_point(ds, spec, _gk_equations(ds, spec), config)
+        _, _, report = solve_fixed_point(*_coupled("gk", ds, spec), config)
         assert not report.converged
         assert report.iterations == 2
 
     def test_prices_come_from_the_last_sweep(self):
         ds = random_market(3, periods=4)
         spec = ComparisonSpec(0, 3, FullHistory())
-        equations = _gk_equations(ds, spec)
+        data, scheme, index_at = _coupled("gk", ds, spec)
         priced_from = []
 
         class Recording:
-            def prices_from_index(self, series):
+            needs_index = True
+
+            def prices_for(self, data, series):
                 priced_from.append(dict(series))
-                return equations.prices_from_index(series)
+                return scheme.prices_for(data, series)
 
-            index_from_prices = staticmethod(equations.index_from_prices)
-
-        _, prices, report = solve_fixed_point(ds, spec, Recording())
+        _, prices, report = solve_fixed_point(data, Recording(), index_at)
         assert report.iterations > 1
         assert len(priced_from) == report.iterations
-        assert prices == equations.prices_from_index(priced_from[-1])
+        assert prices == reference_prices(data, scheme, priced_from[-1])
 
 
 # An identity-start sweep run this tight is the reference for the direct start.
 TIGHT = FixedPointConfig(tolerance=1e-14, max_iterations=100_000)
-
-
-def _coupled(family, ds, spec):
-    if family == "tpd":
-        return _wgm_equations(ds, spec, ExpenditureShare(), TPDGeometric())
-    return _guv_equations(ds, spec, DeflatedUnitValue())
 
 
 def _evaluate(family, ds, spec, config=None):
@@ -372,7 +370,7 @@ class TestDirectStart:
         assert result.diagnostics.method == "direct"
         assert result.diagnostics.iterations == 1
         assert result.diagnostics.converged
-        reference, _, report = solve_fixed_point(ds, spec, _coupled(family, ds, spec), TIGHT)
+        reference, _, report = solve_fixed_point(*_coupled(family, ds, spec), TIGHT)
         assert report.converged and report.method == "sweep"
         if family == "rqp":
             solved = {spec.current: result.components["guv"]}
@@ -405,7 +403,7 @@ class TestDirectStart:
     def test_identity_start_where_no_direct_solve(self, family, data, spec):
         ds = Dataset.build(data)
         result = _evaluate(family, ds, spec)
-        series, _, report = solve_fixed_point(ds, spec, _coupled(family, ds, spec))
+        series, _, report = solve_fixed_point(*_coupled(family, ds, spec))
         assert result.diagnostics == report
         assert report.method == "sweep"
         assert result.series == series
