@@ -26,7 +26,7 @@ from .core import (
     RollingWindow,
     UnknownPeriodError,
 )
-from .dataio import CsvError, emit_csv, format_csv, ingest_csv, write_report
+from .dataio import CsvError, emit_csv, ingest_csv, write_report
 from .engines import CHAINABLE_FAMILIES, ENGINE_FAMILIES, EngineSpec, ImputationPolicy, evaluate
 from .harness import (
     AxiomTest,
@@ -324,10 +324,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             seed=seed,
         )
     )
-    if args.out:
-        emit_csv(result.dataset, args.out)
-    else:
-        sys.stdout.write(format_csv(result.dataset))
+    emit_csv(result.dataset, args.out or sys.stdout)
     churn = ", ".join(f"{c:.3f}" for c in result.realized_churn)
     print(
         f"periods={args.periods} items={args.items} realized_churn=[{churn}] "

@@ -40,7 +40,7 @@ class NumericalError(PriceIndexError, ArithmeticError):
     """A computed value left the positive finite range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """Unit-value price and transaction quantity of one item in one period."""
 

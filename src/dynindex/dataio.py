@@ -6,15 +6,21 @@ The CSV schema is deliberately tiny and bit-exact: a header of either
 point. Item ids containing commas or newlines are rejected rather than
 quoted. Floats are written with ``repr`` so that a written file parses
 back to exactly the same dataset.
+
+Both directions stream: ingest reads one line at a time and emit writes
+one period at a time, so neither holds the whole text.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import re
 import warnings
+from array import array
 from pathlib import Path
-from typing import IO, Mapping, Union
+from typing import IO, Iterable, Iterator, Mapping, Union
 
 from ._version import __version__
 from .core import Dataset, Observation, PeriodData, PriceIndexError
@@ -22,6 +28,7 @@ from .core import Dataset, Observation, PeriodData, PriceIndexError
 Source = Union[str, Path, IO[str]]
 
 _VALUE_COLUMNS = ("price", "expenditure")
+_NEEDS_QUOTING = re.compile("[,\r\n]")
 
 
 class CsvError(PriceIndexError):
@@ -36,66 +43,88 @@ class IngestWarning(UserWarning):
     """Non-fatal ingestion note, e.g. dropped zero-quantity rows."""
 
 
-def _read_lines(source: Source) -> list[str]:
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    return text.splitlines()
-
-
 def ingest_csv(source: Source) -> Dataset:
     """Parse and validate a scanner-data CSV file into a dataset.
 
-    Zero-quantity rows are dropped with a warning carrying the count.
-    Any substantive violation (duplicate keys, malformed numbers,
-    non-positive values, period gaps) raises CsvError with the offending
-    line number where one exists.
+    A path is opened as UTF-8; a file object, ``sys.stdin`` included, is
+    iterated line by line and never read whole. Zero-quantity rows are
+    dropped with a warning carrying the count. Any substantive violation
+    (duplicate keys, malformed numbers, non-positive values, period gaps)
+    raises CsvError with the offending line number where one exists.
     """
-    lines = _read_lines(source)
-    if not lines:
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as lines:
+            return _ingest(lines)
+    return _ingest(source)
+
+
+def _ingest(lines: Iterable[str]) -> Dataset:
+    lines = iter(lines)
+    header_line = next(lines, None)
+    if header_line is None:
         raise CsvError("empty input")
-    header = lines[0].split(",")
+    header = header_line.rstrip("\r\n").split(",")
     value_column = _resolve_header(header)
-    columns = {name: header.index(name) for name in header}
+    width = len(header)
+    period_at, item_at = header.index("period"), header.index("item")
+    value_at, quantity_at = header.index(value_column), header.index("quantity")
+    from_expenditure = value_column == "expenditure"
+    # Each period's items, and the line of each in insertion order, so a
+    # duplicate can name its first line without keeping a key per row.
     rows: dict[int, dict[str, Observation]] = {}
-    seen: dict[tuple[int, str], int] = {}
-    dropped = 0
-    for line_no, line in enumerate(lines[1:], start=2):
+    first_lines: dict[int, array] = {}
+    dropped: dict[tuple[int, str], int] = {}
+    names: dict[str, str] = {}  # one string per item id, shared by its periods
+    period = None
+    for line_no, line in enumerate(lines, start=2):
+        line = line.rstrip("\r\n")
         if not line:
             continue
         fields = line.split(",")
-        if len(fields) != len(header):
-            raise CsvError(f"expected {len(header)} fields, got {len(fields)}", line_no)
-        item = fields[columns["item"]]
+        if len(fields) != width:
+            raise CsvError(f"expected {width} fields, got {len(fields)}", line_no)
+        item = fields[item_at]
         if not item:
             raise CsvError("empty item id", line_no)
         try:
-            period = int(fields[columns["period"]])
+            t = int(fields[period_at])
         except ValueError:
-            raise CsvError(f"bad period {fields[columns['period']]!r}", line_no) from None
-        value = _parse_float(fields[columns[value_column]], value_column, line_no)
-        quantity = _parse_float(fields[columns["quantity"]], "quantity", line_no)
-        key = (period, item)
-        if key in seen:
+            raise CsvError(f"bad period {fields[period_at]!r}", line_no) from None
+        try:
+            value, quantity = float(fields[value_at]), float(fields[quantity_at])
+        except ValueError:
+            value = quantity = math.nan
+        if not (math.isfinite(value) and math.isfinite(quantity)):
+            # Parse again, one column at a time, for the first column's message.
+            _parse_float(fields[value_at], value_column, line_no)
+            _parse_float(fields[quantity_at], "quantity", line_no)
+        if t != period:
+            period = t
+            if t not in rows:
+                rows[t], first_lines[t] = {}, array("I")
+            items, item_lines = rows[t], first_lines[t]
+        if item in items or (dropped and (t, item) in dropped):
+            first = item_lines[list(items).index(item)] if item in items else dropped[t, item]
             raise CsvError(
-                f"duplicate (period, item) ({period}, {item}); first at line {seen[key]}",
-                line_no,
+                f"duplicate (period, item) ({t}, {item}); first at line {first}", line_no
             )
-        seen[key] = line_no
         if quantity == 0:
-            dropped += 1
+            dropped[t, item] = line_no
             continue
-        if value_column == "expenditure":
+        if from_expenditure:
             observation = Observation.from_expenditure(value, quantity)
         else:
             observation = Observation(value, quantity)
-        rows.setdefault(period, {})[item] = observation
+        items[names.setdefault(item, item)] = observation
+        item_lines.append(line_no)
     if dropped:
-        warnings.warn(f"dropped {dropped} zero-quantity row(s)", IngestWarning, stacklevel=2)
-    if not rows:
+        warnings.warn(f"dropped {len(dropped)} zero-quantity row(s)", IngestWarning, stacklevel=3)
+    # PeriodData copies its item map; popping each map as it is copied keeps
+    # one period's map alive twice at a time, not all of them.
+    periods = tuple(PeriodData(t, rows.pop(t)) for t in list(rows) if rows[t])
+    if not periods:
         raise CsvError("no usable rows")
-    dataset = Dataset(tuple(PeriodData(t, items) for t, items in rows.items()))
+    dataset = Dataset(periods)
     violations = dataset.validate()
     if violations:
         details = "; ".join(
@@ -133,26 +162,61 @@ def _parse_float(raw: str, column: str, line_no: int) -> float:
 
 def format_csv(dataset: Dataset, value_column: str = "price") -> str:
     """Render a dataset to the CSV schema; exact round-trip via repr floats."""
-    if value_column not in _VALUE_COLUMNS:
-        raise CsvError(f"unknown value column {value_column!r}")
-    lines = [f"period,item,{value_column},quantity"]
-    for pd in dataset.periods:
-        for item in sorted(pd.items, key=str):
-            text = str(item)
-            if "," in text or "\n" in text or "\r" in text:
-                raise CsvError(f"item id {text!r} cannot be written unquoted")
-            obs = pd.items[item]
-            value = obs.expenditure if value_column == "expenditure" else obs.price
-            lines.append(f"{pd.period},{text},{value!r},{obs.quantity!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(dataset, value_column))
 
 
 def emit_csv(dataset: Dataset, target: Source, value_column: str = "price") -> None:
-    text = format_csv(dataset, value_column)
+    """Write the CSV of ``format_csv`` one period at a time.
+
+    Every check runs before the target is opened or written, so a dataset
+    that cannot be written leaves no file and no partial output.
+    """
+    chunks = _csv_chunks(dataset, value_column)
+    header = next(chunks)
+    _write(target, itertools.chain((header,), chunks))
+
+
+def _csv_chunks(dataset: Dataset, value_column: str) -> Iterator[str]:
+    """The header line, then each period's lines as one chunk.
+
+    Every check runs before the header is yielded; emit_csv relies on it.
+    """
+    if value_column not in _VALUE_COLUMNS:
+        raise CsvError(f"unknown value column {value_column!r}")
+    _check_item_ids(dataset)
+    yield f"period,item,{value_column},quantity\n"
+    expenditure = value_column == "expenditure"
+    for pd in dataset.periods:
+        lines = []
+        for item in sorted(pd.items, key=str):
+            obs = pd.items[item]
+            value = obs.expenditure if expenditure else obs.price
+            lines.append(f"{pd.period},{item!s},{value!r},{obs.quantity!r}\n")
+        yield "".join(lines)
+
+
+def _check_item_ids(dataset: Dataset) -> None:
+    """CsvError for an item id that would need quoting, checking each id once.
+
+    Of several, it names the first in written order.
+    """
+    ids = set().union(*(pd.items for pd in dataset.periods))
+    unwritable = {item for item in ids if _NEEDS_QUOTING.search(str(item))}
+    if not unwritable:
+        return
+    for pd in dataset.periods:
+        here = unwritable.intersection(pd.items)
+        if here:
+            raise CsvError(f"item id {str(min(here, key=str))!r} cannot be written unquoted")
+
+
+def _write(target: Source, chunks: Iterable[str]) -> None:
     if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        target.write(text)
+        with open(target, "w", encoding="utf-8") as handle:
+            _write(handle, chunks)
+        return
+    for chunk in chunks:
+        target.write(chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +239,7 @@ def render_report(payload: Mapping[str, object], timestamp: str | None = None) -
 def write_report(
     target: Source, payload: Mapping[str, object], timestamp: str | None = None
 ) -> None:
-    text = render_report(payload, timestamp)
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        target.write(text)
+    _write(target, (render_report(payload, timestamp),))
 
 
 def _jsonable(value: object) -> object:

@@ -402,7 +402,11 @@ def _rq(
             raise SchemeError(f"imputed price for {item!r} is not positive")
         numerator_terms.append(quantity * current_price)
         denominator_terms.append(quantity * base_price)
-    return IndexResult(math.fsum(numerator_terms) / math.fsum(denominator_terms))
+    # IndexResult rejects a quotient that is not positive and finite.
+    denominator = math.fsum(denominator_terms)
+    if not 0 < denominator < math.inf:
+        raise NumericalError(f"reference-quantity index denominator is {denominator!r}")
+    return IndexResult(math.fsum(numerator_terms) / denominator)
 
 
 def rq_index(

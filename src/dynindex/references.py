@@ -301,11 +301,14 @@ class ExpenditureOverReferencePrice:
 
     def quantities_for(self, data, prices=None):
         quantities = {}
-        for item, obs in data.observations.items():
-            if prices is None or item not in prices:
-                raise SchemeError(f"no reference price available for item {item!r}")
-            mean_expenditure = math.fsum([o.expenditure for o in obs]) / len(obs)
-            quantities[item] = mean_expenditure / prices[item]
+        try:
+            for item, obs in data.observations.items():
+                if prices is None or item not in prices:
+                    raise SchemeError(f"no reference price available for item {item!r}")
+                mean_expenditure = math.fsum([o.expenditure for o in obs]) / len(obs)
+                quantities[item] = mean_expenditure / prices[item]
+        except ZeroDivisionError:
+            raise NumericalError(f"reference price of item {item!r} is {prices[item]!r}") from None
         return quantities
 
 
@@ -442,11 +445,11 @@ def tpd_start(data: ReferenceData) -> dict[int, float] | None:
     B_rs = sum_i w_ir w_is / W_i and c_r = sum_i w_ir (log p_ir - L_i), with
     L_i the item's w-weighted mean log price. data must cover every item
     of its reference periods. None where the reference periods are not
-    linked by common items, or the data, an item's W_i (zero where its
-    expenditure underflows, nan where it overflows) or the solution is not
-    positive and finite.
+    linked by common items, or the data, a period's total expenditure, an
+    item's W_i (zero where its expenditure underflows, nan where it
+    overflows) or the solution is not positive and finite.
     """
-    if not _positive(data):
+    if not _positive(data) or not all(0 < total < math.inf for total in data.totals):
         return None
     maps, totals, positions = data.period_items, data.totals, data.positions
     weight = {

@@ -404,13 +404,26 @@ class TestEngineSpec:
             {t: {"a": (1e200, 1e200), "b": (1, 1)} for t in range(2)},
             # a's only quantity is zero, so its unit value is 0/0
             {0: {"a": (1, 0), "b": (1, 1)}, 1: {"b": (1, 1), "c": (2, 1)}},
+            # every expenditure, and so every period's total, underflows to 0
+            {0: {"a": (1e-200, 1e-200)}, 1: {"a": (1e-200, 2e-200)}},
         ],
-        ids=["zero-total", "overflow", "zero-quantity"],
+        ids=["zero-total", "overflow", "zero-quantity", "underflow"],
     )
     @pytest.mark.parametrize("family", ENGINE_FAMILIES)
     def test_degenerate_totals_raise_price_index_errors(self, family, data, policy):
         with pytest.raises(PriceIndexError):
             evaluate(Dataset.build(data), ComparisonSpec(0, 1, policy), EngineSpec(family))
+
+    @pytest.mark.parametrize("policy", [Bilateral(), FullHistory()],
+                             ids=["bilateral", "full-history"])
+    def test_zero_reference_price_raises_numerical_error(self, policy):
+        # a's fixed-base reference price is its base price, 0; the other
+        # families' handling of a zero price is the input contract's concern
+        data = {0: {"a": (0, 1), "b": (1, 1)}, 1: {"a": (1, 1), "b": (1, 1)}}
+        engine = EngineSpec("rqp", reference_quantity=ExpenditureOverReferencePrice(),
+                            reference_price=FixedBase())
+        with pytest.raises(NumericalError, match="reference price of item 'a' is 0"):
+            evaluate(Dataset.build(data), ComparisonSpec(0, 1, policy), engine)
 
     def test_disjoint_universes_still_evaluate(self):
         ds = Dataset.build({0: {"A": (1, 2)}, 1: {"B": (3, 4)}})

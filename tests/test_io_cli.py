@@ -25,6 +25,15 @@ SF_CSV = """period,item,price,quantity
 1,B,1.0,1.0
 """
 
+# The same data with the item id in the last column, where a line end
+# left on the line would end up in the id.
+ITEM_LAST_CSV = """period,price,quantity,item
+0,1.0,1.0,A
+0,1.0,1.0,B
+1,2.0,1.0,A
+1,1.0,1.0,B
+"""
+
 
 class TestIngest:
     def test_round_trip_small_fixed(self):
@@ -75,6 +84,91 @@ class TestIngest:
         path.write_text(SF_CSV)
         assert ingest_csv(path) == small_fixed()
 
+    @pytest.mark.parametrize("lf_text", [SF_CSV, ITEM_LAST_CSV], ids=["item-second", "item-last"])
+    def test_crlf_lines_ingest_like_lf_lines(self, tmp_path, lf_text):
+        assert ingest_csv(io.StringIO(lf_text)) == small_fixed()
+        text = lf_text.replace("\n", "\r\n")
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert ingest_csv(io.StringIO(text)) == small_fixed()
+        assert ingest_csv(path) == small_fixed()
+
+    def test_bare_cr_lines_from_a_path(self, tmp_path):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(SF_CSV.replace("\n", "\r").encode("utf-8"))
+        assert ingest_csv(path) == small_fixed()
+
+    def test_crlf_duplicate_keeps_line_numbers(self):
+        text = (SF_CSV + "0,A,3.0,1.0\n").replace("\n", "\r\n")
+        with pytest.raises(CsvError, match="line 6.*first at line 2"):
+            ingest_csv(io.StringIO(text))
+
+    def test_duplicate_of_a_dropped_zero_quantity_row_names_it(self):
+        text = SF_CSV + "1,C,5.0,0\n1,C,5.0,1.0\n"
+        with pytest.raises(CsvError, match=r"line 7: duplicate \(period, item\) \(1, C\); first at line 6"):
+            ingest_csv(io.StringIO(text))
+
+    def test_zero_quantity_duplicate_of_a_kept_row_names_it(self):
+        text = SF_CSV + "1,B,5.0,0\n"
+        with pytest.raises(CsvError, match=r"line 6: duplicate \(period, item\) \(1, B\); first at line 5"):
+            ingest_csv(io.StringIO(text))
+
+    def test_streams_an_iteration_only_source(self):
+        class LinesOnly:
+            """A non-seekable source that can only be iterated, like a pipe."""
+
+            def __init__(self, text):
+                self.lines = iter(text.splitlines(keepends=True))
+
+            def __iter__(self):
+                return self.lines
+
+            def read(self, *args):
+                raise AssertionError("ingest must not read the whole input")
+
+        assert ingest_csv(LinesOnly(SF_CSV)) == small_fixed()
+        text = SF_CSV + "1,C,1.0,1.0\n1,A,3.0,1.0\n"
+        with pytest.raises(CsvError, match="line 7.*first at line 4"):
+            ingest_csv(LinesOnly(text))
+
+    def test_period_of_only_zero_quantity_rows_is_left_out(self):
+        text = SF_CSV + "2,A,1.0,0\n2,B,1.0,0\n"
+        with pytest.warns(IngestWarning, match="2 zero-quantity"):
+            ds = ingest_csv(io.StringIO(text))
+        assert ds.period_indices() == (0, 1)
+
+    def test_warning_points_at_the_caller(self, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text(SF_CSV + "1,C,5.0,0\n")
+        for source in (io.StringIO(path.read_text()), path):
+            with pytest.warns(IngestWarning) as record:
+                ingest_csv(source)
+            assert record[0].filename == __file__
+
+    def test_item_ids_are_shared_across_periods(self):
+        text = "period,item,price,quantity\n0,apple,1,1\n0,pear,1,1\n1,apple,2,1\n1,pear,1,1\n"
+        ds = ingest_csv(io.StringIO(text))
+        first, second = (list(ds.period_data(t).items) for t in (0, 1))
+        assert first == second == ["apple", "pear"]
+        assert all(a is b for a, b in zip(first, second))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,C,1.0", "line 6: expected 4 fields, got 3"),
+            ("0,,1.0,1.0", "line 6: empty item id"),
+            ("x,C,1.0,1.0", "line 6: bad period 'x'"),
+            ("0,C,one,x", "line 6: bad price 'one'"),
+            ("0,C,inf,x", "line 6: non-finite price 'inf'"),
+            ("0,C,1.0,x", "line 6: bad quantity 'x'"),
+            ("0,C,1.0,nan", "line 6: non-finite quantity 'nan'"),
+        ],
+    )
+    def test_row_errors_name_the_first_failing_check(self, row, message):
+        with pytest.raises(CsvError) as error:
+            ingest_csv(io.StringIO(SF_CSV + row + "\n"))
+        assert str(error.value) == message
+
 
 class TestEmit:
     def test_round_trip_exact(self):
@@ -86,6 +180,14 @@ class TestEmit:
         text = format_csv(ds, "expenditure")
         assert ingest_csv(io.StringIO(text)) == ds
 
+    def test_round_trip_of_ids_with_other_line_separators(self, tmp_path):
+        # Only \n and \r end a line; form feed, NEL and U+2028 stay in the id.
+        ds = Dataset.build({0: {"a\x0cb": (1.0, 1.0), "c\x85d": (2.0, 1.0), "e\u2028f": (3.0, 1.0)}})
+        assert ingest_csv(io.StringIO(format_csv(ds))) == ds
+        path = tmp_path / "out.csv"
+        emit_csv(ds, path)
+        assert ingest_csv(path) == ds
+
     def test_comma_in_item_rejected(self):
         ds = Dataset.build({0: {"a,b": (1.0, 1.0)}})
         with pytest.raises(CsvError, match="unquoted"):
@@ -95,6 +197,30 @@ class TestEmit:
         path = tmp_path / "out.csv"
         emit_csv(small_fixed(), path)
         assert ingest_csv(path) == small_fixed()
+
+    @pytest.mark.parametrize("value_column", ["price", "expenditure"])
+    def test_emit_writes_the_formatted_text(self, value_column):
+        ds = random_market(32, periods=4, items=7, churn=0.3)
+        out = io.StringIO()
+        emit_csv(ds, out, value_column)
+        assert out.getvalue() == format_csv(ds, value_column)
+
+    def test_unwritable_item_leaves_no_file(self, tmp_path):
+        ds = Dataset.build({0: {"a": (1.0, 1.0)}, 1: {"a": (1.0, 1.0), "b\nc": (1.0, 1.0)}})
+        path = tmp_path / "out.csv"
+        with pytest.raises(CsvError, match="'b\\\\nc' cannot be written unquoted"):
+            emit_csv(ds, path)
+        assert not path.exists()
+        out = io.StringIO()
+        with pytest.raises(CsvError, match="unquoted"):
+            emit_csv(ds, out)
+        assert out.getvalue() == ""
+
+    def test_first_unwritable_item_in_written_order_is_named(self):
+        ds = Dataset.build({0: {"z,": (1.0, 1.0), "a": (1.0, 1.0)},
+                            1: {"b,": (1.0, 1.0), "z,": (1.0, 1.0)}})
+        with pytest.raises(CsvError, match="'z,' cannot"):
+            format_csv(ds)
 
 
 class TestReports:
@@ -308,6 +434,14 @@ class TestCli:
         ds = ingest_csv(out)
         assert len(ds.periods) == 3
         assert "realized_churn" in capsys.readouterr().err
+
+    def test_synth_to_stdout_writes_the_same_csv(self, tmp_path, capsys):
+        argv = ["synth", "--periods", "3", "--items", "5", "--seed", "9"]
+        out = tmp_path / "market.csv"
+        assert main(argv + ["--out", str(out)]) == EX_OK
+        capsys.readouterr()
+        assert main(argv) == EX_OK
+        assert capsys.readouterr().out == out.read_text()
 
     def test_counterexample_transitivity(self, capsys):
         code = main(["counterexample", "--test", "transitivity", "--budget", "20",
