@@ -13,6 +13,7 @@ budget; 64 usage; 65 malformed data; 70 engine failure; 74 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,6 +30,7 @@ from .core import (
 from .dataio import CsvError, emit_csv, ingest_csv, write_report
 from .engines import CHAINABLE_FAMILIES, ENGINE_FAMILIES, EngineSpec, ImputationPolicy, evaluate
 from .harness import (
+    TABLE1_ROWS,
     AxiomTest,
     ScenarioParams,
     closed_form_suite,
@@ -69,7 +71,6 @@ _QUANTITY_SCHEMES = {
     "current": CurrentQuantity,
     "expenditure": ExpenditureOverReferencePrice,
 }
-_ROW_KEYS = {"mgk": "GUV (MGK)", "wgm": "WGM", "geks": "GEKS"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,8 +119,8 @@ def build_parser() -> _Parser:
     matrix.add_argument("--tolerance", type=float, default=1e-9)
     matrix.add_argument("--batch", type=int, default=20,
                         help="perturbations per responsiveness scenario")
-    matrix.add_argument("--rows", default="mgk,wgm,geks",
-                        help="comma list from: mgk, wgm, geks")
+    matrix.add_argument("--rows", default=",".join(TABLE1_ROWS),
+                        help=f"comma list from: {', '.join(ENGINE_FAMILIES)}")
     matrix.add_argument("--expect-table1", action="store_true",
                         help="exit 2 unless every cell matches the expected summary")
     matrix.add_argument("--json", help="write a machine-readable report here")
@@ -143,8 +144,7 @@ def build_parser() -> _Parser:
 
     counter = sub.add_parser("counterexample", help="search for a witnessed failure")
     counter.add_argument("--test", required=True,
-                         choices=("T1", "T2", "T3", "T4", "t3", "t4", "T5", "t5",
-                                  "transitivity"))
+                         choices=[t.value for t in AxiomTest] + ["transitivity"])
     counter.add_argument("--engine", choices=ENGINE_FAMILIES, default="mgk")
     counter.add_argument("--inner", choices=CHAINABLE_FAMILIES, default="mgk")
     counter.add_argument("--budget", type=int, default=100)
@@ -168,24 +168,22 @@ def _policy_from_args(args: argparse.Namespace):
     return RollingWindow(args.window)
 
 
-def _engine_from_args(args: argparse.Namespace, family: str) -> EngineSpec:
-    """Every engine option from args; a family ignores the ones it does not read."""
+def _engine_from_args(args: argparse.Namespace) -> EngineSpec:
+    """Every compute engine option; a family ignores the ones it does not read."""
     return EngineSpec(
-        family,
-        reference_price=_PRICE_SCHEMES[getattr(args, "reference_price", "lehr")](),
-        reference_quantity=_QUANTITY_SCHEMES[getattr(args, "quantity_scheme", "mean")](),
-        alpha=getattr(args, "alpha", 0.5),
-        imputation=ImputationPolicy(
-            getattr(args, "birth_markup", 1.05), getattr(args, "death_markup", 1.05)
-        ),
-        inner=EngineSpec(getattr(args, "inner", "mgk")),
+        args.engine,
+        reference_price=_PRICE_SCHEMES[args.reference_price](),
+        reference_quantity=_QUANTITY_SCHEMES[args.quantity_scheme](),
+        alpha=args.alpha,
+        imputation=ImputationPolicy(args.birth_markup, args.death_markup),
+        inner=EngineSpec(args.inner),
     )
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     dataset = ingest_csv(sys.stdin if args.input == "-" else args.input)
     spec = ComparisonSpec(args.base, args.current, _policy_from_args(args))
-    engine = _engine_from_args(args, args.engine)
+    engine = _engine_from_args(args)
     result = evaluate(dataset, spec, engine)
     print(f"{result.value:.12g}")
     if args.series and result.series is not None:
@@ -227,21 +225,13 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _matrix_payload(matrix) -> dict:
-    cells = {}
-    for row, columns in matrix.rows.items():
-        cells[row] = {
-            column: {
-                sub or "-": {
-                    "label": cell.label,
-                    "passes": cell.passes,
-                    "failures": cell.failures,
-                    "errors": cell.errors,
-                    "witness": dict(cell.witness) if cell.witness else None,
-                }
-                for sub, cell in subs.items()
-            }
+    cells = {
+        row: {
+            column: {sub or "-": dataclasses.asdict(cell) for sub, cell in subs.items()}
             for column, subs in columns.items()
         }
+        for row, columns in matrix.rows.items()
+    }
     return {
         "command": "matrix",
         "config": {
@@ -255,13 +245,8 @@ def _matrix_payload(matrix) -> dict:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    rows = [r for r in args.rows.split(",") if r]
-    unknown = [r for r in rows if r not in _ROW_KEYS]
-    if unknown:
-        print(f"unknown matrix rows: {', '.join(unknown)}", file=sys.stderr)
-        return EX_USAGE
     matrix = run_matrix(
-        engines=[_ROW_KEYS[r] for r in rows],
+        engines=[r for r in args.rows.split(",") if r],
         trials=args.trials,
         seed=seed,
         tolerance=args.tolerance,
@@ -351,12 +336,12 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
             return EX_NOT_FOUND
         print(json.dumps(witness, sort_keys=True))
         return EX_OK
-    engine = _engine_from_args(args, args.engine)
+    engine = EngineSpec(args.engine, inner=EngineSpec(args.inner))
     params = ScenarioParams(
         n_items=args.items,
         n_periods=args.periods,
         churn_fraction=args.churn,
-        policy=FullHistory() if args.policy == "full-history" else Bilateral(),
+        policy=_policy_from_args(args),
         setting=args.setting,
     )
     verdict = find_counterexample(

@@ -35,6 +35,7 @@ from .core import (
     ReferencePolicy,
 )
 from .engines import (
+    ENGINE_FAMILIES,
     EngineSpec,
     IndexResult,
     adjusted_laspeyres,
@@ -350,12 +351,17 @@ def check(
     label = engine.label()
     try:
         value = run(scenario.dataset).value
+        log_value = math.log(value)
+        batch = responsiveness_batch if test in _RESPONSIVENESS_TESTS else 0
+        movements = [
+            abs(math.log(run(perturb_dynamic_data(scenario, k)).value) - log_value)
+            for k in range(batch)
+        ]
     except PriceIndexError as exc:
         return Verdict(test.value, label, Outcome.ENGINE_ERROR,
                        {"error": str(exc), "seed": scenario.seed}, tolerance)
 
     witness: dict[str, object] = {"value": value, "seed": scenario.seed}
-    log_value = math.log(value)
     if test == AxiomTest.T1_IDENTITY:
         ok = abs(log_value) <= tolerance
     elif test == AxiomTest.T2_FIXED_BASKET:
@@ -367,14 +373,6 @@ def check(
     elif test in (AxiomTest.T4_LOWER_BOUND, AxiomTest.T4_SHARP):
         ok = log_value >= -tolerance
     elif test in _RESPONSIVENESS_TESTS:
-        movements = []
-        try:
-            for k in range(responsiveness_batch):
-                moved = run(perturb_dynamic_data(scenario, k)).value
-                movements.append(abs(math.log(moved) - log_value))
-        except PriceIndexError as exc:
-            return Verdict(test.value, label, Outcome.ENGINE_ERROR,
-                           {"error": str(exc), "seed": scenario.seed}, tolerance)
         witness["max_movement"] = max(movements)
         witness["batch"] = responsiveness_batch
         ok = max(movements) > tolerance
@@ -477,8 +475,16 @@ EXPECTED_SUMMARY: Mapping[str, Mapping[str, Mapping[str, str]]] = {
 }
 
 
-def _default_plan() -> dict[str, dict[str, list[tuple[str, AxiomTest, ScenarioParams, EngineSpec]]]]:
-    """Rows and sub-cells of the summary matrix.
+TABLE1_ROWS = ("mgk", "wgm", "geks")
+
+
+def _row_label(family: str) -> str:
+    """A row's name; it feeds every trial seed, so the Table-1 names must not change."""
+    return "GUV (MGK)" if family == "mgk" else family.upper()
+
+
+def _row_plan(family: str) -> dict[str, list[tuple[str, AxiomTest, ScenarioParams]]]:
+    """Columns and sub-cells of one engine family's row.
 
     Bilateral rows run the non-identity columns with the two-period
     reference set, where the bound provisos of the unit-value and
@@ -488,40 +494,32 @@ def _default_plan() -> dict[str, dict[str, list[tuple[str, AxiomTest, ScenarioPa
     the responsiveness probe on the two-period window where the chain
     degenerates to its bilateral component.
     """
-    mgk = EngineSpec("mgk")
-    wgm = EngineSpec("wgm")
-    geks = EngineSpec("geks")
-    bilateral2 = ScenarioParams(n_periods=2, policy=Bilateral())
-    bilateral3 = ScenarioParams(n_periods=3, policy=Bilateral())
     multilateral3 = ScenarioParams(n_periods=3, policy=FullHistory())
-    plan: dict[str, dict[str, list[tuple[str, AxiomTest, ScenarioParams, EngineSpec]]]] = {}
-    for row_label, engine in (("GUV (MGK)", mgk), ("WGM", wgm)):
-        plan[row_label] = {
-            "Identity": [
-                ("if R_B", AxiomTest.T1_IDENTITY, bilateral3, engine),
-                ("if R_M", AxiomTest.T1_IDENTITY, multilateral3, engine),
-            ],
-            "Fixed-basket": [("", AxiomTest.T2_FIXED_BASKET, bilateral2, engine)],
-            "Upper-bound": [("", AxiomTest.T3_UPPER_BOUND, bilateral2, engine)],
-            "Lower-bound": [("", AxiomTest.T4_LOWER_BOUND, bilateral2, engine)],
+    if family == "geks":
+        return {
+            "Identity": [("", AxiomTest.T1_IDENTITY, multilateral3)],
+            "Fixed-basket": [("", AxiomTest.T2_FIXED_BASKET, multilateral3)],
+            "Upper-bound": [("", AxiomTest.T3_UPPER_BOUND, multilateral3)],
+            "Lower-bound": [("", AxiomTest.T4_LOWER_BOUND, multilateral3)],
             "Responsiveness": [
-                ("in setting of t3", AxiomTest.T5_SHARP,
-                 replace(bilateral2, setting="expanding"), engine),
-                ("in setting of t4", AxiomTest.T5_SHARP,
-                 replace(bilateral2, setting="shrinking"), engine),
+                ("if (U_0, U_1)", AxiomTest.T5_SHARP,
+                 ScenarioParams(n_periods=2, policy=FullHistory(), setting="expanding")),
             ],
         }
-    plan["GEKS"] = {
-        "Identity": [("", AxiomTest.T1_IDENTITY, multilateral3, geks)],
-        "Fixed-basket": [("", AxiomTest.T2_FIXED_BASKET, multilateral3, geks)],
-        "Upper-bound": [("", AxiomTest.T3_UPPER_BOUND, multilateral3, geks)],
-        "Lower-bound": [("", AxiomTest.T4_LOWER_BOUND, multilateral3, geks)],
+    bilateral2 = ScenarioParams(n_periods=2, policy=Bilateral())
+    return {
+        "Identity": [
+            ("if R_B", AxiomTest.T1_IDENTITY, ScenarioParams(n_periods=3, policy=Bilateral())),
+            ("if R_M", AxiomTest.T1_IDENTITY, multilateral3),
+        ],
+        "Fixed-basket": [("", AxiomTest.T2_FIXED_BASKET, bilateral2)],
+        "Upper-bound": [("", AxiomTest.T3_UPPER_BOUND, bilateral2)],
+        "Lower-bound": [("", AxiomTest.T4_LOWER_BOUND, bilateral2)],
         "Responsiveness": [
-            ("if (U_0, U_1)", AxiomTest.T5_SHARP,
-             ScenarioParams(n_periods=2, policy=FullHistory(), setting="expanding"), geks),
+            ("in setting of t3", AxiomTest.T5_SHARP, replace(bilateral2, setting="expanding")),
+            ("in setting of t4", AxiomTest.T5_SHARP, replace(bilateral2, setting="shrinking")),
         ],
     }
-    return plan
 
 
 def run_matrix(
@@ -534,23 +532,23 @@ def run_matrix(
 ) -> VerdictMatrix:
     """Aggregate verdicts over randomized trials into the summary matrix.
 
-    A cell is labeled Yes only when every trial passes; a single
-    witnessed failure makes it No, and the first failure's witness is
-    kept for reproduction. Deterministic in the seed.
+    engines names the engine families that get a row, by default the
+    paper's Table-1 rows. A cell is labeled Yes only when every trial
+    passes, which means no counterexample was found, not that the test
+    holds; a single witnessed failure makes it No, and the first
+    failure's witness is kept for reproduction. Deterministic in the seed.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if responsiveness_batch < 1:
         raise ValueError(f"responsiveness_batch must be at least 1, got {responsiveness_batch}")
     require_tolerance(tolerance)
-    plan = _default_plan()
-    if engines is not None:
-        if not engines:
-            raise ValueError("engines must name at least one matrix row")
-        unknown = set(engines) - set(plan)
-        if unknown:
-            raise ValueError(f"unknown matrix rows {sorted(unknown)}")
-        plan = {row: plan[row] for row in engines}
+    families = TABLE1_ROWS if engines is None else tuple(dict.fromkeys(engines))
+    if not families:
+        raise ValueError("engines must name at least one engine family")
+    unknown = set(families) - set(ENGINE_FAMILIES)
+    if unknown:
+        raise ValueError(f"engines must name registered engine families, not {sorted(unknown)}")
     if tests is not None:
         if not tests:
             raise ValueError("tests must name at least one matrix column")
@@ -558,13 +556,15 @@ def run_matrix(
         if unknown:
             raise ValueError(f"tests names unknown matrix columns {sorted(unknown)}")
     rows: dict[str, dict[str, dict[str, MatrixCell]]] = {}
-    for row_label, columns in plan.items():
+    for family in families:
+        row_label = _row_label(family)
+        engine = EngineSpec(family)
         row_cells: dict[str, dict[str, MatrixCell]] = {}
-        for column, subplans in columns.items():
+        for column, subplans in _row_plan(family).items():
             if tests is not None and column not in tests:
                 continue
             cells: dict[str, MatrixCell] = {}
-            for sub_label, test, params, engine in subplans:
+            for sub_label, test, params in subplans:
                 passes = failures = errors = 0
                 witness = None
                 for trial in range(trials):
@@ -573,14 +573,13 @@ def run_matrix(
                     verdict = check(test, engine, scenario, tolerance, responsiveness_batch)
                     if verdict.outcome is Outcome.PASS:
                         passes += 1
-                    elif verdict.outcome is Outcome.FAIL:
+                        continue
+                    if verdict.outcome is Outcome.FAIL:
                         failures += 1
-                        if witness is None:
-                            witness = dict(verdict.witness)
                     else:
                         errors += 1
-                        if witness is None:
-                            witness = dict(verdict.witness)
+                    if witness is None:
+                        witness = dict(verdict.witness)
                 if failures:
                     label = "No"
                 elif errors:

@@ -9,7 +9,9 @@ from dynindex import (
     Dataset,
     EngineSpec,
     FullHistory,
+    IndexResult,
     Outcome,
+    PriceIndexError,
     ScenarioParams,
     check,
     closed_form_suite,
@@ -20,6 +22,7 @@ from dynindex import (
     precondition_holds,
     run_matrix,
 )
+from dynindex.engines import ENGINE_FAMILIES
 from dynindex.harness import derive_seed
 from helpers import presence_mgk
 
@@ -131,6 +134,39 @@ class TestCheck:
         assert verdict.outcome is Outcome.PASS
         assert verdict.witness["note"] == "no reduction detected"
 
+    @pytest.mark.parametrize(
+        "test, failing_call, calls",
+        [
+            (AxiomTest.T3_UPPER_BOUND, None, 1),
+            (AxiomTest.T5_SHARP, None, 1 + 7),
+            (AxiomTest.T3_UPPER_BOUND, 1, 1),
+            (AxiomTest.T5_SHARP, 1, 1),
+            (AxiomTest.T5_SHARP, 4, 4),
+        ],
+        ids=["bound", "responsiveness", "bound-base-error", "responsiveness-base-error",
+             "responsiveness-perturbation-error"],
+    )
+    def test_evaluations_and_engine_errors(self, monkeypatch, test, failing_call, calls):
+        """The base run plus one run per perturbation for responsiveness; an engine
+        error in any of them is the verdict, with the scenario seed as witness."""
+        made = []
+
+        def evaluate(dataset, spec, engine):
+            made.append(dataset)
+            if len(made) == failing_call:
+                raise PriceIndexError("boom")
+            return IndexResult(1.0 / len(made))
+
+        monkeypatch.setattr("dynindex.harness.evaluate", evaluate)
+        scenario = generate_scenario(test, 5, ScenarioParams(n_periods=2))
+        verdict = check(test, MGK, scenario, responsiveness_batch=7)
+        assert len(made) == calls
+        if failing_call is None:
+            assert verdict.outcome is Outcome.PASS
+        else:
+            assert verdict.outcome is Outcome.ENGINE_ERROR
+            assert verdict.witness == {"error": "boom", "seed": 5}
+
     def test_fixed_basket_fails_for_geometric_family(self):
         scenario = generate_scenario(AxiomTest.T2_FIXED_BASKET, 1, BILATERAL_2)
         assert check(AxiomTest.T2_FIXED_BASKET, WGM, scenario).outcome is Outcome.FAIL
@@ -187,11 +223,11 @@ class TestMatrix:
         assert a == b
 
     def test_row_filter(self):
-        matrix = run_matrix(engines=["GEKS"], trials=5, seed=0)
+        matrix = run_matrix(engines=["geks"], trials=5, seed=0)
         assert list(matrix.rows) == ["GEKS"]
 
     def test_single_cell(self):
-        matrix = run_matrix(engines=["GUV (MGK)"], tests=["Fixed-basket"], trials=1, seed=0)
+        matrix = run_matrix(engines=["mgk"], tests=["Fixed-basket"], trials=1, seed=0)
         assert matrix.cell("GUV (MGK)", "Fixed-basket").passes == 1
 
     @pytest.mark.parametrize("batch", [0, -3])
@@ -203,13 +239,37 @@ class TestMatrix:
         with pytest.raises(ValueError, match="engines"):
             run_matrix(engines=[], trials=1)
 
+    def test_engines_must_be_registered_families(self):
+        with pytest.raises(ValueError, match="engines must name registered engine families"):
+            run_matrix(engines=["mgk", "GUV (MGK)"], trials=1)
+
+    @pytest.mark.parametrize("family", ENGINE_FAMILIES)
+    def test_every_registered_family_gets_a_row(self, family):
+        matrix = run_matrix(engines=[family], trials=1, seed=0)
+        assert len(matrix.rows) == 1
+
+    def test_reference_quantity_rows(self):
+        """The paper's remedy family at seed 0: no counterexample in 200 trials
+        anywhere but RQP's identity under the multilateral reference set."""
+        rq = {
+            "Identity": {"if R_B": "Yes", "if R_M": "Yes"},
+            "Fixed-basket": {"": "Yes"},
+            "Upper-bound": {"": "Yes"},
+            "Lower-bound": {"": "Yes"},
+            "Responsiveness": {"in setting of t3": "Yes", "in setting of t4": "Yes"},
+        }
+        rqp = {**rq, "Identity": {"if R_B": "Yes", "if R_M": "No"}}
+        matrix = run_matrix(engines=["rq", "rqp"], trials=200, seed=0)
+        assert list(matrix.rows) == ["RQ", "RQP"]
+        assert matrix.mismatches({"RQ": rq, "RQP": rqp}) == []
+
     @pytest.mark.parametrize("tests", [[], ["Identity", "Transitivity"]], ids=["empty", "unknown"])
     def test_tests_must_name_known_columns(self, tests):
         with pytest.raises(ValueError, match="tests"):
             run_matrix(tests=tests, trials=1)
 
     def test_text_renders_only_the_columns_that_ran(self):
-        matrix = run_matrix(engines=["GUV (MGK)", "GEKS"], tests=["Lower-bound", "Identity"],
+        matrix = run_matrix(engines=["mgk", "geks"], tests=["Lower-bound", "Identity"],
                             trials=1, seed=0)
         header, _rule, *rows = matrix.to_text().splitlines()
         assert header.split() == ["Identity", "|", "Lower-bound"]

@@ -361,8 +361,9 @@ class TestCli:
             (["matrix", "--batch", "0"], "responsiveness_batch"),
             (["matrix", "--batch", "-3"], "responsiveness_batch"),
             (["matrix", "--rows", ","], "engines"),
+            (["matrix", "--rows", "nope"], "engines"),
         ],
-        ids=["batch-0", "batch-negative", "rows-empty"],
+        ids=["batch-0", "batch-negative", "rows-empty", "rows-unknown"],
     )
     def test_matrix_empty_batch_or_rows_is_usage_error(self, capsys, argv, named):
         assert main(argv + ["--trials", "1"]) == EX_USAGE
