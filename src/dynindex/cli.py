@@ -122,7 +122,8 @@ def build_parser() -> _Parser:
     matrix.add_argument("--rows", default=",".join(TABLE1_ROWS),
                         help=f"comma list from: {', '.join(ENGINE_FAMILIES)}")
     matrix.add_argument("--expect-table1", action="store_true",
-                        help="exit 2 unless every cell matches the expected summary")
+                        help="exit 2 unless every cell that ran matches the expected "
+                             "summary; every row must be a Table-1 row")
     matrix.add_argument("--json", help="write a machine-readable report here")
 
     closed = sub.add_parser("closed-forms", help="check engines against closed forms")
@@ -245,8 +246,13 @@ def _matrix_payload(matrix) -> dict:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    rows = [r for r in args.rows.split(",") if r]
+    if args.expect_table1:
+        unexpected = [r for r in rows if r not in TABLE1_ROWS]
+        if unexpected:
+            raise ValueError(f"--expect-table1 has no Table-1 expectation for rows {unexpected}")
     matrix = run_matrix(
-        engines=[r for r in args.rows.split(",") if r],
+        engines=rows,
         trials=args.trials,
         seed=seed,
         tolerance=args.tolerance,

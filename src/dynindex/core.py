@@ -63,20 +63,43 @@ class Observation:
         return cls(expenditure / quantity, quantity)
 
 
+def _unsummable(values: list[float]) -> float:
+    """The sum of values that fsum raised on: ±inf past the float range.
+
+    fsum raises where any partial sum overflows, even one that later
+    terms bring back, so finite terms are summed exactly and rounded
+    once. Infinite terms decide the sum: inf, -inf, or nan for both
+    (fsum's ValueError).
+    """
+    if not all(map(math.isfinite, values)):
+        return sum(values)
+    from fractions import Fraction  # imported here: few datasets get this far
+
+    exact = sum(map(Fraction, values))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class PeriodData:
-    """All observed data of one period: an integer index and an item map."""
+    """All observed data of one period: an integer index and an item map.
+
+    The total expenditure is the correctly rounded sum of the items'
+    expenditures, ±inf past the float range (nan for inf and -inf terms).
+    """
 
     period: int
     items: Mapping[ItemId, Observation]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", MappingProxyType(dict(self.items)))
-        object.__setattr__(
-            self,
-            "_total_expenditure",
-            math.fsum(obs.expenditure for obs in self.items.values()),
-        )
+        try:
+            total = math.fsum(obs.expenditure for obs in self.items.values())
+        except (OverflowError, ValueError):
+            total = _unsummable([obs.expenditure for obs in self.items.values()])
+        object.__setattr__(self, "_total_expenditure", total)
 
     def total_expenditure(self) -> float:
         return self._total_expenditure

@@ -73,8 +73,11 @@ class IndexResult:
 def _quantity_index(data: ReferenceData, position: int, prices: Mapping[ItemId, float]) -> float:
     """The reference-price quantity index of the period at position against the base."""
     current, base = data.period_items[position], data.period_items[data.base]
-    numerator = math.fsum([prices[i] * o.quantity for i, o in current.items()])
-    denominator = math.fsum([prices[i] * o.quantity for i, o in base.items()])
+    try:
+        numerator = math.fsum([prices[i] * o.quantity for i, o in current.items()])
+        denominator = math.fsum([prices[i] * o.quantity for i, o in base.items()])
+    except OverflowError:
+        raise NumericalError("reference-price quantity index sums past the float range") from None
     if denominator <= 0 or numerator <= 0:
         raise NumericalError("reference-price quantity index is not positive")
     return numerator / denominator
@@ -91,7 +94,13 @@ def _quantity_index(data: ReferenceData, position: int, prices: Mapping[ItemId, 
 
 
 def _compared_table(dataset: Dataset, spec: ComparisonSpec) -> ReferenceData:
-    """The table of the items in the base or the current universe."""
+    """The table of the items in the base or the current universe.
+
+    Where the compared periods are the only reference periods, that
+    filter would keep every item, so none is passed.
+    """
+    if spec.reference_periods(dataset) == (spec.base, spec.current):
+        return reference_data(dataset, spec)
     base, current = dataset.period_data(spec.base), dataset.period_data(spec.current)
     return reference_data(dataset, spec, base.items.keys() | current.items.keys())
 
@@ -403,10 +412,13 @@ def _rq(
         numerator_terms.append(quantity * current_price)
         denominator_terms.append(quantity * base_price)
     # IndexResult rejects a quotient that is not positive and finite.
-    denominator = math.fsum(denominator_terms)
-    if not 0 < denominator < math.inf:
-        raise NumericalError(f"reference-quantity index denominator is {denominator!r}")
-    return IndexResult(math.fsum(numerator_terms) / denominator)
+    try:
+        denominator = math.fsum(denominator_terms)
+        if not 0 < denominator < math.inf:
+            raise NumericalError(f"reference-quantity index denominator is {denominator!r}")
+        return IndexResult(math.fsum(numerator_terms) / denominator)
+    except OverflowError:
+        raise NumericalError("reference-quantity index sums past the float range") from None
 
 
 def rq_index(

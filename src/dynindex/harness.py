@@ -432,20 +432,25 @@ class VerdictMatrix:
         return "\n".join(lines)
 
     def mismatches(self, expected: Mapping | None = None) -> list[str]:
-        """Compare cell labels against the expected summary; empty means match."""
+        """Compare the labels of the cells that ran against the expected summary.
+
+        Only rows and columns that ran are judged; an expected sub-cell
+        missing from a column that ran counts as missing. Empty means match.
+        """
         want = expected if expected is not None else EXPECTED_SUMMARY
         problems = []
         for row, columns in want.items():
             for column, subs in columns.items():
+                ran = self.rows.get(row, {}).get(column)
+                if ran is None:
+                    continue
                 for sub, label in subs.items():
-                    try:
-                        got = self.cell(row, column, sub).label
-                    except KeyError:
+                    cell = ran.get(sub)
+                    if cell is None:
                         problems.append(f"{row} / {column} / {sub or '-'}: missing")
-                        continue
-                    if got != label:
+                    elif cell.label != label:
                         problems.append(
-                            f"{row} / {column} / {sub or '-'}: expected {label}, got {got}"
+                            f"{row} / {column} / {sub or '-'}: expected {label}, got {cell.label}"
                         )
         return problems
 

@@ -78,8 +78,11 @@ def reference_data(
     period_data = [dataset.period_data(r) for r in periods]
     period_items = tuple(pd.items for pd in period_data)
     wanted = items if items is None or isinstance(items, AbstractSet) else frozenset(items)
-    observations: dict[ItemId, list[Observation]] = {}
-    for m in period_items:
+    first, *later = period_items
+    observations: dict[ItemId, list[Observation]] = (
+        {item: [obs] for item, obs in first.items()} if wanted is None
+        else {item: [obs] for item, obs in first.items() if item in wanted})
+    for m in later:
         for item, obs in m.items():
             present = observations.get(item)
             if present is not None:
@@ -133,6 +136,13 @@ def _zero_quantity(item: ItemId, data: ReferenceData) -> NumericalError:
         f"quantities of item {item!r} sum to zero over reference periods {data.periods}")
 
 
+def _overflow(item: ItemId, data: ReferenceData) -> NumericalError:
+    """The error of an item whose expenditures or quantities sum past the float range."""
+    return NumericalError(
+        f"expenditures or quantities of item {item!r} sum past the float range "
+        f"over reference periods {data.periods}")
+
+
 @dataclass(frozen=True)
 class LehrUnitValue:
     """Undeflated unit value over the reference periods. Index-free."""
@@ -142,20 +152,33 @@ class LehrUnitValue:
     def prices_for(self, data, index_series=None):
         # Expenditure over quantity, summed over the item's observations.
         # This loop runs once per item of every GEKS leg, so expenditure is
-        # written out as price * quantity and an item seen in one period
-        # skips fsum: the fsum of one term is that term.
-        # A zero quantity sum is caught once, outside the loop.
+        # written out as price * quantity and an item seen in one or two
+        # periods skips fsum: the fsum of one term is that term, and the
+        # sum of two finite floats is correctly rounded, as fsum's is.
+        # fsum decides where a two-term sum is not finite (fsum raises on
+        # overflow), and its zero is +0.0, where -0.0 + -0.0 is -0.0.
+        # A zero quantity sum and an overflow are caught once, outside the loop.
         prices = {}
         try:
             for item, obs in data.observations.items():
-                if len(obs) == 1:
+                if len(obs) == 2:
+                    a, b = obs
+                    expenditure = a.price * a.quantity + b.price * b.quantity
+                    quantity = a.quantity + b.quantity
+                    # x - x is 0.0 for a finite x and nan for inf or nan
+                    if not (expenditure - expenditure or quantity - quantity):
+                        prices[item] = (expenditure or 0.0) / quantity
+                        continue
+                elif len(obs) == 1:
                     (o,) = obs
                     prices[item] = o.price * o.quantity / o.quantity
-                else:
-                    prices[item] = (math.fsum([o.price * o.quantity for o in obs])
-                                    / math.fsum([o.quantity for o in obs]))
+                    continue
+                prices[item] = (math.fsum([o.price * o.quantity for o in obs])
+                                / math.fsum([o.quantity for o in obs]))
         except ZeroDivisionError:
             raise _zero_quantity(item, data) from None
+        except OverflowError:
+            raise _overflow(item, data) from None
         return prices
 
 
@@ -176,6 +199,8 @@ class DeflatedUnitValue:
                                 / math.fsum([o.quantity for o in obs]))
         except ZeroDivisionError:
             raise _zero_quantity(item, data) from None
+        except OverflowError:
+            raise _overflow(item, data) from None
         return prices
 
 
@@ -290,10 +315,13 @@ class ArithmeticMeanQuantity:
     """Mean quantity over the reference periods in which the item is present."""
 
     def quantities_for(self, data, prices=None):
-        return {
-            item: math.fsum([o.quantity for o in obs]) / len(obs)
-            for item, obs in data.observations.items()
-        }
+        quantities = {}
+        try:
+            for item, obs in data.observations.items():
+                quantities[item] = math.fsum([o.quantity for o in obs]) / len(obs)
+        except OverflowError:
+            raise _overflow(item, data) from None
+        return quantities
 
 
 class ExpenditureOverReferencePrice:
@@ -309,6 +337,8 @@ class ExpenditureOverReferencePrice:
                 quantities[item] = mean_expenditure / prices[item]
         except ZeroDivisionError:
             raise NumericalError(f"reference price of item {item!r} is {prices[item]!r}") from None
+        except OverflowError:
+            raise _overflow(item, data) from None
         return quantities
 
 
@@ -414,22 +444,25 @@ def gk_start(data: ReferenceData) -> dict[int, float] | None:
     over the reference periods, and E_r = sum_s M_sr is period r's
     expenditure. data must cover every item of its reference periods.
     None where the reference periods are not linked by common items or the
-    data or the solution is not positive and finite.
+    data, a sum of it or the solution is not positive and finite.
     """
     if not _positive(data):
         return None
     maps = data.period_items
-    quantity = {
-        i: math.fsum([o.quantity for o in obs]) for i, obs in data.observations.items()
-    }
-    links = [
-        [
-            math.fsum(obs.quantity * ms[i].expenditure / quantity[i]
-                      for i, obs in mr.items() if i in ms) if r != s else 0.0
-            for s, ms in enumerate(maps)
+    try:
+        quantity = {
+            i: math.fsum([o.quantity for o in obs]) for i, obs in data.observations.items()
+        }
+        links = [
+            [
+                math.fsum(obs.quantity * ms[i].expenditure / quantity[i]
+                          for i, obs in mr.items() if i in ms) if r != s else 0.0
+                for s, ms in enumerate(maps)
+            ]
+            for r, mr in enumerate(maps)
         ]
-        for r, mr in enumerate(maps)
-    ]
+    except OverflowError:
+        return None
     x = _solve_linked(links, [0.0] * len(maps), data.base, 1.0)
     if x is None or not all(v > 0 for v in x):
         return None

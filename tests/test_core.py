@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,27 @@ class TestValueRatio:
     def test_relabeling_invariance(self):
         ds = small_dyn()
         assert relabeled(ds).value_ratio(0, 1) == ds.value_ratio(0, 1)
+
+
+MAX = sys.float_info.max
+
+
+class TestTotalExpenditure:
+    @pytest.mark.parametrize(
+        "items, total",
+        [
+            ({"a": (1e300, 1e8), "b": (1e300, 1e8)}, math.inf),
+            ({"a": (-1e300, 1e8), "b": (-1e300, 1e8)}, -math.inf),
+            # fsum overflows on the first two terms; the exact sum is in range
+            ({"a": (MAX, 1), "b": (MAX, 1), "c": (-MAX, 1)}, MAX),
+            # a's expenditure itself overflows, in both directions
+            ({"a": (1e200, 1e200), "b": (-1e200, 1e200)}, math.nan),
+        ],
+        ids=["inf", "minus-inf", "exact", "inf-and-minus-inf"],
+    )
+    def test_a_total_past_the_float_range_still_builds(self, items, total):
+        got = Dataset.build({0: items}).period_data(0).total_expenditure()
+        assert got == total or math.isnan(got) and math.isnan(total)
 
 
 class TestValidate:

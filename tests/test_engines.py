@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from dynindex import (
     LehrUnitValue,
     NumericalError,
     PriceIndexError,
+    RollingWindow,
     SchemeError,
     TornqvistWeights,
     adjusted_laspeyres,
@@ -34,7 +36,7 @@ from dynindex import (
     tpd_index,
     wgm_index,
 )
-from dynindex.engines import CHAINABLE_FAMILIES, ENGINE_FAMILIES
+from dynindex.engines import CHAINABLE_FAMILIES, ENGINE_FAMILIES, _compared_table
 from helpers import (
     fixed_market,
     random_market,
@@ -230,6 +232,22 @@ class TestGeks:
             expected = math.exp(math.fsum(logs) / (r + 1))
             assert result.series[r] == pytest.approx(expected, rel=1e-12), r
 
+    def test_full_history_series_is_the_mean_over_evaluated_legs(self):
+        """Bit for bit: each leg is one bilateral MGK evaluation."""
+        ds = random_market(3, periods=6, items=7, churn=0.4)
+
+        def leg(s, r):
+            if s == r:
+                return 1.0
+            if s > r:
+                return 1.0 / leg(r, s)
+            return evaluate(ds, ComparisonSpec(s, r, Bilateral()), EngineSpec("mgk")).value
+
+        result = geks_index(ds, ComparisonSpec(0, 5, FullHistory()))
+        for r in range(1, 6):
+            logs = [math.log(leg(0, s)) + math.log(leg(s, r)) for s in range(r + 1)]
+            assert result.series[r] == math.exp(math.fsum(logs) / (r + 1)), r
+
 
 class TestRq:
     def test_imputed_birth_example(self):
@@ -406,13 +424,48 @@ class TestEngineSpec:
             {0: {"a": (1, 0), "b": (1, 1)}, 1: {"b": (1, 1), "c": (2, 1)}},
             # every expenditure, and so every period's total, underflows to 0
             {0: {"a": (1e-200, 1e-200)}, 1: {"a": (1e-200, 2e-200)}},
+            # each period's total is past the float range
+            {t: {"a": (1e300, 1e8), "b": (1e300, 1e8)} for t in range(2)},
         ],
-        ids=["zero-total", "overflow", "zero-quantity", "underflow"],
+        ids=["zero-total", "overflow", "zero-quantity", "underflow", "overflowing-total"],
     )
     @pytest.mark.parametrize("family", ENGINE_FAMILIES)
     def test_degenerate_totals_raise_price_index_errors(self, family, data, policy):
         with pytest.raises(PriceIndexError):
             evaluate(Dataset.build(data), ComparisonSpec(0, 1, policy), EngineSpec(family))
+
+    @pytest.mark.parametrize("policy", [Bilateral(), FullHistory()],
+                             ids=["bilateral", "full-history"])
+    @pytest.mark.parametrize(
+        "data, unsummed",
+        [
+            # a's expenditures are finite, their sum is not
+            ({t: {"a": (1e300, 1e8), "b": (1, 1)} for t in range(2)}, {"tpd", "rq"}),
+            # a's quantities are finite, their sum is not
+            ({t: {"a": (1e-300, sys.float_info.max), "b": (1, 1)} for t in range(2)},
+             {"tpd", "rqp-expenditure"}),
+        ],
+        ids=["expenditures", "quantities"],
+    )
+    @pytest.mark.parametrize("name", [*ENGINE_FAMILIES, "rqp-expenditure"])
+    def test_overflowing_sum_raises_numerical_error(self, name, data, unsummed, policy):
+        # the engines in unsummed take no such sum, and the two periods are the same
+        engine = EngineSpec(name) if name in ENGINE_FAMILIES else EngineSpec(
+            "rqp", reference_quantity=ExpenditureOverReferencePrice(), reference_price=FixedBase())
+        spec = ComparisonSpec(0, 1, policy)
+        if name in unsummed:
+            assert evaluate(Dataset.build(data), spec, engine).value == 1.0
+            return
+        with pytest.raises(NumericalError, match="item 'a' sum past the float range"):
+            evaluate(Dataset.build(data), spec, engine)
+
+    @pytest.mark.parametrize("family", ["gk", "mgk", "guv", "geks", "rqp"])
+    def test_overflowing_quantity_index_sum_raises_numerical_error(self, family):
+        # period 0's total is past the float range, and so is its quantity
+        # index sum at the finite unit values
+        data = {0: {"a": (1e300, 1e8), "b": (1e300, 1e8)}, 1: {"a": (1, 1), "b": (1, 1)}}
+        with pytest.raises(NumericalError, match="quantity index sums past the float range"):
+            evaluate(Dataset.build(data), BILATERAL, EngineSpec(family))
 
     @pytest.mark.parametrize("policy", [Bilateral(), FullHistory()],
                              ids=["bilateral", "full-history"])
@@ -424,6 +477,20 @@ class TestEngineSpec:
                             reference_price=FixedBase())
         with pytest.raises(NumericalError, match="reference price of item 'a' is 0"):
             evaluate(Dataset.build(data), ComparisonSpec(0, 1, policy), engine)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ComparisonSpec(1, 3, Bilateral()), ComparisonSpec(2, 3, RollingWindow(2)),
+         ComparisonSpec(1, 3, RollingWindow(3)), ComparisonSpec(0, 3, FullHistory())],
+        ids=["bilateral", "window-2", "window-3", "full-history"],
+    )
+    def test_compared_table_holds_the_compared_items(self, spec):
+        ds = random_market(6, periods=4, items=8, churn=0.5)
+        data = _compared_table(ds, spec)
+        assert data.periods == spec.reference_periods(ds)
+        compared = ds.universe(spec.base) | ds.universe(spec.current)
+        in_order = [i for r in data.periods for i in ds.period_data(r).items if i in compared]
+        assert list(data.observations) == list(dict.fromkeys(in_order))
 
     def test_disjoint_universes_still_evaluate(self):
         ds = Dataset.build({0: {"A": (1, 2)}, 1: {"B": (3, 4)}})

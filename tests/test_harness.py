@@ -222,6 +222,21 @@ class TestMatrix:
         b = run_matrix(trials=5, seed=3)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "engines, tests, trials",
+        [(["geks"], None, 50), (None, ["Identity"], 3)],
+        ids=["geks-row", "identity-column"],
+    )
+    def test_mismatches_judge_only_what_ran(self, engines, tests, trials):
+        matrix = run_matrix(engines=engines, tests=tests, trials=trials, seed=0)
+        assert matrix.mismatches() == []
+
+    def test_expected_sub_cell_missing_from_a_column_that_ran(self):
+        matrix = run_matrix(engines=["geks"], tests=["Identity"], trials=1, seed=0)
+        expected = {"GEKS": {"Identity": {"": "No", "if R_B": "Yes"}, "Fixed-basket": {"": "No"}},
+                    "WGM": {"Identity": {"": "No"}}}
+        assert matrix.mismatches(expected) == ["GEKS / Identity / if R_B: missing"]
+
     def test_row_filter(self):
         matrix = run_matrix(engines=["geks"], trials=5, seed=0)
         assert list(matrix.rows) == ["GEKS"]

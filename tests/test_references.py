@@ -1,8 +1,9 @@
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynindex import (
@@ -22,6 +23,7 @@ from dynindex import (
     FixedPointReport,
     FullHistory,
     LehrUnitValue,
+    PriceIndexError,
     RollingWindow,
     SchemeError,
     TPDGeometric,
@@ -124,6 +126,57 @@ class TestLehrPrice:
         ds = Dataset.build({0: {"A": (p0, q0)}, 1: {"A": (p1, q1)}})
         value = lehr_price(ds, "A")
         assert min(p0, p1) * (1 - 1e-12) <= value <= max(p0, p1) * (1 + 1e-12)
+
+
+_MAX = sys.float_info.max
+# Finite floats with their edges drawn often: signed zeros, subnormals
+# and values near the largest float.
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, _MAX, -_MAX, _MAX / 3, 1.0]),
+)
+
+
+def _lehr_formula(data):
+    """Expenditure over quantity: p*q/q for one observation, fsum for more."""
+    prices = {}
+    for item, obs in data.observations.items():
+        if len(obs) == 1:
+            (o,) = obs
+            prices[item] = o.price * o.quantity / o.quantity
+        else:
+            prices[item] = (math.fsum([o.price * o.quantity for o in obs])
+                            / math.fsum([o.quantity for o in obs]))
+    return prices
+
+
+def _hex_prices(prices, errors):
+    """Each price as float.hex, so that the sign of a zero counts; or the error kind."""
+    try:
+        return {item: price.hex() for item, price in prices().items()}
+    except errors:
+        return PriceIndexError
+    except ValueError:  # -inf + inf in fsum
+        return ValueError
+
+
+class TestLehrShortcut:
+    @given(st.lists(st.tuples(st.sampled_from([(0,), (1,), (0, 1)]),
+                              _EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS),
+                    min_size=1, max_size=6))
+    @example([((0, 1), -0.0, 1.0, -0.0, 2.0)])  # -0.0 + -0.0 is -0.0, fsum's zero +0.0
+    @example([((0, 1), 1e300, 1e8, 1e300, 1e8)])  # finite expenditures, overflowing sum
+    @example([((0, 1), 1.0, _MAX, 1.0, _MAX)])  # overflowing quantity sum
+    @example([((0, 1), 1e200, 1e200, -1e200, 1e200)])  # inf + -inf expenditures
+    @settings(max_examples=400)
+    def test_one_or_two_observations_price_as_the_formula(self, draws):
+        periods = {0: {}, 1: {}}
+        for n, (present, p0, q0, p1, q1) in enumerate(draws):
+            for t in present:
+                periods[t][f"i{n}"] = (p0, q0) if t == 0 else (p1, q1)
+        data = reference_data(Dataset.build(periods), BILATERAL)
+        assert (_hex_prices(lambda: LehrUnitValue().prices_for(data), PriceIndexError)
+                == _hex_prices(lambda: _lehr_formula(data), (ZeroDivisionError, OverflowError)))
 
 
 class TestDeflatedPrice:
