@@ -179,10 +179,16 @@ class Dataset:
         return u0 & ut, ut - u0, u0 - ut
 
     def value_ratio(self, base: int, current: int) -> float:
-        """Ratio of total expenditures between the two periods."""
+        """Ratio of total expenditures between the two periods.
+
+        NumericalError unless the base total is positive and finite and
+        the ratio finite.
+        """
         denominator = self.period_data(base).total_expenditure()
         numerator = self.period_data(current).total_expenditure()
-        if denominator <= 0 or not math.isfinite(numerator / denominator):
+        if not 0 < denominator < math.inf:
+            raise NumericalError(f"total expenditure of period {base} is {denominator!r}")
+        if not math.isfinite(numerator / denominator):
             raise NumericalError(f"degenerate value ratio {numerator}/{denominator}")
         return numerator / denominator
 

@@ -20,6 +20,7 @@ import sys
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .core import (
@@ -45,7 +46,8 @@ class ReferenceData:
     the compared periods. observations maps each requested item, in order
     of first appearance, to its observations in position order; the
     observations are the dataset's own. positions holds the matching
-    positions, found on first use: only index-deflated schemes need them.
+    positions, found on first use: only index-deflated schemes and the GK
+    and TPD direct starts need them.
     """
 
     periods: tuple[int, ...]
@@ -381,10 +383,16 @@ def reference_quantities(
 # exp(v) and exp(-v) are positive and finite exactly when |v| is below this.
 _MAX_LOG = math.log(sys.float_info.max)
 
+_quantity = attrgetter("quantity")
+
 
 def _positive(data: ReferenceData) -> bool:
     """Whether every reference-period price and quantity is positive."""
-    return all(o.price > 0 and o.quantity > 0 for m in data.period_items for o in m.values())
+    for m in data.period_items:
+        for o in m.values():
+            if not o.price > 0 < o.quantity:
+                return False
+    return True
 
 
 def _solve_linked(
@@ -393,10 +401,10 @@ def _solve_linked(
     """Solve the Laplacian system of a weighted period graph with z[pin] = value.
 
     links[r][s] (r != s) is positive exactly when periods r and s share an
-    item; None if that graph is not connected. Row r reads
-    sum_s links[s][r] * z[r] - sum_s links[r][s] * z[s] = rhs[r] over s != r.
-    Its columns sum to zero, so row pin is dropped and the other n - 1 rows
-    are solved by Gaussian elimination with partial pivoting.
+    item, and links[r][r] is 0; None if that graph is not connected. Row r
+    reads sum_s links[s][r] * z[r] - sum_s links[r][s] * z[s] = rhs[r] over
+    s != r. Its columns sum to zero, so row pin is dropped and the other
+    n - 1 rows are solved by Gaussian elimination with partial pivoting.
     """
     n = len(links)
     reached, frontier = {pin}, [pin]
@@ -409,7 +417,7 @@ def _solve_linked(
     if len(reached) < n:
         return None
     keep = [r for r in range(n) if r != pin]
-    degree = [math.fsum(links[s][r] for s in range(n) if s != r) for r in range(n)]
+    degree = [math.fsum(column) for column in zip(*links)]
     rows = [
         [degree[r] if s == r else -links[r][s] for s in keep] + [rhs[r] + links[r][pin] * value]
         for r in keep
@@ -445,25 +453,34 @@ def gk_start(data: ReferenceData) -> dict[int, float] | None:
     expenditure. data must cover every item of its reference periods.
     None where the reference periods are not linked by common items or the
     data, a sum of it or the solution is not positive and finite.
+
+    M is built one row at a time, item-major within the row: each item of
+    period r adds one term to M_rs for each other position s it occupies,
+    read from data.observations and data.positions, and each entry is one
+    fsum. Only one row's terms are held at once. An entry's terms are
+    those of a scan of period r's items for the ones in s, with the same
+    expression and in the same order, so M is bit-identical to that
+    scan's, even where a sum overflows (where fsum's result can depend on
+    the order of its terms).
     """
     if not _positive(data):
         return None
-    maps = data.period_items
+    observations, positions = data.observations, data.positions
+    n = len(data.periods)
+    links = []
     try:
-        quantity = {
-            i: math.fsum([o.quantity for o in obs]) for i, obs in data.observations.items()
-        }
-        links = [
-            [
-                math.fsum(obs.quantity * ms[i].expenditure / quantity[i]
-                          for i, obs in mr.items() if i in ms) if r != s else 0.0
-                for s, ms in enumerate(maps)
-            ]
-            for r, mr in enumerate(maps)
-        ]
+        quantity = {i: math.fsum(map(_quantity, obs)) for i, obs in observations.items()}
+        for r, mr in enumerate(data.period_items):
+            row: list[list[float]] = [[] for _ in range(n)]
+            for i, o in mr.items():
+                q, total = o.quantity, quantity[i]
+                for s, other in zip(positions[i], observations[i]):
+                    if s != r:
+                        row[s].append(q * (other.price * other.quantity) / total)
+            links.append(list(map(math.fsum, row)))
     except OverflowError:
         return None
-    x = _solve_linked(links, [0.0] * len(maps), data.base, 1.0)
+    x = _solve_linked(links, [0.0] * n, data.base, 1.0)
     if x is None or not all(v > 0 for v in x):
         return None
     return _series_from_logs(data.periods, [-math.log(v) for v in x])
@@ -481,34 +498,47 @@ def tpd_start(data: ReferenceData) -> dict[int, float] | None:
     linked by common items, or the data, a period's total expenditure, an
     item's W_i (zero where its expenditure underflows, nan where it
     overflows) or the solution is not positive and finite.
+
+    B and c are built as gk_start builds M, one row at a time: each item
+    of period r adds its term to c_r and one term to B_rs for each later
+    position s it occupies, and B_sr mirrors B_rs. A term of B_rs is
+    e_ir / T_r * e_is / T_s / W_i, with T_r the period's total, evaluated
+    left to right (w_ir w_is / W_i would round differently), in the order
+    of period r's items, so B is bit-identical to a scan of period r's
+    items for the ones in s.
     """
     if not _positive(data) or not all(0 < total < math.inf for total in data.totals):
         return None
-    maps, totals, positions = data.period_items, data.totals, data.positions
+    observations, positions, totals = data.observations, data.positions, data.totals
     weight = {
-        i: math.fsum([o.expenditure / totals[k] for k, o in zip(positions[i], obs)])
-        for i, obs in data.observations.items()
+        i: math.fsum([o.price * o.quantity / totals[k] for k, o in zip(positions[i], obs)])
+        for i, obs in observations.items()
     }
     if not all(w > 0 for w in weight.values()):
         return None
     mean_log = {
-        i: math.fsum([o.expenditure / totals[k] * math.log(o.price)
+        i: math.fsum([o.price * o.quantity / totals[k] * math.log(o.price)
                       for k, o in zip(positions[i], obs)])
         / weight[i]
-        for i, obs in data.observations.items()
+        for i, obs in observations.items()
     }
-    n = len(maps)
+    n = len(data.periods)
     links = [[0.0] * n for _ in range(n)]
-    for r in range(n):
+    rhs = []
+    for r, mr in enumerate(data.period_items):
+        total = totals[r]
+        row: list[list[float]] = [[] for _ in range(n)]
+        constant = []
+        for i, o in mr.items():
+            w, item_weight = o.price * o.quantity / total, weight[i]
+            constant.append(w * (math.log(o.price) - mean_log[i]))
+            for s, other in zip(positions[i], observations[i]):
+                if s > r:
+                    # w is e_ir / T_r, so this is e_ir / T_r * e_is / T_s / W_i
+                    row[s].append(w * (other.price * other.quantity) / totals[s] / item_weight)
         for s in range(r + 1, n):
-            links[r][s] = links[s][r] = math.fsum(
-                obs.expenditure / totals[r] * maps[s][i].expenditure / totals[s] / weight[i]
-                for i, obs in maps[r].items() if i in maps[s]
-            )
-    rhs = [
-        math.fsum(obs.expenditure / t * (math.log(obs.price) - mean_log[i]) for i, obs in m.items())
-        for m, t in zip(maps, totals)
-    ]
+            links[r][s] = links[s][r] = math.fsum(row[s])
+        rhs.append(math.fsum(constant))
     return _series_from_logs(data.periods, _solve_linked(links, rhs, data.base, 0.0))
 
 

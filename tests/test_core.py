@@ -11,6 +11,7 @@ from dynindex import (
     Dataset,
     FullHistory,
     InvalidComparisonError,
+    NumericalError,
     Observation,
     RollingWindow,
     UnknownPeriodError,
@@ -64,6 +65,25 @@ class TestValueRatio:
     def test_relabeling_invariance(self):
         ds = small_dyn()
         assert relabeled(ds).value_ratio(0, 1) == ds.value_ratio(0, 1)
+
+    @pytest.mark.parametrize(
+        "base, total",
+        [
+            ({"a": (1e300, 1e8), "b": (1e300, 1e8)}, "inf"),
+            ({"a": (-1, 1), "b": (1, 1)}, "0.0"),
+            ({"a": (-2, 1), "b": (1, 1)}, "-1.0"),
+        ],
+        ids=["inf", "zero", "negative"],
+    )
+    def test_base_total_must_be_positive_and_finite(self, base, total):
+        ds = Dataset.build({0: base, 1: {"a": (1, 1), "b": (1, 1)}})
+        with pytest.raises(NumericalError, match=f"total expenditure of period 0 is {total}$"):
+            ds.value_ratio(0, 1)
+
+    def test_overflowing_ratio_raises(self):
+        ds = Dataset.build({0: {"a": (1e-300, 1e-8)}, 1: {"a": (1e300, 1e8)}})
+        with pytest.raises(NumericalError, match="degenerate value ratio"):
+            ds.value_ratio(0, 1)
 
 
 MAX = sys.float_info.max

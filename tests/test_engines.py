@@ -461,11 +461,21 @@ class TestEngineSpec:
 
     @pytest.mark.parametrize("family", ["gk", "mgk", "guv", "geks", "rqp"])
     def test_overflowing_quantity_index_sum_raises_numerical_error(self, family):
-        # period 0's total is past the float range, and so is its quantity
-        # index sum at the finite unit values
-        data = {0: {"a": (1e300, 1e8), "b": (1e300, 1e8)}, 1: {"a": (1, 1), "b": (1, 1)}}
+        # both totals are 1e308, but period 1's quantities at the unit values
+        # sum past the float range
+        data = {0: {"a": (0.5e308, 1.0), "b": (0.5e308, 1.0)},
+                1: {"a": (0.5e8, 1e300), "b": (0.5e8, 1e300)}}
         with pytest.raises(NumericalError, match="quantity index sums past the float range"):
             evaluate(Dataset.build(data), BILATERAL, EngineSpec(family))
+
+    @pytest.mark.parametrize("policy", [Bilateral(), FullHistory()],
+                             ids=["bilateral", "full-history"])
+    @pytest.mark.parametrize("family", ["gk", "mgk", "guv", "geks", "rqp"])
+    def test_infinite_base_total_names_the_total(self, family, policy):
+        # period 0's total is past the float range, so the value ratio is no number
+        data = {0: {"a": (1e300, 1e8), "b": (1e300, 1e8)}, 1: {"a": (1, 1), "b": (1, 1)}}
+        with pytest.raises(NumericalError, match="total expenditure of period 0 is inf"):
+            evaluate(Dataset.build(data), ComparisonSpec(0, 1, policy), EngineSpec(family))
 
     @pytest.mark.parametrize("policy", [Bilateral(), FullHistory()],
                              ids=["bilateral", "full-history"])

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +35,7 @@ from dynindex import (
     solve_fixed_point,
 )
 from dynindex.engines import _guv_index_at, _wgm_index_at
+from dynindex.references import gk_start, tpd_start
 from helpers import SMALL_DYN, random_market, raw_reference_values, small_dyn, small_fixed
 
 BILATERAL = ComparisonSpec(0, 1, Bilateral())
@@ -460,6 +462,193 @@ class TestDirectStart:
         assert result.diagnostics == report
         assert report.method == "sweep"
         assert result.series == series
+
+
+
+# The period-major direct starts: each link entry scans one period's item
+# map for the items of another. The row-at-a-time starts must match them
+# bit for bit.
+
+
+def _oracle_solve(links, rhs, pin, value):
+    n = len(links)
+    reached, frontier = {pin}, [pin]
+    while frontier:
+        r = frontier.pop()
+        for s in range(n):
+            if s not in reached and links[r][s] > 0:
+                reached.add(s)
+                frontier.append(s)
+    if len(reached) < n:
+        return None
+    keep = [r for r in range(n) if r != pin]
+    degree = [math.fsum(links[s][r] for s in range(n) if s != r) for r in range(n)]
+    rows = [
+        [degree[r] if s == r else -links[r][s] for s in keep] + [rhs[r] + links[r][pin] * value]
+        for r in keep
+    ]
+    m = n - 1
+    for c in range(m):
+        p = max(range(c, m), key=lambda r: abs(rows[r][c]))
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(c + 1, m):
+            factor = rows[r][c] / rows[c][c]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
+    z = [0.0] * m
+    for r in reversed(range(m)):
+        z[r] = (rows[r][m] - math.fsum(rows[r][s] * z[s] for s in range(r + 1, m))) / rows[r][r]
+    z.insert(pin, value)
+    return z
+
+
+def _oracle_series(periods, logs):
+    if logs is None or not all(abs(v) < math.log(sys.float_info.max) for v in logs):
+        return None
+    return dict(zip(periods, map(math.exp, logs)))
+
+
+def _oracle_positive(data):
+    return all(o.price > 0 and o.quantity > 0 for m in data.period_items for o in m.values())
+
+
+def oracle_gk_start(data):
+    if not _oracle_positive(data):
+        return None
+    maps = data.period_items
+    try:
+        quantity = {
+            i: math.fsum([o.quantity for o in obs]) for i, obs in data.observations.items()
+        }
+        links = [
+            [
+                math.fsum(obs.quantity * ms[i].expenditure / quantity[i]
+                          for i, obs in mr.items() if i in ms) if r != s else 0.0
+                for s, ms in enumerate(maps)
+            ]
+            for r, mr in enumerate(maps)
+        ]
+    except OverflowError:
+        return None
+    x = _oracle_solve(links, [0.0] * len(maps), data.base, 1.0)
+    if x is None or not all(v > 0 for v in x):
+        return None
+    return _oracle_series(data.periods, [-math.log(v) for v in x])
+
+
+def oracle_tpd_start(data):
+    if not _oracle_positive(data) or not all(0 < total < math.inf for total in data.totals):
+        return None
+    maps, totals, positions = data.period_items, data.totals, data.positions
+    weight = {
+        i: math.fsum([o.expenditure / totals[k] for k, o in zip(positions[i], obs)])
+        for i, obs in data.observations.items()
+    }
+    if not all(w > 0 for w in weight.values()):
+        return None
+    mean_log = {
+        i: math.fsum([o.expenditure / totals[k] * math.log(o.price)
+                      for k, o in zip(positions[i], obs)])
+        / weight[i]
+        for i, obs in data.observations.items()
+    }
+    n = len(maps)
+    links = [[0.0] * n for _ in range(n)]
+    for r in range(n):
+        for s in range(r + 1, n):
+            links[r][s] = links[s][r] = math.fsum(
+                obs.expenditure / totals[r] * maps[s][i].expenditure / totals[s] / weight[i]
+                for i, obs in maps[r].items() if i in maps[s]
+            )
+    rhs = [
+        math.fsum(obs.expenditure / t * (math.log(obs.price) - mean_log[i]) for i, obs in m.items())
+        for m, t in zip(maps, totals)
+    ]
+    return _oracle_series(data.periods, _oracle_solve(links, rhs, data.base, 0.0))
+
+
+def _hex(series):
+    return None if series is None else {r: v.hex() for r, v in series.items()}
+
+
+_START_SPECS = [
+    ComparisonSpec(0, 1, Bilateral()),
+    ComparisonSpec(2, 5, Bilateral()),
+    ComparisonSpec(0, 7, FullHistory()),
+    ComparisonSpec(3, 6, RollingWindow(5)),
+    ComparisonSpec(5, 7, RollingWindow(3)),
+]
+
+_DEGENERATE_STARTS = {
+    "disjoint-universes": ({0: {"A": (1, 2)}, 1: {"B": (3, 4)}}, ComparisonSpec(0, 1, Bilateral())),
+    "unlinked-middle-period": (
+        {
+            0: {"A": (1.0, 2.0), "B": (2.0, 1.0)},
+            1: {"C": (5.0, 1.0)},
+            2: {"A": (1.5, 1.0), "B": (1.8, 3.0)},
+        },
+        ComparisonSpec(0, 2, FullHistory()),
+    ),
+    "zero-quantity": (
+        {0: {"A": (1.0, 0.0), "B": (2.0, 1.0)}, 1: {"A": (1.5, 1.0), "B": (2.5, 2.0)}},
+        ComparisonSpec(0, 1, Bilateral()),
+    ),
+    # a's expenditure, price times quantity, overflows to inf
+    "overflowing-expenditure": (
+        {t: {"a": (1e200, 1e200), "b": (1, 1)} for t in range(2)}, ComparisonSpec(0, 1, Bilateral())),
+    # a's expenditures are finite, their sum is not
+    "overflowing-expenditure-sum": (
+        {t: {"a": (1e300, 1e8), "b": (1, 1)} for t in range(3)}, ComparisonSpec(0, 2, FullHistory())),
+    # a's quantities are finite, their sum is not
+    "overflowing-quantity-sum": (
+        {t: {"a": (1e-300, sys.float_info.max), "b": (1, 1)} for t in range(2)},
+        ComparisonSpec(0, 1, Bilateral())),
+    # each period's total is past the float range
+    "overflowing-total": (
+        {t: {"a": (1e300, 1e8), "b": (1e300, 1e8)} for t in range(2)},
+        ComparisonSpec(0, 1, Bilateral())),
+    # every expenditure, and so every period's total, underflows to 0
+    "underflow": ({0: {"a": (1e-200, 1e-200)}, 1: {"a": (1e-200, 2e-200)}},
+                  ComparisonSpec(0, 1, Bilateral())),
+}
+
+
+class TestStartsMatchThePeriodMajorBuild:
+    @pytest.mark.parametrize(
+        "spec", _START_SPECS,
+        ids=["bilateral", "bilateral-mid", "full-history", "rolling-base-mid-window", "window-3"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_churn_markets(self, seed, spec):
+        ds = random_market(seed, periods=8, items=12, churn=0.3)
+        for start, oracle in ((gk_start, oracle_gk_start), (tpd_start, oracle_tpd_start)):
+            expected = _hex(oracle(reference_data(ds, spec)))
+            assert expected is not None
+            assert _hex(start(reference_data(ds, spec))) == expected
+
+    @pytest.mark.parametrize("name", _DEGENERATE_STARTS)
+    def test_degenerate_data(self, name):
+        data, spec = _DEGENERATE_STARTS[name]
+        ds = Dataset.build(data)
+        for start, oracle in ((gk_start, oracle_gk_start), (tpd_start, oracle_tpd_start)):
+            assert _hex(start(reference_data(ds, spec))) == _hex(oracle(reference_data(ds, spec)))
+
+
+@pytest.mark.parametrize("start, share", [(gk_start, 1.0), (tpd_start, 0.5)],
+                         ids=["gk", "tpd"])
+def test_start_holds_one_row_of_terms_at_a_time(start, share):
+    # Holding every term of the link matrix at once would take one float
+    # and one list slot, 32 bytes, per ordered pair of an item's
+    # positions (per unordered pair for TPD's symmetric matrix).
+    ds = random_market(3, periods=20, items=100, churn=0.05)
+    data = reference_data(ds, ComparisonSpec(0, 19, FullHistory()))
+    pairs = sum(len(obs) * (len(obs) - 1) for obs in data.observations.values())
+    every_term = pairs * share * 32
+    tracemalloc.start()
+    try:
+        assert start(data) is not None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < every_term / 2
 
 
 def test_scale_equivariance_of_reference_prices():
