@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .core import (
     Bilateral,
@@ -39,6 +39,8 @@ from .references import (
     ReferenceQuantityScheme,
     SchemeError,
     TPDGeometric,
+    _overflow,
+    _zero_quantity,
     gk_start,
     reference_data,
     reference_prices,
@@ -70,17 +72,23 @@ class IndexResult:
             raise NumericalError(f"index value {self.value!r} is not positive and finite")
 
 
-def _quantity_index(data: ReferenceData, position: int, prices: Mapping[ItemId, float]) -> float:
-    """The reference-price quantity index of the period at position against the base."""
-    current, base = data.period_items[position], data.period_items[data.base]
+def _quantity_ratio(numerator_terms: Iterable[float], denominator_terms: Iterable[float]) -> float:
+    """The quantity index whose numerator and denominator are the fsums of these terms."""
     try:
-        numerator = math.fsum([prices[i] * o.quantity for i, o in current.items()])
-        denominator = math.fsum([prices[i] * o.quantity for i, o in base.items()])
+        numerator = math.fsum(numerator_terms)
+        denominator = math.fsum(denominator_terms)
     except OverflowError:
         raise NumericalError("reference-price quantity index sums past the float range") from None
     if denominator <= 0 or numerator <= 0:
         raise NumericalError("reference-price quantity index is not positive")
     return numerator / denominator
+
+
+def _quantity_index(data: ReferenceData, position: int, prices: Mapping[ItemId, float]) -> float:
+    """The reference-price quantity index of the period at position against the base."""
+    current, base = data.period_items[position], data.period_items[data.base]
+    return _quantity_ratio((prices[i] * o.quantity for i, o in current.items()),
+                           (prices[i] * o.quantity for i, o in base.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +115,60 @@ def _compared_table(dataset: Dataset, spec: ComparisonSpec) -> ReferenceData:
 
 # ---------------------------------------------------------------------------
 # Value-ratio-deflating family: GUV, MGK, GK
+
+
+def _lehr_bilateral(dataset: Dataset, base: int, current: int) -> tuple[float, float]:
+    """The value ratio and the Lehr quantity index of GUV over the compared periods alone.
+
+    What the index-free table path gives with LehrUnitValue where the
+    compared periods are the only reference periods: an item's reference
+    price p_i is its expenditure over its quantity, each summed over the
+    compared periods it is in, and the quantity index is
+    sum_i p_i q_it / sum_i p_i q_i0 over each period's own items.
+
+    Prices and terms come from two walks of the period maps, with no
+    table, no observation lists and no price dict for their union: the
+    base map, in its order, prices each item and adds its denominator
+    term, keeping the prices of the items also in the current map; the
+    current map, in its order, prices the rest and adds the numerator
+    terms. Each price is LehrUnitValue's expression for one or two
+    observations (base first), each term is price times quantity, and
+    each list of terms comes in the table path's order, so the result is
+    bit-identical to the table path's, even where a sum overflows. So are
+    the errors, in the table path's order: the price of the first failing
+    item (base map first), then the value ratio, then the quantity index.
+    """
+    ms, mt = dataset.period_data(base).items, dataset.period_data(current).items
+    shared = {}
+    denominator_terms = []
+    numerator_terms = []
+    try:
+        for item, a in ms.items():
+            if item not in mt:  # faster than a get on the read-only map
+                p = a.price * a.quantity / a.quantity
+            else:
+                b = mt[item]
+                expenditure = a.price * a.quantity + b.price * b.quantity
+                quantity = a.quantity + b.quantity
+                # x - x is 0.0 for a finite x and nan for inf or nan
+                if not (expenditure - expenditure or quantity - quantity):
+                    p = (expenditure or 0.0) / quantity
+                else:
+                    p = (math.fsum([a.price * a.quantity, b.price * b.quantity])
+                         / math.fsum([a.quantity, b.quantity]))
+                shared[item] = p
+            denominator_terms.append(p * a.quantity)
+        for item, b in mt.items():
+            p = shared.get(item)
+            if p is None:
+                p = b.price * b.quantity / b.quantity
+            numerator_terms.append(p * b.quantity)
+    except ZeroDivisionError:
+        raise _zero_quantity(item, (base, current)) from None
+    except (OverflowError, ValueError):
+        raise _overflow(item, (base, current)) from None
+    value_ratio = dataset.value_ratio(base, current)
+    return value_ratio, _quantity_ratio(numerator_terms, denominator_terms)
 
 
 def _guv_index_at(
@@ -150,10 +212,16 @@ def guv_index(
 ) -> IndexResult:
     """Generalised unit value index: value ratio over a reference-price quantity index.
 
-    Index-free schemes evaluate directly; schemes that deflate by the
+    Index-free schemes evaluate directly, Lehr unit values over the two
+    compared periods alone without a table; schemes that deflate by the
     index itself are solved jointly through the fixed-point solver.
     """
     scheme = reference_price if reference_price is not None else LehrUnitValue()
+    # the type itself: a subclass may price otherwise
+    if (type(scheme) is LehrUnitValue
+            and spec.reference_periods(dataset) == (spec.base, spec.current)):
+        value_ratio, quantity = _lehr_bilateral(dataset, spec.base, spec.current)
+        return IndexResult(value_ratio / quantity, decomposition=(value_ratio, quantity))
     return _guv(dataset, spec, scheme, config)[0]
 
 

@@ -132,17 +132,21 @@ def share_total(data: ReferenceData, position: int) -> float:
 # Reference price schemes
 
 
-def _zero_quantity(item: ItemId, data: ReferenceData) -> NumericalError:
+def _zero_quantity(item: ItemId, periods: tuple[int, ...]) -> NumericalError:
     """The error of a unit value whose quantities sum to zero."""
     return NumericalError(
-        f"quantities of item {item!r} sum to zero over reference periods {data.periods}")
+        f"quantities of item {item!r} sum to zero over reference periods {periods}")
 
 
-def _overflow(item: ItemId, data: ReferenceData) -> NumericalError:
-    """The error of an item whose expenditures or quantities sum past the float range."""
+def _overflow(item: ItemId, periods: tuple[int, ...]) -> NumericalError:
+    """The error of an item whose expenditures or quantities sum past the float range.
+
+    Also raised where its expenditures overflow to both inf and -inf, whose
+    sum fsum rejects with a ValueError.
+    """
     return NumericalError(
         f"expenditures or quantities of item {item!r} sum past the float range "
-        f"over reference periods {data.periods}")
+        f"over reference periods {periods}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,8 @@ class LehrUnitValue:
         # sum of two finite floats is correctly rounded, as fsum's is.
         # fsum decides where a two-term sum is not finite (fsum raises on
         # overflow), and its zero is +0.0, where -0.0 + -0.0 is -0.0.
-        # A zero quantity sum and an overflow are caught once, outside the loop.
+        # A zero quantity sum, an overflow and inf + -inf (fsum's ValueError)
+        # are caught once, outside the loop.
         prices = {}
         try:
             for item, obs in data.observations.items():
@@ -178,9 +183,9 @@ class LehrUnitValue:
                 prices[item] = (math.fsum([o.price * o.quantity for o in obs])
                                 / math.fsum([o.quantity for o in obs]))
         except ZeroDivisionError:
-            raise _zero_quantity(item, data) from None
-        except OverflowError:
-            raise _overflow(item, data) from None
+            raise _zero_quantity(item, data.periods) from None
+        except (OverflowError, ValueError):
+            raise _overflow(item, data.periods) from None
         return prices
 
 
@@ -200,9 +205,9 @@ class DeflatedUnitValue:
                                            for k, o in zip(positions[item], obs)])
                                 / math.fsum([o.quantity for o in obs]))
         except ZeroDivisionError:
-            raise _zero_quantity(item, data) from None
-        except OverflowError:
-            raise _overflow(item, data) from None
+            raise _zero_quantity(item, data.periods) from None
+        except (OverflowError, ValueError):
+            raise _overflow(item, data.periods) from None
         return prices
 
 
@@ -322,7 +327,7 @@ class ArithmeticMeanQuantity:
             for item, obs in data.observations.items():
                 quantities[item] = math.fsum([o.quantity for o in obs]) / len(obs)
         except OverflowError:
-            raise _overflow(item, data) from None
+            raise _overflow(item, data.periods) from None
         return quantities
 
 
@@ -339,8 +344,8 @@ class ExpenditureOverReferencePrice:
                 quantities[item] = mean_expenditure / prices[item]
         except ZeroDivisionError:
             raise NumericalError(f"reference price of item {item!r} is {prices[item]!r}") from None
-        except OverflowError:
-            raise _overflow(item, data) from None
+        except (OverflowError, ValueError):
+            raise _overflow(item, data.periods) from None
         return quantities
 
 
@@ -404,7 +409,9 @@ def _solve_linked(
     item, and links[r][r] is 0; None if that graph is not connected. Row r
     reads sum_s links[s][r] * z[r] - sum_s links[r][s] * z[s] = rhs[r] over
     s != r. Its columns sum to zero, so row pin is dropped and the other
-    n - 1 rows are solved by Gaussian elimination with partial pivoting.
+    n - 1 rows are solved by Gaussian elimination with partial pivoting;
+    None at a zero pivot, which data spanning many orders of magnitude can
+    round to.
     """
     n = len(links)
     reached, frontier = {pin}, [pin]
@@ -425,6 +432,8 @@ def _solve_linked(
     m = n - 1
     for c in range(m):
         p = max(range(c, m), key=lambda r: abs(rows[r][c]))
+        if rows[p][c] == 0:
+            return None
         rows[c], rows[p] = rows[p], rows[c]
         for r in range(c + 1, m):
             factor = rows[r][c] / rows[c][c]

@@ -16,6 +16,15 @@ SMALL_DYN = {
     1: {"A": (1.2, 1.0), "C": (3.0, 1.0)},
 }
 
+# Positive and finite, but spanning so many orders of magnitude that
+# eliminating the GK and TPD link systems of FullHistory 0 -> 2 rounds a
+# pivot to zero.
+ZERO_PIVOT = {
+    0: {"i0": (2e35, 2e12), "i2": (1e14, 3e120), "i3": (6e8, 9e108), "i4": (2e77, 6e8)},
+    1: {"i0": (7e66, 3e93), "i4": (3e53, 8e82)},
+    2: {"i0": (2e158, 9e43), "i1": (1e50, 6e40), "i3": (6e81, 2e67), "i4": (5e48, 5e138)},
+}
+
 
 def small_fixed() -> Dataset:
     return Dataset.build(SMALL_FIXED)

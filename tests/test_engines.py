@@ -2,6 +2,8 @@ import math
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynindex import (
     ArithmeticMeanQuantity,
@@ -36,8 +38,17 @@ from dynindex import (
     tpd_index,
     wgm_index,
 )
-from dynindex.engines import CHAINABLE_FAMILIES, ENGINE_FAMILIES, _compared_table
+from dynindex import engines, references
+from dynindex.engines import (
+    CHAINABLE_FAMILIES,
+    ENGINE_FAMILIES,
+    IndexResult,
+    _compared_table,
+    _quantity_index,
+)
+from dynindex.references import reference_prices
 from helpers import (
+    ZERO_PIVOT,
     fixed_market,
     random_market,
     raw_mgk,
@@ -426,8 +437,12 @@ class TestEngineSpec:
             {0: {"a": (1e-200, 1e-200)}, 1: {"a": (1e-200, 2e-200)}},
             # each period's total is past the float range
             {t: {"a": (1e300, 1e8), "b": (1e300, 1e8)} for t in range(2)},
+            # a's expenditure overflows to inf in period 0 and to -inf in
+            # period 1, and fsum of the two raises a ValueError
+            {0: {"a": (1e200, 1e200), "b": (1, 1)}, 1: {"a": (-1e200, 1e200), "b": (2, 1)}},
         ],
-        ids=["zero-total", "overflow", "zero-quantity", "underflow", "overflowing-total"],
+        ids=["zero-total", "overflow", "zero-quantity", "underflow", "overflowing-total",
+             "infinite-expenditures-of-both-signs"],
     )
     @pytest.mark.parametrize("family", ENGINE_FAMILIES)
     def test_degenerate_totals_raise_price_index_errors(self, family, data, policy):
@@ -458,6 +473,16 @@ class TestEngineSpec:
             return
         with pytest.raises(NumericalError, match="item 'a' sum past the float range"):
             evaluate(Dataset.build(data), spec, engine)
+
+    def test_infinite_expenditures_of_both_signs_in_mean_expenditure(self):
+        # a's expenditures overflow to inf and -inf, whose fsum raises a
+        # ValueError; they fall in the middle periods, so the value ratio is finite
+        data = {0: {"a": (1, 1), "b": (1, 1)}, 1: {"a": (1e200, 1e200), "b": (1, 1)},
+                2: {"a": (-1e200, 1e200), "b": (1, 1)}, 3: {"a": (2, 1), "b": (1, 1)}}
+        engine = EngineSpec("rqp", reference_quantity=ExpenditureOverReferencePrice(),
+                            reference_price=FixedBase())
+        with pytest.raises(NumericalError, match="item 'a' sum past the float range"):
+            evaluate(Dataset.build(data), ComparisonSpec(0, 3, FullHistory()), engine)
 
     @pytest.mark.parametrize("family", ["gk", "mgk", "guv", "geks", "rqp"])
     def test_overflowing_quantity_index_sum_raises_numerical_error(self, family):
@@ -505,3 +530,138 @@ class TestEngineSpec:
     def test_disjoint_universes_still_evaluate(self):
         ds = Dataset.build({0: {"A": (1, 2)}, 1: {"B": (3, 4)}})
         assert mgk_index(ds, BILATERAL).value > 0
+
+
+# ---------------------------------------------------------------------------
+# Bilateral Lehr MGK, priced from the two period maps without a table, must
+# match the table path bit for bit, errors included.
+
+
+def _table_path(ds, spec):
+    """MGK through the compared items' table, its Lehr prices and the quantity index."""
+    data = _compared_table(ds, spec)
+    prices = reference_prices(data, LehrUnitValue())
+    value_ratio = ds.value_ratio(spec.base, spec.current)
+    quantity = _quantity_index(data, data.current, prices)
+    return IndexResult(value_ratio / quantity, decomposition=(value_ratio, quantity))
+
+
+def _outcome(compute):
+    """The value and decomposition as float.hex, or the error's type and message."""
+    try:
+        result = compute()
+    except Exception as error:
+        return type(error), str(error)
+    return result.value.hex(), tuple(v.hex() for v in result.decomposition)
+
+
+def _assert_kernel_matches_table_path(ds, spec):
+    expected = _outcome(lambda: _table_path(ds, spec))
+    assert _outcome(lambda: mgk_index(ds, spec)) == expected
+    assert _outcome(lambda: guv_index(ds, spec)) == expected
+    assert _outcome(lambda: evaluate(ds, spec, EngineSpec("mgk"))) == expected
+
+
+_DEGENERATE_TABLES = {
+    "disjoint-universes": {0: {"A": (1, 2)}, 1: {"B": (3, 4)}},
+    "zero-quantity": {0: {"a": (1, 0), "b": (1, 1)}, 1: {"b": (1, 1), "c": (2, 1)}},
+    "zero-quantity-sum": {0: {"a": (1, 1), "b": (1, 1)}, 1: {"a": (2, -1), "b": (1, 1)}},
+    "zero-total": {0: {"a": (-1, 1), "b": (1, 1)}, 1: {"a": (1, 1), "b": (1, 1)}},
+    "overflowing-expenditure": {t: {"a": (1e200, 1e200), "b": (1, 1)} for t in range(2)},
+    "overflowing-expenditure-sum": {t: {"a": (1e300, 1e8), "b": (1, 1)} for t in range(2)},
+    "overflowing-quantity-sum": {
+        t: {"a": (1e-300, sys.float_info.max), "b": (1, 1)} for t in range(2)},
+    "overflowing-total": {t: {"a": (1e300, 1e8), "b": (1e300, 1e8)} for t in range(2)},
+    "overflowing-quantity-index": {0: {"a": (0.5e308, 1.0), "b": (0.5e308, 1.0)},
+                                   1: {"a": (0.5e8, 1e300), "b": (0.5e8, 1e300)}},
+    "underflow": {0: {"a": (1e-200, 1e-200)}, 1: {"a": (1e-200, 2e-200)}},
+    "infinite-expenditures-of-both-signs": {
+        0: {"a": (1e200, 1e200), "b": (1, 1)}, 1: {"a": (-1e200, 1e200), "b": (2, 1)}},
+    "zero-pivot": ZERO_PIVOT,
+}
+
+_POLICIES = [Bilateral(), FullHistory(), RollingWindow(2)]
+_POLICY_IDS = ["bilateral", "full-history", "window-2"]
+
+# Finite floats of any sign and magnitude, with their edges drawn often.
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, sys.float_info.min, sys.float_info.max, 1e200, 1.0]),
+)
+
+_ORDERED = (sys.float_info.max, sys.float_info.max, -sys.float_info.max)
+
+
+class TestLehrBilateral:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_churn_markets_every_pair(self, seed):
+        ds = random_market(seed, periods=6, items=12, churn=0.4)
+        for s in range(6):
+            for t in range(s + 1, 6):
+                _assert_kernel_matches_table_path(ds, ComparisonSpec(s, t, Bilateral()))
+
+    @pytest.mark.parametrize("policy", _POLICIES, ids=_POLICY_IDS)
+    @pytest.mark.parametrize("name", _DEGENERATE_TABLES)
+    def test_degenerate_tables(self, name, policy):
+        ds = Dataset.build(_DEGENERATE_TABLES[name])
+        last = ds.last_period
+        for s in range(last):
+            for t in range(s + 1, last + 1):
+                _assert_kernel_matches_table_path(ds, ComparisonSpec(s, t, policy))
+
+    @given(st.lists(st.tuples(st.sampled_from([(0,), (1,), (0, 1)]),
+                              _EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS),
+                    min_size=1, max_size=6))
+    @example([((0, 1), -0.0, 1.0, -0.0, 2.0), ((0,), 1.0, 1.0, 1.0, 1.0)])
+    @example([((0, 1), 1e200, 1e200, -1e200, 1e200), ((1,), 1.0, 0.0, 1.0, 0.0)])
+    @example([((0,), 1.0, 0.0, 1.0, 1.0), ((1,), 1.0, 0.0, 1.0, 0.0)])
+    # fsum overflows on the terms MAX, MAX, -MAX in this order, not in every order
+    @example([((0,), 1.0, 1.0, 1.0, 1.0), *[((1,), 1.0, 1.0, p, 1.0) for p in _ORDERED]])
+    @example([((1,), 1.0, 1.0, 1.0, 1.0), *[((0,), p, 1.0, 1.0, 1.0) for p in _ORDERED]])
+    @settings(max_examples=300, deadline=None)
+    def test_random_two_period_tables(self, draws):
+        periods = {0: {}, 1: {}}
+        for n, (present, p0, q0, p1, q1) in enumerate(draws):
+            for t in present:
+                periods[t][f"i{n}"] = (p0, q0) if t == 0 else (p1, q1)
+        _assert_kernel_matches_table_path(Dataset.build(periods), BILATERAL)
+
+    def test_geks_series_matches_table_path_legs(self, monkeypatch):
+        ds = random_market(2, periods=25, items=20, churn=0.2)
+        spec = ComparisonSpec(0, 24, FullHistory())
+        series = geks_index(ds, spec).series
+        legs = []
+
+        def table_leg(dataset, leg_spec, engine):
+            legs.append(leg_spec)
+            return _table_path(dataset, leg_spec)
+
+        monkeypatch.setattr(engines, "evaluate", table_leg)
+        expected = geks_index(ds, spec).series
+        assert len(legs) == 300
+        assert {r: v.hex() for r, v in series.items()} == {r: v.hex() for r, v in expected.items()}
+
+    @staticmethod
+    def _count_tables(monkeypatch):
+        calls = []
+        build = references.reference_data
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(references, "reference_data", counted)
+        monkeypatch.setattr(engines, "reference_data", counted)
+        return calls
+
+    def test_geks_legs_build_no_table(self, monkeypatch):
+        ds = random_market(1, periods=25, items=20, churn=0.2)
+        calls = self._count_tables(monkeypatch)
+        geks_index(ds, ComparisonSpec(0, 24, FullHistory()))
+        assert calls == []
+
+    def test_rqp_still_builds_one_table(self, monkeypatch):
+        ds = random_market(1, periods=3, items=20, churn=0.2)
+        calls = self._count_tables(monkeypatch)
+        evaluate(ds, ComparisonSpec(0, 2, Bilateral()), EngineSpec("rqp"))
+        assert calls == [ComparisonSpec(0, 2, Bilateral())]

@@ -36,7 +36,14 @@ from dynindex import (
 )
 from dynindex.engines import _guv_index_at, _wgm_index_at
 from dynindex.references import gk_start, tpd_start
-from helpers import SMALL_DYN, random_market, raw_reference_values, small_dyn, small_fixed
+from helpers import (
+    SMALL_DYN,
+    ZERO_PIVOT,
+    random_market,
+    raw_reference_values,
+    small_dyn,
+    small_fixed,
+)
 
 BILATERAL = ComparisonSpec(0, 1, Bilateral())
 
@@ -158,8 +165,6 @@ def _hex_prices(prices, errors):
         return {item: price.hex() for item, price in prices().items()}
     except errors:
         return PriceIndexError
-    except ValueError:  # -inf + inf in fsum
-        return ValueError
 
 
 class TestLehrShortcut:
@@ -178,7 +183,8 @@ class TestLehrShortcut:
                 periods[t][f"i{n}"] = (p0, q0) if t == 0 else (p1, q1)
         data = reference_data(Dataset.build(periods), BILATERAL)
         assert (_hex_prices(lambda: LehrUnitValue().prices_for(data), PriceIndexError)
-                == _hex_prices(lambda: _lehr_formula(data), (ZeroDivisionError, OverflowError)))
+                == _hex_prices(lambda: _lehr_formula(data),
+                               (ZeroDivisionError, OverflowError, ValueError)))
 
 
 class TestDeflatedPrice:
@@ -452,8 +458,9 @@ class TestDirectStart:
                 {0: {"A": (1.0, 0.0), "B": (2.0, 1.0)}, 1: {"A": (1.5, 1.0), "B": (2.5, 2.0)}},
                 ComparisonSpec(0, 1, Bilateral()),
             ),
+            (ZERO_PIVOT, ComparisonSpec(0, 2, FullHistory())),
         ],
-        ids=["disjoint-universes", "unlinked-middle-period", "zero-quantity"],
+        ids=["disjoint-universes", "unlinked-middle-period", "zero-quantity", "zero-pivot"],
     )
     def test_identity_start_where_no_direct_solve(self, family, data, spec):
         ds = Dataset.build(data)
@@ -462,6 +469,13 @@ class TestDirectStart:
         assert result.diagnostics == report
         assert report.method == "sweep"
         assert result.series == series
+
+    @pytest.mark.parametrize("family, value, sweeps",
+                             [("gk", 3.499999999999998e38, 4), ("tpd", 5.3452248382484745e45, 2)])
+    def test_zero_pivot_converges_from_the_identity(self, family, value, sweeps):
+        result = _evaluate(family, Dataset.build(ZERO_PIVOT), ComparisonSpec(0, 2, FullHistory()))
+        assert result.diagnostics.converged and result.diagnostics.iterations == sweeps
+        assert result.value == pytest.approx(value, rel=1e-12)
 
 
 
@@ -488,15 +502,19 @@ def _oracle_solve(links, rhs, pin, value):
         for r in keep
     ]
     m = n - 1
-    for c in range(m):
-        p = max(range(c, m), key=lambda r: abs(rows[r][c]))
-        rows[c], rows[p] = rows[p], rows[c]
-        for r in range(c + 1, m):
-            factor = rows[r][c] / rows[c][c]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
-    z = [0.0] * m
-    for r in reversed(range(m)):
-        z[r] = (rows[r][m] - math.fsum(rows[r][s] * z[s] for s in range(r + 1, m))) / rows[r][r]
+    try:
+        for c in range(m):
+            p = max(range(c, m), key=lambda r: abs(rows[r][c]))
+            rows[c], rows[p] = rows[p], rows[c]
+            for r in range(c + 1, m):
+                factor = rows[r][c] / rows[c][c]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
+        z = [0.0] * m
+        for r in reversed(range(m)):
+            z[r] = ((rows[r][m] - math.fsum(rows[r][s] * z[s] for s in range(r + 1, m)))
+                    / rows[r][r])
+    except ZeroDivisionError:  # a zero pivot: no direct start
+        return None
     z.insert(pin, value)
     return z
 
@@ -609,6 +627,8 @@ _DEGENERATE_STARTS = {
     # every expenditure, and so every period's total, underflows to 0
     "underflow": ({0: {"a": (1e-200, 1e-200)}, 1: {"a": (1e-200, 2e-200)}},
                   ComparisonSpec(0, 1, Bilateral())),
+    # positive and finite, but the elimination rounds a pivot to zero
+    "zero-pivot": (ZERO_PIVOT, ComparisonSpec(0, 2, FullHistory())),
 }
 
 
@@ -630,6 +650,12 @@ class TestStartsMatchThePeriodMajorBuild:
         ds = Dataset.build(data)
         for start, oracle in ((gk_start, oracle_gk_start), (tpd_start, oracle_tpd_start)):
             assert _hex(start(reference_data(ds, spec))) == _hex(oracle(reference_data(ds, spec)))
+
+    def test_zero_pivot_gives_no_start(self):
+        data, spec = _DEGENERATE_STARTS["zero-pivot"]
+        ds = Dataset.build(data)
+        for start in (gk_start, tpd_start, oracle_gk_start, oracle_tpd_start):
+            assert start(reference_data(ds, spec)) is None
 
 
 @pytest.mark.parametrize("start, share", [(gk_start, 1.0), (tpd_start, 0.5)],
