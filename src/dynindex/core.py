@@ -96,9 +96,11 @@ class PeriodData:
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", MappingProxyType(dict(self.items)))
         try:
-            total = math.fsum(obs.expenditure for obs in self.items.values())
+            # a generator, not a list: a period of a large dataset would hold
+            # one float per item at once
+            total = math.fsum(o.price * o.quantity for o in self.items.values())
         except (OverflowError, ValueError):
-            total = _unsummable([obs.expenditure for obs in self.items.values()])
+            total = _unsummable([o.price * o.quantity for o in self.items.values()])
         object.__setattr__(self, "_total_expenditure", total)
 
     def total_expenditure(self) -> float:

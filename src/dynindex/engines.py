@@ -81,7 +81,13 @@ def _quantity_ratio(numerator_terms: Iterable[float], denominator_terms: Iterabl
         raise NumericalError("reference-price quantity index sums past the float range") from None
     if denominator <= 0 or numerator <= 0:
         raise NumericalError("reference-price quantity index is not positive")
-    return numerator / denominator
+    quantity = numerator / denominator
+    # An infinite or nan quotient leaves the index out of range, which its
+    # caller reports; a zero one would divide by zero there.
+    if quantity == 0:
+        raise NumericalError(
+            f"reference-price quantity index {numerator!r}/{denominator!r} underflows to 0")
+    return quantity
 
 
 def _quantity_index(data: ReferenceData, position: int, prices: Mapping[ItemId, float]) -> float:
@@ -305,6 +311,25 @@ class CustomWeights:
         return weights
 
 
+def _undefined_log() -> NumericalError:
+    """The error of a WGM whose price or reference price has no log (not positive)."""
+    return NumericalError("a price or reference price of the weighted geometric mean "
+                          "is not positive, so its log is undefined")
+
+
+def _wgm_exp(log_terms: list[float]) -> float:
+    """exp of the fsum of a WGM's log terms, NumericalError past the float range.
+
+    fsum raises an OverflowError where a partial sum overflows and a
+    ValueError where the terms hold inf and -inf; exp an OverflowError
+    where the index itself is past the float range.
+    """
+    try:
+        return math.exp(math.fsum(log_terms))
+    except (OverflowError, ValueError):
+        raise NumericalError("weighted geometric mean is past the float range") from None
+
+
 def _wgm_value(
     data: ReferenceData,
     position: int,
@@ -313,13 +338,17 @@ def _wgm_value(
     period_weights: Mapping[ItemId, float],
 ) -> float:
     current, base = data.period_items[position], data.period_items[data.base]
-    log_terms = [
-        w * (math.log(current[i].price) - math.log(prices[i])) for i, w in period_weights.items()
-    ]
-    log_terms.extend(
-        -w * (math.log(base[i].price) - math.log(prices[i])) for i, w in base_weights.items()
-    )
-    return math.exp(math.fsum(log_terms))
+    try:
+        log_terms = [
+            w * (math.log(current[i].price) - math.log(prices[i]))
+            for i, w in period_weights.items()
+        ]
+        log_terms.extend(
+            -w * (math.log(base[i].price) - math.log(prices[i])) for i, w in base_weights.items()
+        )
+    except ValueError:
+        raise _undefined_log() from None
+    return _wgm_exp(log_terms)
 
 
 def _wgm_index_at(
@@ -327,6 +356,76 @@ def _wgm_index_at(
 ) -> Callable[[int, Mapping[ItemId, float]], float]:
     weights_at = weights.weights_for(data)
     return lambda k, prices: _wgm_value(data, k, prices, *weights_at(k))
+
+
+def _wgm_bilateral(dataset: Dataset, base: int, current: int) -> float:
+    """The WGM index with Lehr prices and expenditure shares over the compared periods alone.
+
+    What the index-free table path gives with LehrUnitValue and
+    ExpenditureShare where the compared periods are the only reference
+    periods: with p_i the Lehr price of _lehr_bilateral and w_it the
+    item's share of its period's total expenditure T_t, the index is
+    exp(sum_i w_it log(p_it / p_i) - sum_i w_i0 log(p_i0 / p_i)) over each
+    period's own items.
+
+    Prices come from two walks of the period maps, with no table, no
+    observation lists and no price dict for their union: the base map, in
+    its order, prices each item, keeping the prices of the items also in
+    the current map; the current map, in its order, prices the rest. Each
+    price is _lehr_bilateral's expression, written out again: a shared
+    pricing helper or walk would slow the GEKS legs of bilateral MGK,
+    which run that kernel once per pair of periods. The log terms are
+    _wgm_value's, current items first, each share computed as there, so
+    the result is bit-identical to the table path's, even where a sum
+    overflows. So are the errors, in the table path's order: the price of
+    the first failing item (base map first), then the base period's total,
+    then the current period's, then an undefined log or an index past the
+    float range.
+    """
+    pd0, pdt = dataset.period_data(base), dataset.period_data(current)
+    ms, mt = pd0.items, pdt.items
+    shared = {}
+    base_prices = []
+    current_prices = []
+    try:
+        for item, a in ms.items():
+            if item not in mt:  # faster than a get on the read-only map
+                p = a.price * a.quantity / a.quantity
+            else:
+                b = mt[item]
+                expenditure = a.price * a.quantity + b.price * b.quantity
+                quantity = a.quantity + b.quantity
+                # x - x is 0.0 for a finite x and nan for inf or nan
+                if not (expenditure - expenditure or quantity - quantity):
+                    p = (expenditure or 0.0) / quantity
+                else:
+                    p = (math.fsum([a.price * a.quantity, b.price * b.quantity])
+                         / math.fsum([a.quantity, b.quantity]))
+                shared[item] = p
+            base_prices.append(p)
+        for item, b in mt.items():
+            p = shared.get(item)
+            if p is None:
+                p = b.price * b.quantity / b.quantity
+            current_prices.append(p)
+    except ZeroDivisionError:
+        raise _zero_quantity(item, (base, current)) from None
+    except (OverflowError, ValueError):
+        raise _overflow(item, (base, current)) from None
+    total0, totalt = pd0.total_expenditure(), pdt.total_expenditure()
+    # share_total's checks, base period first
+    for period, m, total in ((base, ms, total0), (current, mt, totalt)):
+        if m and not 0 < total < math.inf:
+            raise NumericalError(f"total expenditure of period {period} is {total!r}")
+    log = math.log
+    try:
+        log_terms = [o.price * o.quantity / totalt * (log(o.price) - log(p))
+                     for o, p in zip(mt.values(), current_prices)]
+        log_terms.extend(-(o.price * o.quantity / total0) * (log(o.price) - log(p))
+                         for o, p in zip(ms.values(), base_prices))
+    except ValueError:
+        raise _undefined_log() from None
+    return _wgm_exp(log_terms)
 
 
 def wgm_index(
@@ -339,6 +438,10 @@ def wgm_index(
     """Ratio of weighted geometric means of price-to-reference-price relatives."""
     weight_scheme = weights if weights is not None else ExpenditureShare()
     scheme = reference_price if reference_price is not None else LehrUnitValue()
+    # the types themselves: a subclass may price or weight otherwise
+    if (type(scheme) is LehrUnitValue and type(weight_scheme) is ExpenditureShare
+            and spec.reference_periods(dataset) == (spec.base, spec.current)):
+        return IndexResult(_wgm_bilateral(dataset, spec.base, spec.current))
     if not scheme.needs_index:
         data = _compared_table(dataset, spec)
         index_at = _wgm_index_at(data, weight_scheme)

@@ -71,7 +71,7 @@ class Outcome(enum.Enum):
 
 def derive_seed(*parts: object) -> int:
     """Stable sub-seed derivation, independent of hash randomization."""
-    key = "/".join(str(p) for p in parts).encode()
+    key = "/".join(map(str, parts)).encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
@@ -286,34 +286,31 @@ def perturb_dynamic_data(scenario: Scenario, index: int) -> Dataset:
     Birth items get fresh current-period prices and quantities, death
     items fresh base-period ones; universes and the persistent data are
     untouched, so the scenario's precondition keeps holding for the
-    sharp responsiveness test.
+    sharp responsiveness test. Only the periods whose items are redrawn
+    are rebuilt; every other period is the scenario's own object. Deaths
+    are redrawn before births, each in the order of their str, so the
+    draws follow period order.
     """
     rng = random.Random(derive_seed(scenario.seed, "perturb", index))
+    dataset, unit_quantities = scenario.dataset, scenario.params.unit_quantities
     base, current = scenario.spec.base, scenario.spec.current
-    _, births, deaths = scenario.dataset.universe_algebra(base, current)
-
-    def perturbed(period: int, members: frozenset) -> PeriodData:
-        original = scenario.dataset.period_data(period)
-        items = dict(original.items)
+    ms, mt = dataset.period_data(base).items, dataset.period_data(current).items
+    redrawn = {}
+    for period, own, other in ((base, ms, mt), (current, mt, ms)):
+        members = own.keys() - other.keys()
+        if not members:
+            continue
+        items = dict(own)
         for item in sorted(members, key=str):
             obs = items[item]
             items[item] = Observation(
                 obs.price * math.exp(rng.uniform(-1.0, 1.0)),
                 obs.quantity * math.exp(rng.uniform(-1.0, 1.0))
-                if not scenario.params.unit_quantities
+                if not unit_quantities
                 else obs.quantity,
             )
-        return PeriodData(period, items)
-
-    new_periods = []
-    for pd in scenario.dataset.periods:
-        if pd.period == current and births:
-            new_periods.append(perturbed(current, births))
-        elif pd.period == base and deaths:
-            new_periods.append(perturbed(base, deaths))
-        else:
-            new_periods.append(pd)
-    return Dataset(tuple(new_periods))
+        redrawn[period] = PeriodData(period, items)
+    return Dataset(tuple(redrawn.get(pd.period, pd) for pd in dataset.periods))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dynindex import (
     Dataset,
     DeflatedUnitValue,
     EngineSpec,
+    ExpenditureShare,
     ExpenditureOverReferencePrice,
     FixedBase,
     FixedPointConfig,
@@ -45,6 +46,7 @@ from dynindex.engines import (
     IndexResult,
     _compared_table,
     _quantity_index,
+    _wgm_index_at,
 )
 from dynindex.references import reference_prices
 from helpers import (
@@ -58,6 +60,12 @@ from helpers import (
 )
 
 BILATERAL = ComparisonSpec(0, 1, Bilateral())
+
+# Positive, finite data on which a quotient, a log or an exp leaves the float range.
+QUANTITY_INDEX_UNDERFLOW = {0: {"a": (1e-200, 1), "b": (1e200, 1)}, 1: {"a": (1e-200, 1)}}
+LEHR_PRICE_UNDERFLOW = {0: {"a": (1e-200, 1e-200), "b": (1, 1)}, 1: {"b": (1, 1)}}
+WGM_INDEX_OVERFLOW = {0: {"i0": (4.3276978235882203e-274, 1.603698683294405e+282)},
+                      1: {"i0": (1.851300659041873e+195, 3.0420246316116697e-274)}}
 
 # hand computation: unit quantities make the reference-price basket the
 # two universes' price sums, so the quantity divisor is 4.1/3.1
@@ -425,29 +433,43 @@ class TestEngineSpec:
     @pytest.mark.parametrize("policy", [Bilateral(), FullHistory()],
                              ids=["bilateral", "full-history"])
     @pytest.mark.parametrize(
-        "data",
+        "data, defined",
         [
             # period 0 has a total expenditure of zero
-            {0: {"a": (-1, 1), "b": (1, 1)}, 1: {"a": (1, 1), "b": (1, 1)}},
+            ({0: {"a": (-1, 1), "b": (1, 1)}, 1: {"a": (1, 1), "b": (1, 1)}}, ()),
             # a's expenditure, price times quantity, overflows to inf
-            {t: {"a": (1e200, 1e200), "b": (1, 1)} for t in range(2)},
+            ({t: {"a": (1e200, 1e200), "b": (1, 1)} for t in range(2)}, ()),
             # a's only quantity is zero, so its unit value is 0/0
-            {0: {"a": (1, 0), "b": (1, 1)}, 1: {"b": (1, 1), "c": (2, 1)}},
+            ({0: {"a": (1, 0), "b": (1, 1)}, 1: {"b": (1, 1), "c": (2, 1)}}, ()),
             # every expenditure, and so every period's total, underflows to 0
-            {0: {"a": (1e-200, 1e-200)}, 1: {"a": (1e-200, 2e-200)}},
+            ({0: {"a": (1e-200, 1e-200)}, 1: {"a": (1e-200, 2e-200)}}, ()),
             # each period's total is past the float range
-            {t: {"a": (1e300, 1e8), "b": (1e300, 1e8)} for t in range(2)},
+            ({t: {"a": (1e300, 1e8), "b": (1e300, 1e8)} for t in range(2)}, ()),
             # a's expenditure overflows to inf in period 0 and to -inf in
             # period 1, and fsum of the two raises a ValueError
-            {0: {"a": (1e200, 1e200), "b": (1, 1)}, 1: {"a": (-1e200, 1e200), "b": (2, 1)}},
+            ({0: {"a": (1e200, 1e200), "b": (1, 1)}, 1: {"a": (-1e200, 1e200), "b": (2, 1)}},
+             ()),
+            # the quantity index's sums are positive, their quotient underflows
+            # to 0; the WGM family and rq take no such quotient
+            (QUANTITY_INDEX_UNDERFLOW, ("wgm", "tpd", "rq")),
+            # a's Lehr price underflows to 0, whose log only wgm takes (and
+            # tornqvist, which refuses the changing universe first)
+            (LEHR_PRICE_UNDERFLOW, ("gk", "mgk", "guv", "geks", "rq", "rqp")),
+            # the WGM index is past the float range, the quantity index underflows
+            (WGM_INDEX_OVERFLOW, ()),
         ],
         ids=["zero-total", "overflow", "zero-quantity", "underflow", "overflowing-total",
-             "infinite-expenditures-of-both-signs"],
+             "infinite-expenditures-of-both-signs", "quantity-index-underflow",
+             "lehr-price-underflow", "wgm-index-overflow"],
     )
     @pytest.mark.parametrize("family", ENGINE_FAMILIES)
-    def test_degenerate_totals_raise_price_index_errors(self, family, data, policy):
+    def test_degenerate_totals_raise_price_index_errors(self, family, data, defined, policy):
+        engine, spec = EngineSpec(family), ComparisonSpec(0, 1, policy)
+        if family in defined:
+            assert evaluate(Dataset.build(data), spec, engine).value > 0
+            return
         with pytest.raises(PriceIndexError):
-            evaluate(Dataset.build(data), ComparisonSpec(0, 1, policy), EngineSpec(family))
+            evaluate(Dataset.build(data), spec, engine)
 
     @pytest.mark.parametrize("policy", [Bilateral(), FullHistory()],
                              ids=["bilateral", "full-history"])
@@ -562,6 +584,8 @@ def _assert_kernel_matches_table_path(ds, spec):
     assert _outcome(lambda: evaluate(ds, spec, EngineSpec("mgk"))) == expected
 
 
+_A0, _A1 = (2.0**-100, 2.0**100), (2.0**1000, 2.0**23)
+
 _DEGENERATE_TABLES = {
     "disjoint-universes": {0: {"A": (1, 2)}, 1: {"B": (3, 4)}},
     "zero-quantity": {0: {"a": (1, 0), "b": (1, 1)}, 1: {"b": (1, 1), "c": (2, 1)}},
@@ -578,6 +602,18 @@ _DEGENERATE_TABLES = {
     "infinite-expenditures-of-both-signs": {
         0: {"a": (1e200, 1e200), "b": (1, 1)}, 1: {"a": (-1e200, 1e200), "b": (2, 1)}},
     "zero-pivot": ZERO_PIVOT,
+    "quantity-index-underflow": QUANTITY_INDEX_UNDERFLOW,
+    "lehr-price-underflow": LEHR_PRICE_UNDERFLOW,
+    "wgm-index-overflow": WGM_INDEX_OVERFLOW,
+    # WGM's log terms are c, c, -c, -b (current items) then b, b, -b, -c
+    # (base items), with c past half the float range and b small: fsum
+    # overflows in that order and sums them to 0 with the base items first
+    "wgm-log-terms-in-order": {
+        0: {"a": _A0, "a2": _A0, "d": (_A0[0], -_A0[1]), "g": _A1,
+            "j1": (1.0, -2.0**1023), "j2": (31.0, 1.0)},
+        1: {"a": _A1, "a2": _A1, "d": (_A1[0], -_A1[1]), "g": _A0,
+            "k1": (1.0, -2.0**1023), "k2": (31.0, 1.0)},
+    },
 }
 
 _POLICIES = [Bilateral(), FullHistory(), RollingWindow(2)]
@@ -590,6 +626,34 @@ _EDGE_FLOATS = st.one_of(
 )
 
 _ORDERED = (sys.float_info.max, sys.float_info.max, -sys.float_info.max)
+
+# Items of a 2-period table: the periods each is in, then its price and
+# quantity in period 0 and in period 1.
+_TWO_PERIOD_DRAWS = st.lists(st.tuples(st.sampled_from([(0,), (1,), (0, 1)]),
+                                       _EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS),
+                             min_size=1, max_size=6)
+
+
+def _two_period_table(draws):
+    periods = {0: {}, 1: {}}
+    for n, (present, p0, q0, p1, q1) in enumerate(draws):
+        for t in present:
+            periods[t][f"i{n}"] = (p0, q0) if t == 0 else (p1, q1)
+    return Dataset.build(periods)
+
+
+def _count_tables(monkeypatch):
+    """The specs of the reference_data calls made from here on."""
+    calls = []
+    build = references.reference_data
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(references, "reference_data", counted)
+    monkeypatch.setattr(engines, "reference_data", counted)
+    return calls
 
 
 class TestLehrBilateral:
@@ -609,9 +673,7 @@ class TestLehrBilateral:
             for t in range(s + 1, last + 1):
                 _assert_kernel_matches_table_path(ds, ComparisonSpec(s, t, policy))
 
-    @given(st.lists(st.tuples(st.sampled_from([(0,), (1,), (0, 1)]),
-                              _EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS),
-                    min_size=1, max_size=6))
+    @given(_TWO_PERIOD_DRAWS)
     @example([((0, 1), -0.0, 1.0, -0.0, 2.0), ((0,), 1.0, 1.0, 1.0, 1.0)])
     @example([((0, 1), 1e200, 1e200, -1e200, 1e200), ((1,), 1.0, 0.0, 1.0, 0.0)])
     @example([((0,), 1.0, 0.0, 1.0, 1.0), ((1,), 1.0, 0.0, 1.0, 0.0)])
@@ -620,11 +682,7 @@ class TestLehrBilateral:
     @example([((1,), 1.0, 1.0, 1.0, 1.0), *[((0,), p, 1.0, 1.0, 1.0) for p in _ORDERED]])
     @settings(max_examples=300, deadline=None)
     def test_random_two_period_tables(self, draws):
-        periods = {0: {}, 1: {}}
-        for n, (present, p0, q0, p1, q1) in enumerate(draws):
-            for t in present:
-                periods[t][f"i{n}"] = (p0, q0) if t == 0 else (p1, q1)
-        _assert_kernel_matches_table_path(Dataset.build(periods), BILATERAL)
+        _assert_kernel_matches_table_path(_two_period_table(draws), BILATERAL)
 
     def test_geks_series_matches_table_path_legs(self, monkeypatch):
         ds = random_market(2, periods=25, items=20, churn=0.2)
@@ -641,27 +699,121 @@ class TestLehrBilateral:
         assert len(legs) == 300
         assert {r: v.hex() for r, v in series.items()} == {r: v.hex() for r, v in expected.items()}
 
-    @staticmethod
-    def _count_tables(monkeypatch):
-        calls = []
-        build = references.reference_data
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(references, "reference_data", counted)
-        monkeypatch.setattr(engines, "reference_data", counted)
-        return calls
-
     def test_geks_legs_build_no_table(self, monkeypatch):
         ds = random_market(1, periods=25, items=20, churn=0.2)
-        calls = self._count_tables(monkeypatch)
+        calls = _count_tables(monkeypatch)
         geks_index(ds, ComparisonSpec(0, 24, FullHistory()))
         assert calls == []
 
     def test_rqp_still_builds_one_table(self, monkeypatch):
         ds = random_market(1, periods=3, items=20, churn=0.2)
-        calls = self._count_tables(monkeypatch)
+        calls = _count_tables(monkeypatch)
         evaluate(ds, ComparisonSpec(0, 2, Bilateral()), EngineSpec("rqp"))
         assert calls == [ComparisonSpec(0, 2, Bilateral())]
+
+
+# ---------------------------------------------------------------------------
+# Bilateral WGM with expenditure shares, priced and weighted from the two
+# period maps without a table, must match the table path bit for bit,
+# errors included.
+
+
+def _wgm_table_path(ds, spec):
+    """WGM through the compared items' table, its Lehr prices and expenditure shares."""
+    data = _compared_table(ds, spec)
+    prices = reference_prices(data, LehrUnitValue())
+    return IndexResult(_wgm_index_at(data, ExpenditureShare())(data.current, prices))
+
+
+def _wgm_outcome(compute):
+    """The value as float.hex, or the error's type and message."""
+    try:
+        return compute().value.hex()
+    except Exception as error:
+        return type(error), str(error)
+
+
+def _assert_wgm_kernel_matches_table_path(ds, spec):
+    expected = _wgm_outcome(lambda: _wgm_table_path(ds, spec))
+    assert _wgm_outcome(lambda: wgm_index(ds, spec)) == expected
+    explicit = (ExpenditureShare(), LehrUnitValue())
+    assert _wgm_outcome(lambda: wgm_index(ds, spec, *explicit)) == expected
+    assert _wgm_outcome(lambda: evaluate(ds, spec, EngineSpec("wgm"))) == expected
+
+
+class _Lehr(LehrUnitValue):
+    """Prices as its parent; a subclass may price otherwise, so it keeps the table."""
+
+
+class _Shares(ExpenditureShare):
+    """Weights as its parent; a subclass may weight otherwise, so it keeps the table."""
+
+
+class TestWgmBilateral:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_churn_markets_every_pair(self, seed):
+        ds = random_market(seed, periods=6, items=12, churn=0.4)
+        for s in range(6):
+            for t in range(s + 1, 6):
+                _assert_wgm_kernel_matches_table_path(ds, ComparisonSpec(s, t, Bilateral()))
+
+    @pytest.mark.parametrize("policy", _POLICIES, ids=_POLICY_IDS)
+    @pytest.mark.parametrize("name", _DEGENERATE_TABLES)
+    def test_degenerate_tables(self, name, policy):
+        ds = Dataset.build(_DEGENERATE_TABLES[name])
+        last = ds.last_period
+        for s in range(last):
+            for t in range(s + 1, last + 1):
+                _assert_wgm_kernel_matches_table_path(ds, ComparisonSpec(s, t, policy))
+
+    @given(_TWO_PERIOD_DRAWS)
+    @settings(max_examples=300, deadline=None)
+    def test_random_two_period_tables(self, draws):
+        _assert_wgm_kernel_matches_table_path(_two_period_table(draws), BILATERAL)
+
+    @pytest.mark.parametrize("data, message", [
+        (LEHR_PRICE_UNDERFLOW, "its log is undefined"),
+        (WGM_INDEX_OVERFLOW, "weighted geometric mean is past the float range"),
+    ], ids=["undefined-log", "index-overflow"])
+    @pytest.mark.parametrize("policy", _POLICIES, ids=_POLICY_IDS)
+    def test_float_range_errors_are_numerical_errors(self, data, message, policy):
+        with pytest.raises(NumericalError, match=message):
+            wgm_index(Dataset.build(data), ComparisonSpec(0, 1, policy))
+
+    def test_geks_series_matches_table_path_legs(self, monkeypatch):
+        ds = random_market(2, periods=25, items=20, churn=0.2)
+        spec, inner = ComparisonSpec(0, 24, FullHistory()), EngineSpec("wgm")
+        series = geks_index(ds, spec, inner).series
+        legs = []
+
+        def table_leg(dataset, leg_spec, engine):
+            legs.append(leg_spec)
+            return _wgm_table_path(dataset, leg_spec)
+
+        monkeypatch.setattr(engines, "evaluate", table_leg)
+        expected = geks_index(ds, spec, inner).series
+        assert len(legs) == 300
+        assert {r: v.hex() for r, v in series.items()} == {r: v.hex() for r, v in expected.items()}
+
+    def test_bilateral_wgm_builds_no_table(self, monkeypatch):
+        ds = random_market(1, periods=3, items=20, churn=0.2)
+        calls = _count_tables(monkeypatch)
+        evaluate(ds, ComparisonSpec(0, 2, Bilateral()), EngineSpec("wgm"))
+        evaluate(ds, ComparisonSpec(1, 2, RollingWindow(2)), EngineSpec("wgm"))
+        geks_index(ds, ComparisonSpec(0, 2, FullHistory()), EngineSpec("wgm"))
+        assert calls == []
+
+    @pytest.mark.parametrize("spec, engine", [
+        (ComparisonSpec(0, 2, FullHistory()), EngineSpec("wgm")),
+        (ComparisonSpec(0, 2, Bilateral()), EngineSpec("tornqvist")),
+        (ComparisonSpec(0, 2, Bilateral()), EngineSpec("wgm", weights=TornqvistWeights())),
+        (ComparisonSpec(0, 2, Bilateral()), EngineSpec("wgm", reference_price=FixedBase())),
+        (ComparisonSpec(0, 2, Bilateral()), EngineSpec("wgm", reference_price=_Lehr())),
+        (ComparisonSpec(0, 2, Bilateral()), EngineSpec("wgm", weights=_Shares())),
+    ], ids=["full-history", "tornqvist", "tornqvist-weights", "fixed-base", "lehr-subclass",
+            "share-subclass"])
+    def test_other_wgm_paths_still_build_one_table(self, monkeypatch, spec, engine):
+        ds = fixed_market(1, periods=3, items=20)
+        calls = _count_tables(monkeypatch)
+        evaluate(ds, spec, engine)
+        assert calls == [spec]

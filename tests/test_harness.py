@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -10,7 +11,9 @@ from dynindex import (
     EngineSpec,
     FullHistory,
     IndexResult,
+    Observation,
     Outcome,
+    PeriodData,
     PriceIndexError,
     ScenarioParams,
     check,
@@ -104,6 +107,132 @@ class TestPerturbation:
     def test_deterministic(self):
         scenario = generate_scenario(AxiomTest.T5_SHARP, 11, BILATERAL_2)
         assert perturb_dynamic_data(scenario, 3) == perturb_dynamic_data(scenario, 3)
+
+
+def _reference_perturbation(scenario, index):
+    """perturb_dynamic_data as first written: births and deaths from
+    universe_algebra, redrawn in period order."""
+    rng = random.Random(derive_seed(scenario.seed, "perturb", index))
+    base, current = scenario.spec.base, scenario.spec.current
+    _, births, deaths = scenario.dataset.universe_algebra(base, current)
+
+    def perturbed(period, members):
+        items = dict(scenario.dataset.period_data(period).items)
+        for item in sorted(members, key=str):
+            obs = items[item]
+            items[item] = Observation(
+                obs.price * math.exp(rng.uniform(-1.0, 1.0)),
+                obs.quantity * math.exp(rng.uniform(-1.0, 1.0))
+                if not scenario.params.unit_quantities
+                else obs.quantity,
+            )
+        return PeriodData(period, items)
+
+    new_periods = []
+    for pd in scenario.dataset.periods:
+        if pd.period == current and births:
+            new_periods.append(perturbed(current, births))
+        elif pd.period == base and deaths:
+            new_periods.append(perturbed(base, deaths))
+        else:
+            new_periods.append(pd)
+    return Dataset(tuple(new_periods))
+
+
+def _as_hex(dataset):
+    """Every period's observations, in period and item order, as float.hex."""
+    return [(pd.period, [(item, o.price.hex(), o.quantity.hex()) for item, o in pd.items.items()])
+            for pd in dataset.periods]
+
+
+class TestPerturbationMatchesReference:
+    @pytest.mark.parametrize("n_periods", [2, 3])
+    @pytest.mark.parametrize("unit_quantities", [False, True], ids=["quantities", "unit"])
+    @pytest.mark.parametrize("setting", ["expanding", "shrinking", "both"])
+    @pytest.mark.parametrize("test", [AxiomTest.T5_RESPONSIVENESS, AxiomTest.T5_SHARP])
+    def test_every_observation(self, test, setting, unit_quantities, n_periods):
+        params = ScenarioParams(n_periods=n_periods, setting=setting,
+                                unit_quantities=unit_quantities)
+        for seed in range(3):
+            scenario = generate_scenario(test, seed, params)
+            for index in range(4):
+                perturbed = perturb_dynamic_data(scenario, index)
+                assert _as_hex(perturbed) == _as_hex(_reference_perturbation(scenario, index))
+
+    def test_unredrawn_periods_are_the_scenarios_own(self):
+        scenario = generate_scenario(AxiomTest.T5_SHARP, 4, ScenarioParams(n_periods=3))
+        perturbed = perturb_dynamic_data(scenario, 0)
+        assert perturbed.period_data(1) is scenario.dataset.period_data(1)
+        for t in (0, 2):
+            assert perturbed.period_data(t) is not scenario.dataset.period_data(t)
+
+    def test_a_period_without_births_is_not_rebuilt(self):
+        params = ScenarioParams(n_periods=2, setting="shrinking")
+        scenario = generate_scenario(AxiomTest.T5_SHARP, 4, params)
+        perturbed = perturb_dynamic_data(scenario, 0)
+        assert perturbed.period_data(1) is scenario.dataset.period_data(1)
+
+
+# run_matrix(trials=20, seed=0) as computed before the bilateral WGM kernel and
+# the partial perturbation rebuild: (row, column, sub-cell) -> (label, passes,
+# failures, errors, witness), the witness's floats as float.hex.
+MATRIX_20_SEED_0 = {
+    ("GUV (MGK)", "Identity", "if R_B"): ("Yes", 20, 0, 0, None),
+    ("GUV (MGK)", "Identity", "if R_M"): (
+        "No", 0, 20, 0, {"value": "0x1.0b9355ad8d05ep+0", "seed": 1522112141523283731}),
+    ("GUV (MGK)", "Fixed-basket", ""): ("Yes", 20, 0, 0, None),
+    ("GUV (MGK)", "Upper-bound", ""): ("Yes", 20, 0, 0, None),
+    ("GUV (MGK)", "Lower-bound", ""): ("Yes", 20, 0, 0, None),
+    ("GUV (MGK)", "Responsiveness", "in setting of t3"): (
+        "No", 0, 20, 0, {"value": "0x1.fffffffffffffp-1", "seed": 8857473520400758893,
+                         "max_movement": "0x1.0000000000002p-53", "batch": 20,
+                         "note": "index pinned under perturbation of birth/death data"}),
+    ("GUV (MGK)", "Responsiveness", "in setting of t4"): (
+        "No", 0, 20, 0, {"value": "0x1.0000000000000p+0", "seed": 15854938535072831177,
+                         "max_movement": "0x1.0000000000001p-52", "batch": 20,
+                         "note": "index pinned under perturbation of birth/death data"}),
+    ("WGM", "Identity", "if R_B"): ("Yes", 20, 0, 0, None),
+    ("WGM", "Identity", "if R_M"): (
+        "No", 0, 20, 0, {"value": "0x1.16cce4bf7225bp+0", "seed": 8673073640604109871}),
+    ("WGM", "Fixed-basket", ""): (
+        "No", 0, 20, 0, {"value": "0x1.de7a73f011daep+0", "seed": 8078418378846726398,
+                         "value_ratio": "0x1.1a5d90cea2aa2p+1"}),
+    ("WGM", "Upper-bound", ""): ("Yes", 20, 0, 0, None),
+    ("WGM", "Lower-bound", ""): ("Yes", 20, 0, 0, None),
+    ("WGM", "Responsiveness", "in setting of t3"): (
+        "No", 0, 20, 0, {"value": "0x1.0000000000000p+0", "seed": 8817660806916399443,
+                         "max_movement": "0x0.0p+0", "batch": 20,
+                         "note": "index pinned under perturbation of birth/death data"}),
+    ("WGM", "Responsiveness", "in setting of t4"): (
+        "No", 0, 20, 0, {"value": "0x1.0000000000000p+0", "seed": 14421726079864850099,
+                         "max_movement": "0x0.0p+0", "batch": 20,
+                         "note": "index pinned under perturbation of birth/death data"}),
+    ("GEKS", "Identity", ""): (
+        "No", 0, 20, 0, {"value": "0x1.1782e2798f869p+0", "seed": 11011919506331943141}),
+    ("GEKS", "Fixed-basket", ""): (
+        "No", 0, 20, 0, {"value": "0x1.b4309e602bf46p-1", "seed": 3679767199960769206,
+                         "value_ratio": "0x1.ca36d7a2e35dcp-1"}),
+    ("GEKS", "Upper-bound", ""): ("Yes", 20, 0, 0, None),
+    ("GEKS", "Lower-bound", ""): (
+        "No", 18, 2, 0, {"value": "0x1.fe0207ba6fc75p-1", "seed": 8869658757404345985}),
+    ("GEKS", "Responsiveness", "if (U_0, U_1)"): (
+        "No", 0, 20, 0, {"value": "0x1.ffffffffffffep-1", "seed": 17468878903271867072,
+                         "max_movement": "0x1.0000000000001p-52", "batch": 20,
+                         "note": "index pinned under perturbation of birth/death data"}),
+}
+
+
+def test_matrix_cells_and_witnesses_are_pinned():
+    matrix = run_matrix(trials=20, seed=0)
+    cells = {}
+    for row, columns in matrix.rows.items():
+        for column, subs in columns.items():
+            for sub, cell in subs.items():
+                witness = None if cell.witness is None else {
+                    k: v.hex() if isinstance(v, float) else v for k, v in cell.witness.items()}
+                cells[(row, column, sub)] = (
+                    cell.label, cell.passes, cell.failures, cell.errors, witness)
+    assert cells == MATRIX_20_SEED_0
 
 
 class TestCheck:
