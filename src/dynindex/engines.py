@@ -40,6 +40,7 @@ from .references import (
     SchemeError,
     TPDGeometric,
     _overflow,
+    _undefined_log,
     _zero_quantity,
     gk_start,
     reference_data,
@@ -82,11 +83,13 @@ def _quantity_ratio(numerator_terms: Iterable[float], denominator_terms: Iterabl
     if denominator <= 0 or numerator <= 0:
         raise NumericalError("reference-price quantity index is not positive")
     quantity = numerator / denominator
-    # An infinite or nan quotient leaves the index out of range, which its
-    # caller reports; a zero one would divide by zero there.
     if quantity == 0:
         raise NumericalError(
             f"reference-price quantity index {numerator!r}/{denominator!r} underflows to 0")
+    # inf where a sum is infinite or the quotient overflows, nan for inf/inf
+    if not quantity < math.inf:
+        raise NumericalError(
+            f"reference-price quantity index {numerator!r}/{denominator!r} is {quantity!r}")
     return quantity
 
 
@@ -143,6 +146,12 @@ def _lehr_bilateral(dataset: Dataset, base: int, current: int) -> tuple[float, f
     bit-identical to the table path's, even where a sum overflows. So are
     the errors, in the table path's order: the price of the first failing
     item (base map first), then the value ratio, then the quantity index.
+
+    GEKS chains of more than two periods price their legs from per-period
+    columns instead (_lehr_legs). This kernel stays for one-shot
+    comparisons and 2-period chains: building a period's columns costs
+    more than walking its map once (a one-leg comparison through the
+    columns took 1.3 to 3 times as long, on 6 or 400 items).
     """
     ms, mt = dataset.period_data(base).items, dataset.period_data(current).items
     shared = {}
@@ -180,8 +189,25 @@ def _lehr_bilateral(dataset: Dataset, base: int, current: int) -> tuple[float, f
 def _guv_index_at(
     dataset: Dataset, spec: ComparisonSpec, data: ReferenceData
 ) -> Callable[[int, Mapping[ItemId, float]], float]:
+    """The GUV index_at: the value ratio over the quantity index at the given prices.
+
+    A sweep calls it for every period with one price map, so the
+    denominator's terms, the base items' prices times quantities in the
+    base map's order, are built once per price map (the last one, told
+    apart by identity) and summed on each call. Each value, and each
+    error in its order (value ratio, numerator, denominator), is
+    _quantity_index's.
+    """
+    base = data.period_items[data.base]
+    built: tuple[object, list[float]] = (None, [])
+
     def index_at(k: int, prices: Mapping[ItemId, float]) -> float:
-        return dataset.value_ratio(spec.base, data.periods[k]) / _quantity_index(data, k, prices)
+        nonlocal built
+        value_ratio = dataset.value_ratio(spec.base, data.periods[k])
+        if built[0] is not prices:
+            built = prices, [prices[i] * o.quantity for i, o in base.items()]
+        numerator_terms = (prices[i] * o.quantity for i, o in data.period_items[k].items())
+        return value_ratio / _quantity_ratio(numerator_terms, built[1])
 
     return index_at
 
@@ -311,12 +337,6 @@ class CustomWeights:
         return weights
 
 
-def _undefined_log() -> NumericalError:
-    """The error of a WGM whose price or reference price has no log (not positive)."""
-    return NumericalError("a price or reference price of the weighted geometric mean "
-                          "is not positive, so its log is undefined")
-
-
 def _wgm_exp(log_terms: list[float]) -> float:
     """exp of the fsum of a WGM's log terms, NumericalError past the float range.
 
@@ -330,32 +350,41 @@ def _wgm_exp(log_terms: list[float]) -> float:
         raise NumericalError("weighted geometric mean is past the float range") from None
 
 
-def _wgm_value(
-    data: ReferenceData,
-    position: int,
-    prices: Mapping[ItemId, float],
-    base_weights: Mapping[ItemId, float],
-    period_weights: Mapping[ItemId, float],
-) -> float:
-    current, base = data.period_items[position], data.period_items[data.base]
-    try:
-        log_terms = [
-            w * (math.log(current[i].price) - math.log(prices[i]))
-            for i, w in period_weights.items()
-        ]
-        log_terms.extend(
-            -w * (math.log(base[i].price) - math.log(prices[i])) for i, w in base_weights.items()
-        )
-    except ValueError:
-        raise _undefined_log() from None
-    return _wgm_exp(log_terms)
-
-
 def _wgm_index_at(
     data: ReferenceData, weights: object
 ) -> Callable[[int, Mapping[ItemId, float]], float]:
+    """The WGM index_at: exp of the fsum of the log terms at the given prices.
+
+    The log terms are w_it log(p_it / p_i) over the period's weights,
+    then -w_i0 log(p_i0 / p_i) over the base weights. A sweep calls it for
+    every period with one price map, and ExpenditureShare hands out one
+    base-weight map for every period, so the base terms are built once
+    per pair of price map and base-weight map (the last pair, told apart
+    by identity), on the first call, after the weights' own checks and
+    the period's terms, as a fresh build would. Values and errors are
+    those of building every term on each call.
+    """
     weights_at = weights.weights_for(data)
-    return lambda k, prices: _wgm_value(data, k, prices, *weights_at(k))
+    base = data.period_items[data.base]
+    log = math.log
+    built: tuple[object, object, list[float]] = (None, None, [])
+
+    def index_at(k: int, prices: Mapping[ItemId, float]) -> float:
+        nonlocal built
+        base_weights, period_weights = weights_at(k)
+        current = data.period_items[k]
+        try:
+            log_terms = [w * (log(current[i].price) - log(prices[i]))
+                         for i, w in period_weights.items()]
+            if built[0] is not prices or built[1] is not base_weights:
+                built = prices, base_weights, [-w * (log(base[i].price) - log(prices[i]))
+                                               for i, w in base_weights.items()]
+        except ValueError:
+            raise _undefined_log() from None
+        log_terms.extend(built[2])
+        return _wgm_exp(log_terms)
+
+    return index_at
 
 
 def _wgm_bilateral(dataset: Dataset, base: int, current: int) -> float:
@@ -373,9 +402,9 @@ def _wgm_bilateral(dataset: Dataset, base: int, current: int) -> float:
     its order, prices each item, keeping the prices of the items also in
     the current map; the current map, in its order, prices the rest. Each
     price is _lehr_bilateral's expression, written out again: a shared
-    pricing helper or walk would slow the GEKS legs of bilateral MGK,
-    which run that kernel once per pair of periods. The log terms are
-    _wgm_value's, current items first, each share computed as there, so
+    pricing helper or walk would slow bilateral MGK, whose one-shot
+    comparisons run that kernel. The log terms are _wgm_index_at's,
+    current items first, each share computed as there, so
     the result is bit-identical to the table path's, even where a sum
     overflows. So are the errors, in the table path's order: the price of
     the first failing item (base map first), then the base period's total,
@@ -475,6 +504,64 @@ def tpd_index(
 # GEKS
 
 
+def _lehr_legs(dataset: Dataset) -> Callable[[int, int], float | None]:
+    """leg(s, t): bilateral MGK of period t against s, priced from per-period columns.
+
+    Each period's columns are built once, on its first leg: {item:
+    position} over its map, the map's observations in order, and each
+    item's lone term p * q with p = e / q, what the item adds to the
+    quantity index where the other period lacks it. A leg copies the two
+    lone-term lists and overwrites the entries of the items both periods
+    hold with _lehr_bilateral's two-observation price times quantity, so
+    each list holds _lehr_bilateral's terms in its order and the value is
+    bit-identical to that kernel's, even where a sum overflows; the value
+    ratio and then the quantity index raise as there.
+
+    None where the leg must go through evaluate, which raises the error
+    of its data in its order: a period whose lone term divides by a zero
+    quantity, a shared item whose expenditures or quantities sum to zero
+    or past the float range, or a value that is not positive and finite.
+    """
+    columns: dict[int, tuple[dict[ItemId, int], list, list[float]] | None] = {}
+
+    def period_columns(t: int):
+        if t not in columns:
+            items = dataset.period_data(t).items
+            observations = list(items.values())
+            try:
+                lone = [a.price * a.quantity / a.quantity * a.quantity for a in observations]
+            except ZeroDivisionError:
+                columns[t] = None
+            else:
+                columns[t] = {item: k for k, item in enumerate(items)}, observations, lone
+        return columns[t]
+
+    def leg(s: int, t: int) -> float | None:
+        cs, ct = period_columns(s), period_columns(t)
+        if cs is None or ct is None:
+            return None
+        (index_s, observations_s, lone_s), (index_t, observations_t, lone_t) = cs, ct
+        denominator_terms, numerator_terms = lone_s.copy(), lone_t.copy()
+        try:
+            for item in index_s.keys() & index_t.keys():
+                i, j = index_s[item], index_t[item]
+                a, b = observations_s[i], observations_t[j]
+                expenditure = a.price * a.quantity + b.price * b.quantity
+                quantity = a.quantity + b.quantity
+                # x - x is 0.0 for a finite x and nan for inf or nan
+                if expenditure - expenditure or quantity - quantity:
+                    return None
+                p = (expenditure or 0.0) / quantity
+                denominator_terms[i] = p * a.quantity
+                numerator_terms[j] = p * b.quantity
+        except ZeroDivisionError:
+            return None
+        value = dataset.value_ratio(s, t) / _quantity_ratio(numerator_terms, denominator_terms)
+        return value if 0 < value < math.inf else None
+
+    return leg
+
+
 def geks_index(
     dataset: Dataset, spec: ComparisonSpec, inner: "EngineSpec | None" = None
 ) -> IndexResult:
@@ -486,9 +573,21 @@ def geks_index(
     for the current period. Bilateral legs are computed once per
     unordered pair and inverted for the reverse direction, which keeps
     the chaining exactly time-reversal consistent.
+
+    Legs that evaluate would price with _lehr_bilateral (an mgk inner, or
+    a guv inner with Lehr prices) are priced from per-period columns
+    (_lehr_legs) where the chain spans more than two periods; a 2-period
+    chain has one leg, which the two walks price faster. Other inners,
+    and column legs that give up, go through evaluate.
     """
-    inner_spec = inner if inner is not None else EngineSpec("mgk")
+    inner_spec = inner if inner is not None else _MGK
     _require_time_reversible(inner_spec)
+    periods = spec.reference_periods(dataset)
+    # the type itself, as guv_index selects its kernel
+    lehr = inner_spec.family == "mgk" or (
+        inner_spec.family == "guv" and (inner_spec.reference_price is None
+                                        or type(inner_spec.reference_price) is LehrUnitValue))
+    leg = _lehr_legs(dataset) if lehr and len(periods) > 2 else None
     cache: dict[tuple[int, int], float] = {}
 
     def bilateral(s: int, r: int) -> float:
@@ -497,7 +596,9 @@ def geks_index(
         if (s, r) in cache:
             return cache[(s, r)]
         if s < r:
-            value = evaluate(dataset, ComparisonSpec(s, r, Bilateral()), inner_spec).value
+            value = leg(s, r) if leg is not None else None
+            if value is None:
+                value = evaluate(dataset, ComparisonSpec(s, r, Bilateral()), inner_spec).value
         else:
             value = 1.0 / bilateral(r, s)
         cache[(s, r)] = value
@@ -511,7 +612,7 @@ def geks_index(
         return math.exp(math.fsum(logs) / len(window))
 
     series = {spec.base: 1.0}
-    for r in spec.reference_periods(dataset):
+    for r in periods:
         if r > spec.base:
             series[r] = disseminated(r)
     return IndexResult(series[spec.current], series=series)
@@ -733,6 +834,11 @@ class EngineSpec:
         if self.family == "rqp":
             return f"rqp(alpha={self.alpha})"
         return self.family
+
+
+# GEKS's default inner, built once: geks_index runs on every small chain
+# of the verdict matrix.
+_MGK = EngineSpec("mgk")
 
 
 def _require_time_reversible(inner: EngineSpec) -> None:

@@ -138,6 +138,12 @@ def _zero_quantity(item: ItemId, periods: tuple[int, ...]) -> NumericalError:
         f"quantities of item {item!r} sum to zero over reference periods {periods}")
 
 
+def _undefined_log() -> NumericalError:
+    """The error of a WGM whose price or reference price has no log (not positive)."""
+    return NumericalError("a price or reference price of the weighted geometric mean "
+                          "is not positive, so its log is undefined")
+
+
 def _overflow(item: ItemId, periods: tuple[int, ...]) -> NumericalError:
     """The error of an item whose expenditures or quantities sum past the float range.
 
@@ -228,8 +234,11 @@ class TPDGeometric:
         positions = data.positions
         prices = {}
         for item, obs in data.observations.items():
-            terms = [(o.expenditure / totals[k], math.log(o.price / deflators[k]))
-                     for k, o in zip(positions[item], obs)]
+            try:
+                terms = [(o.expenditure / totals[k], math.log(o.price / deflators[k]))
+                         for k, o in zip(positions[item], obs)]
+            except ValueError:
+                raise _undefined_log() from None
             weight_sum = math.fsum(w for w, _ in terms)
             if weight_sum == 0:
                 raise NumericalError(f"expenditure shares of item {item!r} sum to {weight_sum!r}")
@@ -519,18 +528,13 @@ def tpd_start(data: ReferenceData) -> dict[int, float] | None:
     if not _positive(data) or not all(0 < total < math.inf for total in data.totals):
         return None
     observations, positions, totals = data.observations, data.positions, data.totals
-    weight = {
-        i: math.fsum([o.price * o.quantity / totals[k] for k, o in zip(positions[i], obs)])
-        for i, obs in observations.items()
-    }
-    if not all(w > 0 for w in weight.values()):
-        return None
-    mean_log = {
-        i: math.fsum([o.price * o.quantity / totals[k] * math.log(o.price)
-                      for k, o in zip(positions[i], obs)])
-        / weight[i]
-        for i, obs in observations.items()
-    }
+    weight, mean_log = {}, {}
+    for i, obs in observations.items():
+        shares = [o.price * o.quantity / totals[k] for k, o in zip(positions[i], obs)]
+        weight[i] = item_weight = math.fsum(shares)
+        if not item_weight > 0:
+            return None
+        mean_log[i] = math.fsum([w * math.log(o.price) for w, o in zip(shares, obs)]) / item_weight
     n = len(data.periods)
     links = [[0.0] * n for _ in range(n)]
     rhs = []

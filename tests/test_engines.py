@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -10,6 +11,7 @@ from dynindex import (
     BaseQuantity,
     Bilateral,
     ComparisonSpec,
+    CustomPrices,
     Dataset,
     DeflatedUnitValue,
     EngineSpec,
@@ -195,6 +197,16 @@ class TestTpd:
         ds = Dataset.build({t: {"a": (1e-300, 1e-300), "b": (1.0 + t, 1.0)} for t in range(2)})
         with pytest.raises(NumericalError, match="sum to 0.0"):
             tpd_index(ds, BILATERAL)
+
+    @pytest.mark.parametrize("policy", [Bilateral(), FullHistory()],
+                             ids=["bilateral", "full-history"])
+    @pytest.mark.parametrize("price", [0.0, -1.0], ids=["zero", "negative"])
+    def test_price_without_a_log_raises_numerical_error(self, price, policy):
+        # a's TPD price takes the log of its deflated price; only a
+        # NumericalError is pinned, not what the other families return here
+        ds = Dataset.build({0: {"a": (price, 1), "b": (2, 1)}, 1: {"a": (1, 1), "b": (2, 1)}})
+        with pytest.raises(NumericalError, match="its log is undefined"):
+            evaluate(ds, ComparisonSpec(0, 1, policy), EngineSpec("tpd"))
 
     def test_negative_share_sum_still_prices(self):
         # a's quantity is negative in both periods, so its shares sum to
@@ -515,6 +527,27 @@ class TestEngineSpec:
         with pytest.raises(NumericalError, match="quantity index sums past the float range"):
             evaluate(Dataset.build(data), BILATERAL, EngineSpec(family))
 
+    @pytest.mark.parametrize("numerator, denominator, message", [
+        ([math.inf, 1.0], [math.inf], "inf/inf is nan"),
+        ([math.inf], [2.0, 1.0], "inf/3.0 is inf"),
+        ([1e300], [1e-300], "1e+300/1e-300 is inf"),
+    ], ids=["nan", "infinite-sum", "overflowing-quotient"])
+    def test_quantity_ratio_names_an_infinite_or_nan_quotient(
+            self, numerator, denominator, message):
+        with pytest.raises(NumericalError, match=re.escape(f"quantity index {message}")):
+            engines._quantity_ratio(numerator, denominator)
+
+    @pytest.mark.parametrize("policy", [Bilateral(), FullHistory()],
+                             ids=["bilateral", "full-history"])
+    @pytest.mark.parametrize("family", ["gk", "mgk", "guv", "geks", "rqp"])
+    def test_overflowing_quantity_index_quotient_names_both_sums(self, family, policy):
+        # a's quantity rises by a factor of 1e400 while its price falls by
+        # 1e-200: the value ratio and the quantity index's sums are finite,
+        # their quotient is not (the index was 0.0 and named as such)
+        data = {0: {"a": (1e100, 1e-200)}, 1: {"a": (1e-100, 1e200)}}
+        with pytest.raises(NumericalError, match=r"quantity index \S+/\S+ is inf"):
+            evaluate(Dataset.build(data), ComparisonSpec(0, 1, policy), EngineSpec(family))
+
     @pytest.mark.parametrize("policy", [Bilateral(), FullHistory()],
                              ids=["bilateral", "full-history"])
     @pytest.mark.parametrize("family", ["gk", "mgk", "guv", "geks", "rqp"])
@@ -642,6 +675,45 @@ def _two_period_table(draws):
     return Dataset.build(periods)
 
 
+def _chained(ds, spec, leg):
+    """GEKS's series spelled out over leg(s, r), s < r, as its hex, or the first leg's error.
+
+    Each leg is taken once, the reverse direction is its inverse, and
+    legs are taken in geks_index's order.
+    """
+    legs = {}
+
+    def bilateral(s, r):
+        if s == r:
+            return 1.0
+        if s > r:
+            return 1.0 / bilateral(r, s)
+        if (s, r) not in legs:
+            legs[(s, r)] = leg(s, r)
+        return legs[(s, r)]
+
+    series = {spec.base: 1.0}
+    try:
+        for r in spec.reference_periods(ds):
+            if r > spec.base:
+                window = spec.policy.reference_periods(ds, spec.base, r)
+                logs = [math.log(bilateral(spec.base, s)) + math.log(bilateral(s, r))
+                        for s in window]
+                series[r] = math.exp(math.fsum(logs) / len(window))
+        IndexResult(series[spec.current], series=series)
+    except Exception as error:
+        return type(error), str(error)
+    return {r: v.hex() for r, v in series.items()}
+
+
+def _series_outcome(compute):
+    """The series as float.hex, or the error's type and message."""
+    try:
+        return {r: v.hex() for r, v in compute().series.items()}
+    except Exception as error:
+        return type(error), str(error)
+
+
 def _count_tables(monkeypatch):
     """The specs of the reference_data calls made from here on."""
     calls = []
@@ -684,20 +756,18 @@ class TestLehrBilateral:
     def test_random_two_period_tables(self, draws):
         _assert_kernel_matches_table_path(_two_period_table(draws), BILATERAL)
 
-    def test_geks_series_matches_table_path_legs(self, monkeypatch):
+    def test_geks_series_matches_table_path_legs(self):
         ds = random_market(2, periods=25, items=20, churn=0.2)
         spec = ComparisonSpec(0, 24, FullHistory())
-        series = geks_index(ds, spec).series
-        legs = []
+        legs = {}
 
-        def table_leg(dataset, leg_spec, engine):
-            legs.append(leg_spec)
-            return _table_path(dataset, leg_spec)
+        def table_leg(s, r):
+            legs[(s, r)] = _table_path(ds, ComparisonSpec(s, r, Bilateral())).value
+            return legs[(s, r)]
 
-        monkeypatch.setattr(engines, "evaluate", table_leg)
-        expected = geks_index(ds, spec).series
+        expected = _chained(ds, spec, table_leg)
         assert len(legs) == 300
-        assert {r: v.hex() for r, v in series.items()} == {r: v.hex() for r, v in expected.items()}
+        assert _series_outcome(lambda: geks_index(ds, spec)) == expected
 
     def test_geks_legs_build_no_table(self, monkeypatch):
         ds = random_market(1, periods=25, items=20, churn=0.2)
@@ -710,6 +780,142 @@ class TestLehrBilateral:
         calls = _count_tables(monkeypatch)
         evaluate(ds, ComparisonSpec(0, 2, Bilateral()), EngineSpec("rqp"))
         assert calls == [ComparisonSpec(0, 2, Bilateral())]
+
+
+# ---------------------------------------------------------------------------
+# GEKS chains of more than two periods price their MGK legs from per-period
+# columns; each leg must match the bilateral kernel bit for bit, or raise
+# what the leg through evaluate raises.
+
+
+def _kernel_leg(ds, s, t):
+    """The MGK leg of t against s through the two-walk kernel, as evaluate takes it."""
+    value_ratio, quantity = engines._lehr_bilateral(ds, s, t)
+    return IndexResult(value_ratio / quantity).value
+
+
+def _column_leg(leg, ds, s, t):
+    """The leg as geks_index takes it: from the columns, else through evaluate."""
+    value = leg(s, t)
+    if value is None:
+        value = evaluate(ds, ComparisonSpec(s, t, Bilateral()), EngineSpec("mgk")).value
+    return value
+
+
+def _leg_outcome(compute):
+    try:
+        return compute().hex()
+    except Exception as error:
+        return type(error), str(error)
+
+
+def _assert_columns_match_kernel(ds, policies=(FullHistory(), RollingWindow(3))):
+    """Every leg, and every GEKS chain from the first period, matches the kernel's."""
+    periods = ds.period_indices()
+    leg = engines._lehr_legs(ds)
+    for a, s in enumerate(periods):
+        for t in periods[a + 1:]:
+            expected = _leg_outcome(lambda: _kernel_leg(ds, s, t))
+            assert _leg_outcome(lambda: _column_leg(leg, ds, s, t)) == expected, (s, t)
+    for policy in policies:
+        for t in periods[1:]:
+            if policy == RollingWindow(3) and t - periods[0] > 2:
+                continue
+            spec = ComparisonSpec(periods[0], t, policy)
+            expected = _chained(ds, spec, lambda s, r: _kernel_leg(ds, s, r))
+            assert _series_outcome(lambda: geks_index(ds, spec)) == expected, (policy, t)
+
+
+# A plain period sharing items with most degenerate tables, to place them inside
+# longer chains.
+_PLAIN = {"a": (1.5, 2.0), "b": (2.0, 1.0), "i0": (3.0, 0.5), "n": (0.7, 4.0)}
+
+# Items of a table of three to five periods: the periods each is in, then
+# its price and quantity in each of five periods.
+_CHAIN_DRAWS = st.tuples(
+    st.integers(3, 5),
+    st.lists(st.tuples(st.sets(st.integers(0, 4), min_size=1),
+                       st.lists(st.tuples(_EDGE_FLOATS, _EDGE_FLOATS), min_size=5, max_size=5)),
+             min_size=1, max_size=6))
+
+
+def _chain_table(draws):
+    n, items = draws
+    periods = {t: {} for t in range(n)}
+    for k, (present, observations) in enumerate(items):
+        for t in present:
+            if t < n:
+                periods[t][f"i{k}"] = observations[t]
+    return Dataset.build(periods)
+
+
+def _count_legs(monkeypatch):
+    """The specs of the engines.evaluate calls made from here on."""
+    calls = []
+    run = engines.evaluate
+
+    def counted(dataset, spec, engine):
+        calls.append(spec)
+        return run(dataset, spec, engine)
+
+    monkeypatch.setattr(engines, "evaluate", counted)
+    return calls
+
+
+class TestGeksColumns:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_churn_markets_every_chain(self, seed):
+        _assert_columns_match_kernel(random_market(seed, periods=6, items=12, churn=0.4))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_rolling_window_chains(self, seed):
+        ds = random_market(seed, periods=7, items=10, churn=0.3)
+        for current in range(2, 7):
+            for base in range(current - 2, current):
+                spec = ComparisonSpec(base, current, RollingWindow(3))
+                expected = _chained(ds, spec, lambda s, r: _kernel_leg(ds, s, r))
+                assert _series_outcome(lambda: geks_index(ds, spec)) == expected
+
+    @pytest.mark.parametrize("layout", ["plain-first", "plain-last", "plain-both-ends"])
+    @pytest.mark.parametrize("name", _DEGENERATE_TABLES)
+    def test_degenerate_tables_inside_longer_chains(self, name, layout):
+        table = list(_DEGENERATE_TABLES[name].values())
+        chain = {"plain-first": [_PLAIN, *table], "plain-last": [*table, _PLAIN],
+                 "plain-both-ends": [_PLAIN, *table, _PLAIN]}[layout]
+        _assert_columns_match_kernel(Dataset.build(dict(enumerate(chain))))
+
+    @given(_CHAIN_DRAWS)
+    @settings(max_examples=200, deadline=None)
+    def test_random_chain_tables(self, draws):
+        _assert_columns_match_kernel(_chain_table(draws))
+
+    @pytest.mark.parametrize("inner", [None, EngineSpec("mgk"), EngineSpec("guv"),
+                                       EngineSpec("guv", reference_price=LehrUnitValue())],
+                             ids=["default", "mgk", "guv", "guv-lehr"])
+    def test_lehr_legs_skip_evaluate(self, monkeypatch, inner):
+        ds = random_market(1, periods=25, items=20, churn=0.2)
+        calls = _count_legs(monkeypatch)
+        geks_index(ds, ComparisonSpec(0, 24, FullHistory()), inner)
+        assert calls == []
+
+    def test_two_period_chain_takes_the_kernel(self, monkeypatch):
+        ds = random_market(1, periods=3, items=20, churn=0.2)
+        calls = _count_legs(monkeypatch)
+        geks_index(ds, ComparisonSpec(0, 1, FullHistory()))
+        geks_index(ds, ComparisonSpec(0, 2, Bilateral()))
+        assert calls == [ComparisonSpec(0, 1, Bilateral()), ComparisonSpec(0, 2, Bilateral())]
+
+    @pytest.mark.parametrize("inner", ["wgm", "lehr-subclass", "custom-prices"])
+    def test_other_inners_evaluate_every_leg(self, monkeypatch, inner):
+        ds = random_market(1, periods=6, items=20, churn=0.2)
+        prices = {i: 1.0 + len(i) for t in range(6) for i in ds.period_data(t).items}
+        engine = {"wgm": EngineSpec("wgm"),
+                  "lehr-subclass": EngineSpec("guv", reference_price=_Lehr()),
+                  "custom-prices": EngineSpec("guv", reference_price=CustomPrices(prices))}[inner]
+        calls = _count_legs(monkeypatch)
+        geks_index(ds, ComparisonSpec(0, 5, FullHistory()), engine)
+        assert sorted(calls, key=lambda c: (c.base, c.current)) == [
+            ComparisonSpec(s, t, Bilateral()) for s in range(6) for t in range(s + 1, 6)]
 
 
 # ---------------------------------------------------------------------------

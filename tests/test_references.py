@@ -331,6 +331,22 @@ def _coupled(family, ds, spec):
     return data, DeflatedUnitValue(), _guv_index_at(ds, spec, data)
 
 
+@pytest.mark.parametrize("family", ["gk", "tpd"])
+def test_index_at_follows_each_new_price_map(family):
+    # index_at builds the base side once per price map; a map it has not
+    # seen last must not reuse the last one's terms
+    ds = random_market(4, periods=5, items=10, churn=0.3)
+    spec = ComparisonSpec(0, 4, FullHistory())
+    data, scheme, index_at = _coupled(family, ds, spec)
+    first = reference_prices(data, scheme, {r: 1.0 for r in data.periods})
+    second = reference_prices(data, scheme, {r: 1.0 + r / 10 for r in data.periods})
+    for prices in (first, second, first):
+        for k in range(1, len(data.periods)):
+            fresh = _coupled(family, ds, spec)[2]
+            assert index_at(k, prices).hex() == fresh(k, prices).hex()
+    assert index_at(4, first) != index_at(4, second)
+
+
 class TestSolveFixedPoint:
     def test_constant_data_is_identity(self):
         ds = Dataset.build({t: {"A": (2, 5), "B": (3, 1 + t)} for t in range(4)})
