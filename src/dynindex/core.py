@@ -82,6 +82,16 @@ def _unsummable(values: list[float]) -> float:
         return math.inf if exact > 0 else -math.inf
 
 
+def _total(items: Mapping[ItemId, Observation]) -> float:
+    """The correctly rounded sum of the items' expenditures (see _unsummable)."""
+    try:
+        # a generator, not a list: a period of a large dataset would hold
+        # one float per item at once
+        return math.fsum(o.price * o.quantity for o in items.values())
+    except (OverflowError, ValueError):
+        return _unsummable([o.price * o.quantity for o in items.values()])
+
+
 @dataclass(frozen=True)
 class PeriodData:
     """All observed data of one period: an integer index and an item map.
@@ -95,13 +105,17 @@ class PeriodData:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", MappingProxyType(dict(self.items)))
-        try:
-            # a generator, not a list: a period of a large dataset would hold
-            # one float per item at once
-            total = math.fsum(o.price * o.quantity for o in self.items.values())
-        except (OverflowError, ValueError):
-            total = _unsummable([o.price * o.quantity for o in self.items.values()])
-        object.__setattr__(self, "_total_expenditure", total)
+        object.__setattr__(self, "_total_expenditure", _total(self.items))
+
+    @classmethod
+    def _owning(cls, period: int, items: dict[ItemId, Observation]) -> "PeriodData":
+        """Internal: the public constructor without its copy, for a fresh dict
+        that the caller hands over and keeps no hold on; the same total."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "items", MappingProxyType(items))
+        object.__setattr__(self, "_total_expenditure", _total(items))
+        return self
 
     def total_expenditure(self) -> float:
         return self._total_expenditure
@@ -128,14 +142,26 @@ class Dataset:
         object.__setattr__(self, "_by_period", MappingProxyType(index))
 
     @classmethod
+    def _ordered(cls, periods: tuple[PeriodData, ...]) -> "Dataset":
+        """Internal: a dataset of periods already in order, not re-sorted. One pass
+        checks each index is above the one before, which rules out duplicates too."""
+        index: dict[int, PeriodData] = {}
+        for pd in periods:
+            if index and not previous < pd.period:
+                raise ValueError(f"period {pd.period} follows {previous}: not strictly increasing")
+            index[pd.period] = pd
+            previous = pd.period
+        self = object.__new__(cls)
+        object.__setattr__(self, "periods", periods)
+        object.__setattr__(self, "_by_period", MappingProxyType(index))
+        return self
+
+    @classmethod
     def build(cls, data: Mapping[int, Mapping[ItemId, tuple[float, float]]]) -> "Dataset":
         """Construct from ``{period: {item: (price, quantity)}}``."""
-        return cls(
-            tuple(
-                PeriodData(t, {i: Observation(p, q) for i, (p, q) in items.items()})
-                for t, items in data.items()
-            )
-        )
+        return cls._ordered(tuple(
+            PeriodData._owning(t, {i: Observation(p, q) for i, (p, q) in data[t].items()})
+            for t in sorted(data)))
 
     def period_indices(self) -> tuple[int, ...]:
         return tuple(pd.period for pd in self.periods)

@@ -119,12 +119,11 @@ def _ingest(lines: Iterable[str]) -> Dataset:
         item_lines.append(line_no)
     if dropped:
         warnings.warn(f"dropped {len(dropped)} zero-quantity row(s)", IngestWarning, stacklevel=3)
-    # PeriodData copies its item map; popping each map as it is copied keeps
-    # one period's map alive twice at a time, not all of them.
-    periods = tuple(PeriodData(t, rows.pop(t)) for t in list(rows) if rows[t])
+    # Each period takes ownership of its map: no copy is made.
+    periods = tuple(PeriodData._owning(t, items) for t, items in sorted(rows.items()) if items)
     if not periods:
         raise CsvError("no usable rows")
-    dataset = Dataset(periods)
+    dataset = Dataset._ordered(periods)
     violations = dataset.validate()
     if violations:
         details = "; ".join(

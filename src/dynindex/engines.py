@@ -80,6 +80,8 @@ def _quantity_ratio(numerator_terms: Iterable[float], denominator_terms: Iterabl
         denominator = math.fsum(denominator_terms)
     except OverflowError:
         raise NumericalError("reference-price quantity index sums past the float range") from None
+    except ValueError:  # fsum of inf and -inf
+        raise NumericalError("reference-price quantity index sums hold both inf and -inf") from None
     if denominator <= 0 or numerator <= 0:
         raise NumericalError("reference-price quantity index is not positive")
     quantity = numerator / denominator

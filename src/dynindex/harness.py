@@ -22,7 +22,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     Bilateral,
@@ -120,18 +120,12 @@ class InfeasibleParams(PriceIndexError):
     """The requested scenario cannot be built from these parameters."""
 
 
-def _draw_price(rng: random.Random, params: ScenarioParams) -> float:
-    return math.exp(rng.uniform(*params.price_log_range))
-
-
-def _draw_quantity(rng: random.Random, params: ScenarioParams) -> float:
-    if params.unit_quantities:
-        return 1.0
-    return math.exp(rng.uniform(*params.quantity_log_range))
-
-
-def _churn_count(params: ScenarioParams) -> int:
-    return max(1, round(params.churn_fraction * params.n_items))
+def _reseeded(rng: random.Random | None, seed: int) -> random.Random:
+    """rng put in random.Random(seed)'s state, or that new generator if rng is None."""
+    if rng is None:
+        return random.Random(seed)
+    rng.seed(seed)
+    return rng
 
 
 def generate_scenario(
@@ -142,11 +136,28 @@ def generate_scenario(
     The construction is double-checked against the independent
     precondition checker before the scenario is returned.
     """
+    return _draw_scenario(None, test, seed, params)
+
+
+def _draw_scenario(rng: random.Random | None, test: AxiomTest, seed: int,
+                   params: ScenarioParams | None) -> Scenario:
+    """generate_scenario, drawn from rng reseeded for the scenario (see _reseeded).
+
+    Each draw is random.uniform's own expression, a + (b - a) * random().
+    """
     p = params if params is not None else ScenarioParams()
-    rng = random.Random(derive_seed(seed, test.value, "scenario"))
-    base_items = {
-        f"i{k}": (_draw_price(rng, p), _draw_quantity(rng, p)) for k in range(p.n_items)
-    }
+    rng = _reseeded(rng, derive_seed(seed, test.value, "scenario"))
+    (price_lo, price_hi), (quantity_lo, quantity_hi) = p.price_log_range, p.quantity_log_range
+
+    def price() -> float:
+        return math.exp(price_lo + (price_hi - price_lo) * rng.random())
+
+    def quantity() -> float:
+        if p.unit_quantities:
+            return 1.0
+        return math.exp(quantity_lo + (quantity_hi - quantity_lo) * rng.random())
+
+    base_items = {f"i{k}": Observation(price(), quantity()) for k in range(p.n_items)}
 
     expanding = test in (AxiomTest.T3_UPPER_BOUND, AxiomTest.T3_SHARP) or (
         test in _RESPONSIVENESS_TESTS and p.setting in ("expanding", "both")
@@ -157,38 +168,55 @@ def generate_scenario(
     if shrinking and p.n_items < 2:
         raise InfeasibleParams("a shrinking universe needs at least two base items")
 
-    final_items: dict[str, tuple[float, float]] = {}
+    churn = max(1, round(p.churn_fraction * p.n_items))
+    final_items: dict[str, Observation] = {}
     survivors = sorted(base_items)
     if shrinking:
-        survivors = survivors[: len(survivors) - min(_churn_count(p), p.n_items - 1)]
+        survivors = survivors[: len(survivors) - min(churn, p.n_items - 1)]
     for k, name in enumerate(survivors):
-        price, _ = base_items[name]
+        base = base_items[name]
+        value = base.price
         if test == AxiomTest.T3_UPPER_BOUND:
             high = 0.95 if k == 0 else 1.0
-            price *= rng.uniform(p.decline_low, high)
+            value *= p.decline_low + (high - p.decline_low) * rng.random()
         elif test == AxiomTest.T4_LOWER_BOUND:
             low = 1.05 if k == 0 else 1.0
-            price *= rng.uniform(low, p.rise_high)
+            value *= low + (p.rise_high - low) * rng.random()
         elif test in (AxiomTest.T2_FIXED_BASKET, AxiomTest.T5_RESPONSIVENESS):
-            price = _draw_price(rng, p)
-        final_items[name] = (price, _draw_quantity(rng, p))
-    if test == AxiomTest.T2_FIXED_BASKET:
-        final_items = {
-            name: (final_items[name][0], base_items[name][1]) for name in final_items
-        }
+            value = price()
+        drawn = quantity()  # drawn for every test, kept where the basket may change
+        final_items[name] = Observation(
+            value, base.quantity if test == AxiomTest.T2_FIXED_BASKET else drawn)
     if expanding:
-        for j in range(_churn_count(p)):
-            final_items[f"b{j}"] = (_draw_price(rng, p), _draw_quantity(rng, p))
+        for j in range(churn):
+            final_items[f"b{j}"] = Observation(price(), quantity())
 
-    periods = {0: dict(base_items)}
-    current = p.n_periods - 1
-    previous = dict(base_items)
+    # Intermediate periods: churn plus elastic price and quantity shocks.
+    current, shock_lo, shock_hi = p.n_periods - 1, -p.middle_volatility, p.middle_volatility
+    periods = [PeriodData._owning(0, base_items)]
     for r in range(1, current):
-        previous = _evolve_intermediate(rng, previous, p, r)
-        periods[r] = previous
-    periods[current] = final_items
+        previous, evolved = periods[-1].items, {}
+        names = sorted(previous)
+        n_replace = min(round(p.churn_fraction * len(names)), len(names) - 1)
+        dead = set(rng.sample(names, n_replace)) if n_replace else set()
+        for name in names:
+            if name in dead:
+                continue
+            obs = previous[name]
+            shock = shock_lo + (shock_hi - shock_lo) * rng.random()
+            noise = -0.3 + (0.3 - -0.3) * rng.random()
+            evolved[name] = Observation(
+                obs.price * math.exp(shock),
+                obs.quantity * math.exp(-p.quantity_elasticity * shock + noise)
+                if not p.unit_quantities
+                else 1.0,
+            )
+        for j in range(n_replace):
+            evolved[f"m{r}_{j}"] = Observation(price(), quantity())
+        periods.append(PeriodData._owning(r, evolved))
+    periods.append(PeriodData._owning(current, final_items))
 
-    dataset = Dataset.build(periods)
+    dataset = Dataset._ordered(tuple(periods))
     spec = ComparisonSpec(0, current, p.policy)
     scenario = Scenario(
         dataset=dataset,
@@ -202,8 +230,8 @@ def generate_scenario(
             "decline_low": p.decline_low,
             "rise_high": p.rise_high,
             "setting": p.setting,
-            "births": sum(1 for i in final_items if i not in base_items),
-            "deaths": sum(1 for i in base_items if i not in final_items),
+            "births": len(final_items.keys() - base_items.keys()),
+            "deaths": len(base_items.keys() - final_items.keys()),
         },
         params=p,
     )
@@ -214,61 +242,20 @@ def generate_scenario(
     return scenario
 
 
-def _evolve_intermediate(
-    rng: random.Random,
-    previous: Mapping[str, tuple[float, float]],
-    params: ScenarioParams,
-    period: int,
-) -> dict[str, tuple[float, float]]:
-    """One intermediate period: churn plus elastic price and quantity shocks."""
-    result: dict[str, tuple[float, float]] = {}
-    names = sorted(previous)
-    n_replace = min(round(params.churn_fraction * len(names)), len(names) - 1)
-    dead = set(rng.sample(names, n_replace)) if n_replace else set()
-    for name in names:
-        if name in dead:
-            continue
-        price, quantity = previous[name]
-        shock = rng.uniform(-params.middle_volatility, params.middle_volatility)
-        noise = rng.uniform(-0.3, 0.3)
-        result[name] = (
-            price * math.exp(shock),
-            quantity * math.exp(-params.quantity_elasticity * shock + noise)
-            if not params.unit_quantities
-            else 1.0,
-        )
-    for j in range(n_replace):
-        result[f"m{period}_{j}"] = (_draw_price(rng, params), _draw_quantity(rng, params))
-    return result
-
-
 def precondition_holds(test: AxiomTest, dataset: Dataset, spec: ComparisonSpec) -> bool:
     """Re-derive the test's precondition from raw data, sharing no generator code."""
-    base, current = spec.base, spec.current
-    u0 = dataset.universe(base)
-    ut = dataset.universe(current)
-    persistent = u0 & ut
-    prices_equal = all(
-        dataset.observation(base, i).price == dataset.observation(current, i).price
-        for i in persistent
-    )
+    base = dataset.period_data(spec.base).items
+    current = dataset.period_data(spec.current).items
+    u0, ut = base.keys(), current.keys()
+    prices_equal = all(base[i].price == current[i].price for i in u0 & ut)
     if test == AxiomTest.T1_IDENTITY:
         return u0 == ut and prices_equal
     if test == AxiomTest.T2_FIXED_BASKET:
-        return u0 == ut and all(
-            dataset.observation(base, i).quantity == dataset.observation(current, i).quantity
-            for i in u0
-        )
+        return u0 == ut and all(base[i].quantity == current[i].quantity for i in u0)
     if test == AxiomTest.T3_UPPER_BOUND:
-        return u0 <= ut and all(
-            dataset.observation(current, i).price <= dataset.observation(base, i).price
-            for i in u0
-        )
+        return u0 <= ut and all(current[i].price <= base[i].price for i in u0)
     if test == AxiomTest.T4_LOWER_BOUND:
-        return ut <= u0 and all(
-            dataset.observation(current, i).price >= dataset.observation(base, i).price
-            for i in ut
-        )
+        return ut <= u0 and all(current[i].price >= base[i].price for i in ut)
     if test == AxiomTest.T3_SHARP:
         return u0 < ut and prices_equal
     if test == AxiomTest.T4_SHARP:
@@ -289,28 +276,46 @@ def perturb_dynamic_data(scenario: Scenario, index: int) -> Dataset:
     sharp responsiveness test. Only the periods whose items are redrawn
     are rebuilt; every other period is the scenario's own object. Deaths
     are redrawn before births, each in the order of their str, so the
-    draws follow period order.
+    draws follow period order. It is a batch of one of _perturbations.
     """
-    rng = random.Random(derive_seed(scenario.seed, "perturb", index))
+    return next(_perturbations(scenario, (index,)))
+
+
+def _perturbations(scenario: Scenario, indices: Iterable[int]) -> Iterator[Dataset]:
+    """perturb_dynamic_data(scenario, k) for each k of indices, in turn.
+
+    Once per batch, the deaths and births are found and sorted and the
+    seeds' common sha256 prefix is hashed; one generator, made on the first
+    perturbation, is reseeded to derive_seed(scenario.seed, "perturb", k) for
+    each. A draw is uniform(-1.0, 1.0)'s own expression, -1.0 + 2.0 * random().
+    """
     dataset, unit_quantities = scenario.dataset, scenario.params.unit_quantities
     base, current = scenario.spec.base, scenario.spec.current
     ms, mt = dataset.period_data(base).items, dataset.period_data(current).items
-    redrawn = {}
-    for period, own, other in ((base, ms, mt), (current, mt, ms)):
-        members = own.keys() - other.keys()
-        if not members:
-            continue
-        items = dict(own)
-        for item in sorted(members, key=str):
-            obs = items[item]
-            items[item] = Observation(
-                obs.price * math.exp(rng.uniform(-1.0, 1.0)),
-                obs.quantity * math.exp(rng.uniform(-1.0, 1.0))
-                if not unit_quantities
-                else obs.quantity,
-            )
-        redrawn[period] = PeriodData(period, items)
-    return Dataset(tuple(redrawn.get(pd.period, pd) for pd in dataset.periods))
+    position = {pd.period: k for k, pd in enumerate(dataset.periods)}
+    redrawn = [(position[period], period, own,
+                [(item, own[item]) for item in sorted(own.keys() - other.keys(), key=str)])
+               for period, own, other in ((base, ms, mt), (current, mt, ms))]
+    redrawn = [entry for entry in redrawn if entry[3]]
+    prefix = hashlib.sha256(f"{scenario.seed!s}/perturb/".encode())
+    rng = None
+    for index in indices:
+        key = prefix.copy()
+        key.update(str(index).encode())
+        rng = _reseeded(rng, int.from_bytes(key.digest()[:8], "big"))
+        draw = rng.random
+        periods = list(dataset.periods)
+        for k, period, own, members in redrawn:
+            items = own.copy()
+            for item, obs in members:
+                items[item] = Observation(
+                    obs.price * math.exp(-1.0 + 2.0 * draw()),
+                    obs.quantity * math.exp(-1.0 + 2.0 * draw())
+                    if not unit_quantities
+                    else obs.quantity,
+                )
+            periods[k] = PeriodData._owning(period, items)
+        yield Dataset._ordered(tuple(periods))
 
 
 @dataclass(frozen=True)
@@ -349,11 +354,9 @@ def check(
     try:
         value = run(scenario.dataset).value
         log_value = math.log(value)
-        batch = responsiveness_batch if test in _RESPONSIVENESS_TESTS else 0
-        movements = [
-            abs(math.log(run(perturb_dynamic_data(scenario, k)).value) - log_value)
-            for k in range(batch)
-        ]
+        batch = (_perturbations(scenario, range(responsiveness_batch))
+                 if test in _RESPONSIVENESS_TESTS else ())
+        movements = [abs(math.log(run(perturbed).value) - log_value) for perturbed in batch]
     except PriceIndexError as exc:
         return Verdict(test.value, label, Outcome.ENGINE_ERROR,
                        {"error": str(exc), "seed": scenario.seed}, tolerance)
@@ -558,6 +561,7 @@ def run_matrix(
         if unknown:
             raise ValueError(f"tests names unknown matrix columns {sorted(unknown)}")
     rows: dict[str, dict[str, dict[str, MatrixCell]]] = {}
+    rng = random.Random()  # the run's one generator, reseeded per trial
     for family in families:
         row_label = _row_label(family)
         engine = EngineSpec(family)
@@ -569,10 +573,10 @@ def run_matrix(
             for sub_label, test, params in subplans:
                 passes = failures = errors = 0
                 witness = None
-                for trial in range(trials):
-                    trial_seed = derive_seed(seed, row_label, column, sub_label, trial)
-                    scenario = generate_scenario(test, trial_seed, params)
-                    verdict = check(test, engine, scenario, tolerance, responsiveness_batch)
+                seeds = (derive_seed(seed, row_label, column, sub_label, trial)
+                         for trial in range(trials))
+                for verdict in _verdicts(rng, test, engine, params, seeds,
+                                         tolerance, responsiveness_batch):
                     if verdict.outcome is Outcome.PASS:
                         passes += 1
                         continue
@@ -610,12 +614,17 @@ def find_counterexample(
     if budget < 1:
         raise ValueError("budget must be at least 1")
     require_tolerance(tolerance)
-    for k in range(budget):
-        scenario = generate_scenario(test, derive_seed(seed, "counterexample", k), params)
-        verdict = check(test, engine, scenario, tolerance)
-        if verdict.outcome is Outcome.FAIL:
-            return verdict
-    return None
+    seeds = (derive_seed(seed, "counterexample", k) for k in range(budget))
+    verdicts = _verdicts(random.Random(), test, engine, params, seeds, tolerance)
+    return next((v for v in verdicts if v.outcome is Outcome.FAIL), None)
+
+
+def _verdicts(rng: random.Random, test: AxiomTest, engine: EngineSpec,
+              params: ScenarioParams | None, seeds: Iterable[int], *check_args: object
+              ) -> Iterator[Verdict]:
+    """The trial loop: check's verdict on each seed's scenario, all drawn from rng."""
+    for seed in seeds:
+        yield check(test, engine, _draw_scenario(rng, test, seed, params), *check_args)
 
 
 def find_intransitivity_witness(

@@ -242,7 +242,10 @@ class TPDGeometric:
             weight_sum = math.fsum(w for w, _ in terms)
             if weight_sum == 0:
                 raise NumericalError(f"expenditure shares of item {item!r} sum to {weight_sum!r}")
-            prices[item] = math.exp(math.fsum(w / weight_sum * lg for w, lg in terms))
+            try:
+                prices[item] = math.exp(math.fsum(w / weight_sum * lg for w, lg in terms))
+            except (OverflowError, ValueError):
+                raise NumericalError("weighted geometric mean is past the float range") from None
         return prices
 
 

@@ -64,7 +64,7 @@ def synth(config: SynthConfig) -> SynthResult:
         name, price, quantity = new_item(rng.uniform(0.0, 2.0))
         items[name] = (price, quantity)
 
-    periods = [PeriodData(0, {i: Observation(p, q) for i, (p, q) in items.items()})]
+    periods = [PeriodData._owning(0, {i: Observation(p, q) for i, (p, q) in items.items()})]
     realized_churn = []
     survivor_changes = []
 
@@ -94,9 +94,9 @@ def synth(config: SynthConfig) -> SynthResult:
             name, price, quantity = new_item(entry_level + rng.gauss(0.0, 0.5))
             next_items[name] = (price, quantity)
         items = next_items
-        periods.append(PeriodData(t, {i: Observation(p, q) for i, (p, q) in items.items()}))
+        periods.append(PeriodData._owning(t, {i: Observation(p, q) for i, (p, q) in items.items()}))
 
     mean_change = (
         math.fsum(survivor_changes) / len(survivor_changes) if survivor_changes else 0.0
     )
-    return SynthResult(Dataset(tuple(periods)), tuple(realized_churn), mean_change)
+    return SynthResult(Dataset._ordered(tuple(periods)), tuple(realized_churn), mean_change)

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import pytest
@@ -13,6 +14,7 @@ from dynindex import (
     InvalidComparisonError,
     NumericalError,
     Observation,
+    PeriodData,
     RollingWindow,
     UnknownPeriodError,
 )
@@ -89,22 +91,73 @@ class TestValueRatio:
 MAX = sys.float_info.max
 
 
+PAST_THE_FLOAT_RANGE = pytest.mark.parametrize(
+    "items, total",
+    [
+        ({"a": (1e300, 1e8), "b": (1e300, 1e8)}, math.inf),
+        ({"a": (-1e300, 1e8), "b": (-1e300, 1e8)}, -math.inf),
+        # fsum overflows on the first two terms; the exact sum is in range
+        ({"a": (MAX, 1), "b": (MAX, 1), "c": (-MAX, 1)}, MAX),
+        # a's expenditure itself overflows, in both directions
+        ({"a": (1e200, 1e200), "b": (-1e200, 1e200)}, math.nan),
+    ],
+    ids=["inf", "minus-inf", "exact", "inf-and-minus-inf"],
+)
+
+
+def _observations(items):
+    return {i: Observation(p, q) for i, (p, q) in items.items()}
+
+
 class TestTotalExpenditure:
-    @pytest.mark.parametrize(
-        "items, total",
-        [
-            ({"a": (1e300, 1e8), "b": (1e300, 1e8)}, math.inf),
-            ({"a": (-1e300, 1e8), "b": (-1e300, 1e8)}, -math.inf),
-            # fsum overflows on the first two terms; the exact sum is in range
-            ({"a": (MAX, 1), "b": (MAX, 1), "c": (-MAX, 1)}, MAX),
-            # a's expenditure itself overflows, in both directions
-            ({"a": (1e200, 1e200), "b": (-1e200, 1e200)}, math.nan),
-        ],
-        ids=["inf", "minus-inf", "exact", "inf-and-minus-inf"],
-    )
+    @PAST_THE_FLOAT_RANGE
     def test_a_total_past_the_float_range_still_builds(self, items, total):
         got = Dataset.build({0: items}).period_data(0).total_expenditure()
         assert got == total or math.isnan(got) and math.isnan(total)
+
+    @PAST_THE_FLOAT_RANGE
+    def test_an_owned_map_totals_as_the_public_constructor(self, items, total):
+        public = PeriodData(0, _observations(items)).total_expenditure()
+        owned = PeriodData._owning(0, _observations(items)).total_expenditure()
+        assert owned.hex() == public.hex()
+
+    def test_an_owned_map_totals_ordinary_data_as_the_public_constructor(self):
+        rng = random.Random(0)
+        for _ in range(50):
+            items = {f"i{k}": (rng.uniform(0, 10), rng.uniform(0, 1e6)) for k in range(7)}
+            public = PeriodData(0, _observations(items))
+            assert PeriodData._owning(0, _observations(items)) == public
+            assert (PeriodData._owning(0, _observations(items)).total_expenditure().hex()
+                    == public.total_expenditure().hex())
+
+
+class TestConstructors:
+    def test_the_public_period_constructor_copies_its_map(self):
+        items = _observations({"a": (1.0, 2.0)})
+        period = PeriodData(0, items)
+        items["a"], items["b"] = Observation(5.0, 5.0), Observation(3.0, 1.0)
+        assert dict(period.items) == {"a": Observation(1.0, 2.0)}
+        assert period.total_expenditure() == 2.0
+
+    @pytest.mark.parametrize("indices", [(1, 0), (0, 0), (0, 2, 1), (0, 1, 1)],
+                             ids=["reversed", "duplicate", "out-of-order", "trailing-duplicate"])
+    def test_the_ordered_constructor_refuses_periods_out_of_order(self, indices):
+        periods = tuple(PeriodData(t, _observations({"a": (1, 1)})) for t in indices)
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            Dataset._ordered(periods)
+
+    def test_the_ordered_constructor_keeps_the_periods_as_given(self):
+        periods = tuple(PeriodData(t, _observations({"a": (1, t + 1)})) for t in (0, 2, 5))
+        dataset = Dataset._ordered(periods)
+        assert dataset.periods is periods
+        assert dataset == Dataset(periods[::-1])
+        assert dataset.period_data(2) is periods[1]
+
+    def test_build_orders_the_periods(self):
+        data = {2: {"a": (1, 1)}, 0: {"a": (2, 1)}, 1: {"b": (1, 3)}}
+        assert Dataset.build(data).period_indices() == (0, 1, 2)
+        assert Dataset.build(data) == Dataset(tuple(
+            PeriodData(t, _observations(items)) for t, items in data.items()))
 
 
 class TestValidate:

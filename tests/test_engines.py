@@ -208,6 +208,17 @@ class TestTpd:
         with pytest.raises(NumericalError, match="its log is undefined"):
             evaluate(ds, ComparisonSpec(0, 1, policy), EngineSpec("tpd"))
 
+    @pytest.mark.parametrize("policy", [Bilateral(), FullHistory()],
+                             ids=["bilateral", "full-history"])
+    def test_price_past_the_float_range_raises_numerical_error(self, policy):
+        # i1's quantity is negative in period 1, so its normalized exponents
+        # are far from [0, 1] and its weighted mean log price exceeds log(MAX)
+        ds = Dataset.build({0: {"i1": (7.860754740424663, 1.604596347358267e+300)},
+                            1: {"i0": (0.9884215900728961, 6.212111752060901),
+                                "i1": (3.127345666404902, -1.098021518089503)}})
+        with pytest.raises(NumericalError, match="weighted geometric mean is past the float"):
+            evaluate(ds, ComparisonSpec(0, 1, policy), EngineSpec("tpd"))
+
     def test_negative_share_sum_still_prices(self):
         # a's quantity is negative in both periods, so its shares sum to
         # -1/2 - 1/3; only a sum of zero leaves the TPD price undefined
@@ -526,6 +537,31 @@ class TestEngineSpec:
                 1: {"a": (0.5e8, 1e300), "b": (0.5e8, 1e300)}}
         with pytest.raises(NumericalError, match="quantity index sums past the float range"):
             evaluate(Dataset.build(data), BILATERAL, EngineSpec(family))
+
+    def test_quantity_index_sum_of_inf_and_minus_inf_raises_numerical_error(self):
+        # period 3's deflated reference prices times quantities overflow to
+        # inf for i1 and to -inf for i2 (a negative quantity in period 1)
+        ds = Dataset.build({
+            0: {"i1": (4.95291902285522, 17217992998.845654),
+                "i2": (6.757911917259712, 7.201318602055424),
+                "i3": (8.964195529769558, 5.882935845792564)},
+            1: {"i0": (1.6590838491345347e+300, 5.191162736072662),
+                "i1": (6.607017271681254, -6.583311394007627),
+                "i2": (8.40258046529794, 7.096628509585138),
+                "i3": (4.040826552760663, 3.404934878490495)},
+            2: {"i0": (2.6796643027423794, 8820330940.347004),
+                "i1": (2.561429267886817, 9.066512825652904),
+                "i2": (0.3595751566402172, 1.0231745995922787e+150),
+                "i3": (3.7662877989509953, 6.628168120547132)},
+            3: {"i0": (4.3760707086876, 5.66555543522032),
+                "i1": (0.3193200032675951, 1.6648842937803134e+300),
+                "i2": (8.164239231568183e+149, 1.4849661066147963)}})
+        with pytest.raises(NumericalError, match="quantity index sums hold both inf and -inf"):
+            evaluate(ds, ComparisonSpec(1, 3, FullHistory()), EngineSpec("gk"))
+
+    def test_quantity_ratio_names_a_sum_of_inf_and_minus_inf(self):
+        with pytest.raises(NumericalError, match="sums hold both inf and -inf"):
+            engines._quantity_ratio([1.0], [math.inf, -math.inf])
 
     @pytest.mark.parametrize("numerator, denominator, message", [
         ([math.inf, 1.0], [math.inf], "inf/inf is nan"),

@@ -25,6 +25,7 @@ from dynindex import (
     precondition_holds,
     run_matrix,
 )
+from dynindex import harness
 from dynindex.engines import ENGINE_FAMILIES
 from dynindex.harness import derive_seed
 from helpers import presence_mgk
@@ -86,6 +87,114 @@ class TestGeneration:
             generate_scenario(
                 AxiomTest.T4_SHARP, 0, ScenarioParams(n_items=1, n_periods=2)
             )
+
+
+def _reference_scenario(test, seed, params):
+    """generate_scenario as first written: rng.uniform draws through _draw_*
+    helpers into tuple maps, built by Dataset.build; (dataset, spec, metadata)."""
+    p = params
+    rng = random.Random(derive_seed(seed, test.value, "scenario"))
+
+    def draw_price():
+        return math.exp(rng.uniform(*p.price_log_range))
+
+    def draw_quantity():
+        return 1.0 if p.unit_quantities else math.exp(rng.uniform(*p.quantity_log_range))
+
+    def evolve(previous, period):
+        result = {}
+        names = sorted(previous)
+        n_replace = min(round(p.churn_fraction * len(names)), len(names) - 1)
+        dead = set(rng.sample(names, n_replace)) if n_replace else set()
+        for name in names:
+            if name in dead:
+                continue
+            price, quantity = previous[name]
+            shock = rng.uniform(-p.middle_volatility, p.middle_volatility)
+            noise = rng.uniform(-0.3, 0.3)
+            result[name] = (
+                price * math.exp(shock),
+                quantity * math.exp(-p.quantity_elasticity * shock + noise)
+                if not p.unit_quantities else 1.0,
+            )
+        for j in range(n_replace):
+            result[f"m{period}_{j}"] = (draw_price(), draw_quantity())
+        return result
+
+    churn = max(1, round(p.churn_fraction * p.n_items))
+    base_items = {f"i{k}": (draw_price(), draw_quantity()) for k in range(p.n_items)}
+    responsive = test in (AxiomTest.T5_RESPONSIVENESS, AxiomTest.T5_SHARP)
+    expanding = test in (AxiomTest.T3_UPPER_BOUND, AxiomTest.T3_SHARP) or (
+        responsive and p.setting in ("expanding", "both"))
+    shrinking = test in (AxiomTest.T4_LOWER_BOUND, AxiomTest.T4_SHARP) or (
+        responsive and p.setting in ("shrinking", "both"))
+    final_items = {}
+    survivors = sorted(base_items)
+    if shrinking:
+        survivors = survivors[: len(survivors) - min(churn, p.n_items - 1)]
+    for k, name in enumerate(survivors):
+        price, _ = base_items[name]
+        if test == AxiomTest.T3_UPPER_BOUND:
+            price *= rng.uniform(p.decline_low, 0.95 if k == 0 else 1.0)
+        elif test == AxiomTest.T4_LOWER_BOUND:
+            price *= rng.uniform(1.05 if k == 0 else 1.0, p.rise_high)
+        elif test in (AxiomTest.T2_FIXED_BASKET, AxiomTest.T5_RESPONSIVENESS):
+            price = draw_price()
+        final_items[name] = (price, draw_quantity())
+    if test == AxiomTest.T2_FIXED_BASKET:
+        final_items = {name: (final_items[name][0], base_items[name][1]) for name in final_items}
+    if expanding:
+        for j in range(churn):
+            final_items[f"b{j}"] = (draw_price(), draw_quantity())
+    periods = {0: dict(base_items)}
+    current = p.n_periods - 1
+    previous = dict(base_items)
+    for r in range(1, current):
+        previous = evolve(previous, r)
+        periods[r] = previous
+    periods[current] = final_items
+    metadata = {
+        "churn_fraction": p.churn_fraction, "middle_volatility": p.middle_volatility,
+        "quantity_elasticity": p.quantity_elasticity, "decline_low": p.decline_low,
+        "rise_high": p.rise_high, "setting": p.setting,
+        "births": sum(1 for i in final_items if i not in base_items),
+        "deaths": sum(1 for i in base_items if i not in final_items),
+    }
+    return Dataset.build(periods), ComparisonSpec(0, current, p.policy), metadata
+
+
+class TestScenarioMatchesReference:
+    @pytest.mark.parametrize("n_periods", [2, 3])
+    @pytest.mark.parametrize("unit_quantities", [False, True], ids=["quantities", "unit"])
+    @pytest.mark.parametrize("setting", ["expanding", "shrinking", "both"])
+    @pytest.mark.parametrize("test", list(AxiomTest))
+    def test_every_observation(self, test, setting, unit_quantities, n_periods):
+        params = ScenarioParams(n_periods=n_periods, setting=setting,
+                                unit_quantities=unit_quantities)
+        for seed in range(3):
+            scenario = generate_scenario(test, seed, params)
+            dataset, spec, metadata = _reference_scenario(test, seed, params)
+            assert _as_hex(scenario.dataset) == _as_hex(dataset)
+            assert (scenario.spec, dict(scenario.metadata)) == (spec, metadata)
+
+    def test_the_trial_loop_keeps_no_state_between_trials(self):
+        """Scenarios drawn one after another from the trial loop's one
+        generator are each a fresh generate_scenario's."""
+        rng = random.Random()
+        for params in (MULTI_3, ScenarioParams(n_periods=2, unit_quantities=True)):
+            for test in AxiomTest:
+                for seed in range(3):
+                    drawn = harness._draw_scenario(rng, test, seed, params)
+                    fresh = generate_scenario(test, seed, params)
+                    assert drawn == fresh and _as_hex(drawn.dataset) == _as_hex(fresh.dataset)
+
+    def test_the_trial_loop_checks_each_seeds_scenario(self):
+        seeds = [derive_seed(0, "loop", k) for k in range(4)]
+        for test, params in ((AxiomTest.T5_SHARP, BILATERAL_2), (AxiomTest.T1_IDENTITY, MULTI_3)):
+            verdicts = harness._verdicts(random.Random(), test, MGK, params, seeds, 1e-9, 3)
+            assert list(verdicts) == [
+                check(test, MGK, generate_scenario(test, seed, params), 1e-9, 3)
+                for seed in seeds]
 
 
 class TestPerturbation:
@@ -171,6 +280,19 @@ class TestPerturbationMatchesReference:
         scenario = generate_scenario(AxiomTest.T5_SHARP, 4, params)
         perturbed = perturb_dynamic_data(scenario, 0)
         assert perturbed.period_data(1) is scenario.dataset.period_data(1)
+
+
+class TestPerturbationBatch:
+    @pytest.mark.parametrize("n_periods", [2, 3])
+    @pytest.mark.parametrize("unit_quantities", [False, True], ids=["quantities", "unit"])
+    @pytest.mark.parametrize("setting", ["expanding", "shrinking", "both"])
+    def test_a_batch_matches_at_every_index(self, setting, unit_quantities, n_periods):
+        params = ScenarioParams(n_periods=n_periods, setting=setting,
+                                unit_quantities=unit_quantities)
+        scenario = generate_scenario(AxiomTest.T5_SHARP, 7, params)
+        batch = harness._perturbations(scenario, range(20))
+        assert [_as_hex(d) for d in batch] == [
+            _as_hex(_reference_perturbation(scenario, k)) for k in range(20)]
 
 
 # run_matrix(trials=20, seed=0) as computed before the bilateral WGM kernel and
