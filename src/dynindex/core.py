@@ -134,32 +134,21 @@ class Dataset:
     _by_period: Mapping[int, PeriodData] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.periods, key=lambda pd: pd.period))
-        index = {pd.period: pd for pd in ordered}
-        if len(index) != len(ordered):
+        periods = tuple(self.periods)
+        index = {pd.period: pd for pd in periods}
+        if len(index) != len(periods):
             raise ValueError("duplicate period indices")
-        object.__setattr__(self, "periods", ordered)
-        object.__setattr__(self, "_by_period", MappingProxyType(index))
-
-    @classmethod
-    def _ordered(cls, periods: tuple[PeriodData, ...]) -> "Dataset":
-        """Internal: a dataset of periods already in order, not re-sorted. One pass
-        checks each index is above the one before, which rules out duplicates too."""
-        index: dict[int, PeriodData] = {}
-        for pd in periods:
-            if index and not previous < pd.period:
-                raise ValueError(f"period {pd.period} follows {previous}: not strictly increasing")
-            index[pd.period] = pd
-            previous = pd.period
-        self = object.__new__(cls)
+        # Builders hand their periods over in order; only others are sorted.
+        if list(index) != sorted(index):
+            index = dict(sorted(index.items()))
+            periods = tuple(index.values())
         object.__setattr__(self, "periods", periods)
         object.__setattr__(self, "_by_period", MappingProxyType(index))
-        return self
 
     @classmethod
     def build(cls, data: Mapping[int, Mapping[ItemId, tuple[float, float]]]) -> "Dataset":
         """Construct from ``{period: {item: (price, quantity)}}``."""
-        return cls._ordered(tuple(
+        return cls(tuple(
             PeriodData._owning(t, {i: Observation(p, q) for i, (p, q) in data[t].items()})
             for t in sorted(data)))
 

@@ -123,7 +123,7 @@ def _ingest(lines: Iterable[str]) -> Dataset:
     periods = tuple(PeriodData._owning(t, items) for t, items in sorted(rows.items()) if items)
     if not periods:
         raise CsvError("no usable rows")
-    dataset = Dataset._ordered(periods)
+    dataset = Dataset(periods)
     violations = dataset.validate()
     if violations:
         details = "; ".join(

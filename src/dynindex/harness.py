@@ -120,14 +120,6 @@ class InfeasibleParams(PriceIndexError):
     """The requested scenario cannot be built from these parameters."""
 
 
-def _reseeded(rng: random.Random | None, seed: int) -> random.Random:
-    """rng put in random.Random(seed)'s state, or that new generator if rng is None."""
-    if rng is None:
-        return random.Random(seed)
-    rng.seed(seed)
-    return rng
-
-
 def generate_scenario(
     test: AxiomTest, seed: int, params: ScenarioParams | None = None
 ) -> Scenario:
@@ -136,17 +128,17 @@ def generate_scenario(
     The construction is double-checked against the independent
     precondition checker before the scenario is returned.
     """
-    return _draw_scenario(None, test, seed, params)
+    return _draw_scenario(random.Random(), test, seed, params)
 
 
-def _draw_scenario(rng: random.Random | None, test: AxiomTest, seed: int,
+def _draw_scenario(rng: random.Random, test: AxiomTest, seed: int,
                    params: ScenarioParams | None) -> Scenario:
-    """generate_scenario, drawn from rng reseeded for the scenario (see _reseeded).
+    """generate_scenario, drawn from rng reseeded to the scenario's seed.
 
     Each draw is random.uniform's own expression, a + (b - a) * random().
     """
     p = params if params is not None else ScenarioParams()
-    rng = _reseeded(rng, derive_seed(seed, test.value, "scenario"))
+    rng.seed(derive_seed(seed, test.value, "scenario"))
     (price_lo, price_hi), (quantity_lo, quantity_hi) = p.price_log_range, p.quantity_log_range
 
     def price() -> float:
@@ -216,7 +208,7 @@ def _draw_scenario(rng: random.Random | None, test: AxiomTest, seed: int,
         periods.append(PeriodData._owning(r, evolved))
     periods.append(PeriodData._owning(current, final_items))
 
-    dataset = Dataset._ordered(tuple(periods))
+    dataset = Dataset(tuple(periods))
     spec = ComparisonSpec(0, current, p.policy)
     scenario = Scenario(
         dataset=dataset,
@@ -284,9 +276,8 @@ def perturb_dynamic_data(scenario: Scenario, index: int) -> Dataset:
 def _perturbations(scenario: Scenario, indices: Iterable[int]) -> Iterator[Dataset]:
     """perturb_dynamic_data(scenario, k) for each k of indices, in turn.
 
-    Once per batch, the deaths and births are found and sorted and the
-    seeds' common sha256 prefix is hashed; one generator, made on the first
-    perturbation, is reseeded to derive_seed(scenario.seed, "perturb", k) for
+    Once per batch, the deaths and births are found and sorted; one
+    generator is reseeded to derive_seed(scenario.seed, "perturb", k) for
     each. A draw is uniform(-1.0, 1.0)'s own expression, -1.0 + 2.0 * random().
     """
     dataset, unit_quantities = scenario.dataset, scenario.params.unit_quantities
@@ -297,13 +288,10 @@ def _perturbations(scenario: Scenario, indices: Iterable[int]) -> Iterator[Datas
                 [(item, own[item]) for item in sorted(own.keys() - other.keys(), key=str)])
                for period, own, other in ((base, ms, mt), (current, mt, ms))]
     redrawn = [entry for entry in redrawn if entry[3]]
-    prefix = hashlib.sha256(f"{scenario.seed!s}/perturb/".encode())
-    rng = None
+    rng = random.Random()
+    draw = rng.random
     for index in indices:
-        key = prefix.copy()
-        key.update(str(index).encode())
-        rng = _reseeded(rng, int.from_bytes(key.digest()[:8], "big"))
-        draw = rng.random
+        rng.seed(derive_seed(scenario.seed, "perturb", index))
         periods = list(dataset.periods)
         for k, period, own, members in redrawn:
             items = own.copy()
@@ -315,7 +303,7 @@ def _perturbations(scenario: Scenario, indices: Iterable[int]) -> Iterator[Datas
                     else obs.quantity,
                 )
             periods[k] = PeriodData._owning(period, items)
-        yield Dataset._ordered(tuple(periods))
+        yield Dataset(tuple(periods))
 
 
 @dataclass(frozen=True)

@@ -99,4 +99,4 @@ def synth(config: SynthConfig) -> SynthResult:
     mean_change = (
         math.fsum(survivor_changes) / len(survivor_changes) if survivor_changes else 0.0
     )
-    return SynthResult(Dataset._ordered(tuple(periods)), tuple(realized_churn), mean_change)
+    return SynthResult(Dataset(tuple(periods)), tuple(realized_churn), mean_change)

@@ -139,19 +139,26 @@ class TestConstructors:
         assert dict(period.items) == {"a": Observation(1.0, 2.0)}
         assert period.total_expenditure() == 2.0
 
-    @pytest.mark.parametrize("indices", [(1, 0), (0, 0), (0, 2, 1), (0, 1, 1)],
-                             ids=["reversed", "duplicate", "out-of-order", "trailing-duplicate"])
-    def test_the_ordered_constructor_refuses_periods_out_of_order(self, indices):
+    @pytest.mark.parametrize("indices", [(0, 0), (0, 1, 1), (1, 0, 1), (2, 0, 2, 1)],
+                             ids=["duplicate", "trailing-duplicate", "apart", "out-of-order"])
+    def test_the_dataset_constructor_refuses_duplicate_periods(self, indices):
         periods = tuple(PeriodData(t, _observations({"a": (1, 1)})) for t in indices)
-        with pytest.raises(ValueError, match="not strictly increasing"):
-            Dataset._ordered(periods)
+        with pytest.raises(ValueError, match="duplicate period indices"):
+            Dataset(periods)
 
-    def test_the_ordered_constructor_keeps_the_periods_as_given(self):
+    def test_the_dataset_constructor_keeps_periods_in_order_as_given(self):
         periods = tuple(PeriodData(t, _observations({"a": (1, t + 1)})) for t in (0, 2, 5))
-        dataset = Dataset._ordered(periods)
+        dataset = Dataset(periods)
         assert dataset.periods is periods
-        assert dataset == Dataset(periods[::-1])
         assert dataset.period_data(2) is periods[1]
+
+    @pytest.mark.parametrize("indices", [(5, 2, 0), (0, 5, 2), (2, 0, 5)])
+    def test_the_dataset_constructor_sorts_periods_out_of_order(self, indices):
+        periods = [PeriodData(t, _observations({"a": (1, t + 1)})) for t in indices]
+        dataset = Dataset(periods)
+        assert dataset.period_indices() == (0, 2, 5)
+        assert dataset == Dataset(tuple(sorted(periods, key=lambda pd: pd.period)))
+        assert all(dataset.period_data(pd.period) is pd for pd in periods)
 
     def test_build_orders_the_periods(self):
         data = {2: {"a": (1, 1)}, 0: {"a": (2, 1)}, 1: {"b": (1, 3)}}
