@@ -3,7 +3,8 @@
 Subcommands: compute (index values from a CSV), matrix (the randomized
 verdict summary), closed-forms (hand-solvable oracle checks), synth
 (synthetic churn market to CSV), counterexample (randomized search for a
-witnessed failure). The default seed comes from DYNINDEX_SEED.
+witnessed failure). The default seed comes from DYNINDEX_SEED. Only the
+commands that run the test harness or the synthetic market import them.
 
 Exit codes: 0 success; 2 witnessed mismatch in ``matrix --expect-table1``
 or a failing closed-form check; 3 counterexample not found within
@@ -19,6 +20,7 @@ import os
 import sys
 from ._version import __version__
 from .core import (
+    AxiomTest,
     Bilateral,
     ComparisonSpec,
     FullHistory,
@@ -28,15 +30,13 @@ from .core import (
     UnknownPeriodError,
 )
 from .dataio import CsvError, emit_csv, ingest_csv, write_report
-from .engines import CHAINABLE_FAMILIES, ENGINE_FAMILIES, EngineSpec, ImputationPolicy, evaluate
-from .harness import (
+from .engines import (
+    CHAINABLE_FAMILIES,
+    ENGINE_FAMILIES,
     TABLE1_ROWS,
-    AxiomTest,
-    ScenarioParams,
-    closed_form_suite,
-    find_counterexample,
-    find_intransitivity_witness,
-    run_matrix,
+    EngineSpec,
+    ImputationPolicy,
+    evaluate,
 )
 from .references import (
     ArithmeticMeanQuantity,
@@ -49,7 +49,6 @@ from .references import (
     TPDGeometric,
     require_tolerance,
 )
-from .simulate import SynthConfig, synth
 
 EX_OK = 0
 EX_MISMATCH = 2
@@ -245,6 +244,8 @@ def _matrix_payload(matrix) -> dict:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    from .harness import run_matrix
+
     seed = args.seed if args.seed is not None else _default_seed()
     rows = [r for r in args.rows.split(",") if r]
     if args.expect_table1:
@@ -272,6 +273,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_closed_forms(args: argparse.Namespace) -> int:
+    from .harness import closed_form_suite
+
     seed = args.seed if args.seed is not None else _default_seed()
     verdicts = closed_form_suite(seed=seed, tolerance=args.tolerance)
     failures = 0
@@ -301,6 +304,8 @@ def _cmd_closed_forms(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .simulate import SynthConfig, synth
+
     seed = args.seed if args.seed is not None else _default_seed()
     result = synth(
         SynthConfig(
@@ -326,6 +331,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
+    from .harness import ScenarioParams, find_counterexample, find_intransitivity_witness
+
     seed = args.seed if args.seed is not None else _default_seed()
     # The transitivity search does not read the tolerance, but rejects a bad one too.
     require_tolerance(args.tolerance)

@@ -13,6 +13,7 @@ inputs.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -40,16 +41,20 @@ class NumericalError(PriceIndexError, ArithmeticError):
     """A computed value left the positive finite range."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Observation:
     """Unit-value price and transaction quantity of one item in one period."""
 
     price: float
     quantity: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.price) and math.isfinite(self.quantity)):
-            raise ValueError(f"non-finite observation {self.price!r}, {self.quantity!r}")
+    def __init__(self, price: float, quantity: float) -> None:
+        # One frame per observation: the slots are set through their member
+        # descriptors, which the frozen __setattr__ does not guard.
+        if not (math.isfinite(price) and math.isfinite(quantity)):
+            raise ValueError(f"non-finite observation {price!r}, {quantity!r}")
+        _set_price(self, price)
+        _set_quantity(self, quantity)
 
     @property
     def expenditure(self) -> float:
@@ -61,6 +66,10 @@ class Observation:
         if quantity == 0:
             raise ValueError("cannot derive a unit value from zero quantity")
         return cls(expenditure / quantity, quantity)
+
+
+_set_price = Observation.price.__set__
+_set_quantity = Observation.quantity.__set__
 
 
 def _unsummable(values: list[float]) -> float:
@@ -304,3 +313,20 @@ class ComparisonSpec:
         dataset.period_data(self.base)
         dataset.period_data(self.current)
         return self.policy.reference_periods(dataset, self.base, self.current)
+
+
+class AxiomTest(enum.Enum):
+    """The paper's five dynamic-universe tests and their sharper variants.
+
+    ``dynindex.harness`` judges engines against them; the tests are named
+    here so that the CLI can offer them without loading the harness.
+    """
+
+    T1_IDENTITY = "T1"
+    T2_FIXED_BASKET = "T2"
+    T3_UPPER_BOUND = "T3"
+    T4_LOWER_BOUND = "T4"
+    T3_SHARP = "t3"
+    T4_SHARP = "t4"
+    T5_RESPONSIVENESS = "T5"
+    T5_SHARP = "t5"

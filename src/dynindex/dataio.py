@@ -75,7 +75,8 @@ def _ingest(lines: Iterable[str]) -> Dataset:
     first_lines: dict[int, array] = {}
     dropped: dict[tuple[int, str], int] = {}
     names: dict[str, str] = {}  # one string per item id, shared by its periods
-    period = None
+    period_ints: dict[str, int] = {}  # int() once per distinct period string
+    period_field = None
     for line_no, line in enumerate(lines, start=2):
         line = line.rstrip("\r\n")
         if not line:
@@ -86,23 +87,29 @@ def _ingest(lines: Iterable[str]) -> Dataset:
         item = fields[item_at]
         if not item:
             raise CsvError("empty item id", line_no)
-        try:
-            t = int(fields[period_at])
-        except ValueError:
-            raise CsvError(f"bad period {fields[period_at]!r}", line_no) from None
-        try:
-            value, quantity = float(fields[value_at]), float(fields[quantity_at])
-        except ValueError:
-            value = quantity = math.nan
-        if not (math.isfinite(value) and math.isfinite(quantity)):
-            # Parse again, one column at a time, for the first column's message.
-            _parse_float(fields[value_at], value_column, line_no)
-            _parse_float(fields[quantity_at], "quantity", line_no)
-        if t != period:
-            period = t
+        if fields[period_at] != period_field:
+            period_field = fields[period_at]
+            t = period_ints.get(period_field)
+            if t is None:
+                try:
+                    t = period_ints[period_field] = int(period_field)
+                except ValueError:
+                    raise CsvError(f"bad period {period_field!r}", line_no) from None
             if t not in rows:
                 rows[t], first_lines[t] = {}, array("I")
             items, item_lines = rows[t], first_lines[t]
+        # The Observation (of the unit value, for an expenditure column) is
+        # the finiteness check; a column is parsed again only to word the error.
+        try:
+            value, quantity = float(fields[value_at]), float(fields[quantity_at])
+            observation = Observation(
+                value / quantity if from_expenditure and quantity else value, quantity)
+        except ValueError:
+            _parse_float(fields[value_at], value_column, line_no)
+            _parse_float(fields[quantity_at], "quantity", line_no)
+            raise CsvError(
+                f"unit value {value!r}/{quantity!r} is past the float range", line_no
+            ) from None
         if item in items or (dropped and (t, item) in dropped):
             first = item_lines[list(items).index(item)] if item in items else dropped[t, item]
             raise CsvError(
@@ -111,10 +118,6 @@ def _ingest(lines: Iterable[str]) -> Dataset:
         if quantity == 0:
             dropped[t, item] = line_no
             continue
-        if from_expenditure:
-            observation = Observation.from_expenditure(value, quantity)
-        else:
-            observation = Observation(value, quantity)
         items[names.setdefault(item, item)] = observation
         item_lines.append(line_no)
     if dropped:
@@ -186,12 +189,15 @@ def _csv_chunks(dataset: Dataset, value_column: str) -> Iterator[str]:
     yield f"period,item,{value_column},quantity\n"
     expenditure = value_column == "expenditure"
     for pd in dataset.periods:
-        lines = []
-        for item in sorted(pd.items, key=str):
-            obs = pd.items[item]
-            value = obs.expenditure if expenditure else obs.price
-            lines.append(f"{pd.period},{item!s},{value!r},{obs.quantity!r}\n")
-        yield "".join(lines)
+        items = pd.items
+        order = sorted(items, key=str)
+        rows = zip(order, map(items.__getitem__, order))
+        prefix = f"{pd.period},"
+        if expenditure:
+            yield "".join([f"{prefix}{item!s},{o.expenditure!r},{o.quantity!r}\n"
+                           for item, o in rows])
+        else:
+            yield "".join([f"{prefix}{item!s},{o.price!r},{o.quantity!r}\n" for item, o in rows])
 
 
 def _check_item_ids(dataset: Dataset) -> None:

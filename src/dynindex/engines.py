@@ -806,6 +806,9 @@ _REGISTRY = {
 }
 ENGINE_FAMILIES = tuple(_REGISTRY)
 CHAINABLE_FAMILIES = tuple(name for name, (_run, chainable) in _REGISTRY.items() if chainable)
+# The families with a row in the paper's Table 1, in its order: the verdict
+# matrix's default rows.
+TABLE1_ROWS = ("mgk", "wgm", "geks")
 
 
 @dataclass(frozen=True)

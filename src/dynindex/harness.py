@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
+    AxiomTest,
     Bilateral,
     ComparisonSpec,
     Dataset,
@@ -36,6 +37,7 @@ from .core import (
 )
 from .engines import (
     ENGINE_FAMILIES,
+    TABLE1_ROWS,
     EngineSpec,
     IndexResult,
     adjusted_laspeyres,
@@ -47,17 +49,6 @@ from .engines import (
 )
 from .references import FixedPointConfig, require_tolerance
 from .simulate import SynthConfig, synth
-
-
-class AxiomTest(enum.Enum):
-    T1_IDENTITY = "T1"
-    T2_FIXED_BASKET = "T2"
-    T3_UPPER_BOUND = "T3"
-    T4_LOWER_BOUND = "T4"
-    T3_SHARP = "t3"
-    T4_SHARP = "t4"
-    T5_RESPONSIVENESS = "T5"
-    T5_SHARP = "t5"
 
 
 _RESPONSIVENESS_TESTS = (AxiomTest.T5_RESPONSIVENESS, AxiomTest.T5_SHARP)
@@ -466,9 +457,6 @@ EXPECTED_SUMMARY: Mapping[str, Mapping[str, Mapping[str, str]]] = {
         "Responsiveness": {"if (U_0, U_1)": "No"},
     },
 }
-
-
-TABLE1_ROWS = ("mgk", "wgm", "geks")
 
 
 def _row_label(family: str) -> str:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 import sys
 
@@ -199,6 +201,33 @@ class TestObservation:
     def test_zero_quantity_expenditure(self):
         with pytest.raises(ValueError):
             Observation.from_expenditure(3.0, 0.0)
+
+    def test_non_finite_message_names_both_values(self):
+        with pytest.raises(ValueError, match=r"^non-finite observation 1\.0, nan$"):
+            Observation(1.0, math.nan)
+
+    def test_keeps_the_values_it_is_given(self):
+        obs = Observation(1, 2)
+        assert obs.price == 1 and type(obs.price) is int
+        assert Observation(price=1.5, quantity=2.0).quantity == 2.0
+
+    def test_is_frozen(self):
+        obs = Observation(1.0, 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obs.price = 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del obs.quantity
+        assert not hasattr(obs, "__dict__")
+
+    def test_value_semantics(self):
+        obs = Observation(1.5, 2.0)
+        assert obs == Observation(1.5, 2.0) != Observation(1.5, 3.0)
+        assert hash(obs) == hash(Observation(1.5, 2.0)) == hash((1.5, 2.0))
+        assert repr(obs) == "Observation(price=1.5, quantity=2.0)"
+        assert pickle.loads(pickle.dumps(obs)) == obs
+        assert dataclasses.replace(obs, price=3.0) == Observation(3.0, 2.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(obs, quantity=math.inf)
 
 
 class TestComparisonSpec:

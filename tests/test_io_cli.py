@@ -36,6 +36,13 @@ ITEM_LAST_CSV = """period,price,quantity,item
 """
 
 
+# Both columns are finite, the unit value 1e308 / 1e-10 is not.
+OVERFLOWING_UNIT_VALUE_CSV = """period,item,expenditure,quantity
+0,b,1.0,1.0
+0,a,1e308,1e-10
+"""
+
+
 # Each row's expenditure is finite, each period's total is not.
 OVERFLOWING_TOTAL_CSV = """period,item,price,quantity
 0,a,1e300,1e8
@@ -180,6 +187,17 @@ class TestIngest:
         with pytest.raises(CsvError) as error:
             ingest_csv(io.StringIO(SF_CSV + row + "\n"))
         assert str(error.value) == message
+
+    def test_unit_value_past_the_float_range_names_line(self):
+        with pytest.raises(CsvError) as error:
+            ingest_csv(io.StringIO(OVERFLOWING_UNIT_VALUE_CSV))
+        assert str(error.value) == "line 3: unit value 1e+308/1e-10 is past the float range"
+        assert error.value.line == 3
+
+    def test_period_strings_parse_alike(self):
+        text = "period,item,price,quantity\n0,a,1,1\n1,a,2,1\n00,b,1,1\n 1,b,3,1\n"
+        assert ingest_csv(io.StringIO(text)) == Dataset.build(
+            {0: {"a": (1, 1), "b": (1, 1)}, 1: {"a": (2, 1), "b": (3, 1)}})
 
 
 class TestEmit:
@@ -340,6 +358,15 @@ class TestCli:
         code = main(["compute", "--input", str(path), "--engine", "mgk",
                      "--base", "0", "--current", "1"])
         assert code == EX_DATA
+
+    def test_compute_on_a_unit_value_past_the_float_range_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "overflow.csv"
+        path.write_text(OVERFLOWING_UNIT_VALUE_CSV)
+        code = main(["compute", "--input", str(path), "--engine", "mgk",
+                     "--base", "0", "--current", "1"])
+        assert code == EX_DATA
+        assert capsys.readouterr().err == (
+            "data error: line 3: unit value 1e+308/1e-10 is past the float range\n")
 
     def test_usage_error_exit_code(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
