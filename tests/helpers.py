@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 from dynindex import Dataset, PeriodData, SynthConfig, synth
 
@@ -24,6 +25,19 @@ ZERO_PIVOT = {
     1: {"i0": (7e66, 3e93), "i4": (3e53, 8e82)},
     2: {"i0": (2e158, 9e43), "i1": (1e50, 6e40), "i3": (6e81, 2e67), "i4": (5e48, 5e138)},
 }
+
+# Positive, finite data on which a quotient, a log or an exp leaves the float range.
+QUANTITY_INDEX_UNDERFLOW = {0: {"a": (1e-200, 1), "b": (1e200, 1)}, 1: {"a": (1e-200, 1)}}
+LEHR_PRICE_UNDERFLOW = {0: {"a": (1e-200, 1e-200), "b": (1, 1)}, 1: {"b": (1, 1)}}
+WGM_INDEX_OVERFLOW = {0: {"i0": (4.3276978235882203e-274, 1.603698683294405e+282)},
+                      1: {"i0": (1.851300659041873e+195, 3.0420246316116697e-274)}}
+# a's quantities are finite, their sum is not
+OVERFLOWING_QUANTITY_SUM = {t: {"a": (1e-300, sys.float_info.max), "b": (1, 1)} for t in range(2)}
+# both totals are 1e308, but period 1's quantities at the unit values sum
+# past the float range
+OVERFLOWING_QUANTITY_INDEX = {0: {"a": (0.5e308, 1.0), "b": (0.5e308, 1.0)},
+                              1: {"a": (0.5e8, 1e300), "b": (0.5e8, 1e300)}}
+DISJOINT_UNIVERSES = {0: {"A": (1, 2)}, 1: {"B": (3, 4)}}
 
 
 def small_fixed() -> Dataset:

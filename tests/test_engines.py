@@ -52,6 +52,12 @@ from dynindex.engines import (
 )
 from dynindex.references import reference_prices
 from helpers import (
+    DISJOINT_UNIVERSES,
+    LEHR_PRICE_UNDERFLOW,
+    OVERFLOWING_QUANTITY_INDEX,
+    OVERFLOWING_QUANTITY_SUM,
+    QUANTITY_INDEX_UNDERFLOW,
+    WGM_INDEX_OVERFLOW,
     ZERO_PIVOT,
     fixed_market,
     random_market,
@@ -62,12 +68,6 @@ from helpers import (
 )
 
 BILATERAL = ComparisonSpec(0, 1, Bilateral())
-
-# Positive, finite data on which a quotient, a log or an exp leaves the float range.
-QUANTITY_INDEX_UNDERFLOW = {0: {"a": (1e-200, 1), "b": (1e200, 1)}, 1: {"a": (1e-200, 1)}}
-LEHR_PRICE_UNDERFLOW = {0: {"a": (1e-200, 1e-200), "b": (1, 1)}, 1: {"b": (1, 1)}}
-WGM_INDEX_OVERFLOW = {0: {"i0": (4.3276978235882203e-274, 1.603698683294405e+282)},
-                      1: {"i0": (1.851300659041873e+195, 3.0420246316116697e-274)}}
 
 # hand computation: unit quantities make the reference-price basket the
 # two universes' price sums, so the quantity divisor is 4.1/3.1
@@ -656,17 +656,15 @@ def _assert_kernel_matches_table_path(ds, spec):
 _A0, _A1 = (2.0**-100, 2.0**100), (2.0**1000, 2.0**23)
 
 _DEGENERATE_TABLES = {
-    "disjoint-universes": {0: {"A": (1, 2)}, 1: {"B": (3, 4)}},
+    "disjoint-universes": DISJOINT_UNIVERSES,
     "zero-quantity": {0: {"a": (1, 0), "b": (1, 1)}, 1: {"b": (1, 1), "c": (2, 1)}},
     "zero-quantity-sum": {0: {"a": (1, 1), "b": (1, 1)}, 1: {"a": (2, -1), "b": (1, 1)}},
     "zero-total": {0: {"a": (-1, 1), "b": (1, 1)}, 1: {"a": (1, 1), "b": (1, 1)}},
     "overflowing-expenditure": {t: {"a": (1e200, 1e200), "b": (1, 1)} for t in range(2)},
     "overflowing-expenditure-sum": {t: {"a": (1e300, 1e8), "b": (1, 1)} for t in range(2)},
-    "overflowing-quantity-sum": {
-        t: {"a": (1e-300, sys.float_info.max), "b": (1, 1)} for t in range(2)},
+    "overflowing-quantity-sum": OVERFLOWING_QUANTITY_SUM,
     "overflowing-total": {t: {"a": (1e300, 1e8), "b": (1e300, 1e8)} for t in range(2)},
-    "overflowing-quantity-index": {0: {"a": (0.5e308, 1.0), "b": (0.5e308, 1.0)},
-                                   1: {"a": (0.5e8, 1e300), "b": (0.5e8, 1e300)}},
+    "overflowing-quantity-index": OVERFLOWING_QUANTITY_INDEX,
     "underflow": {0: {"a": (1e-200, 1e-200)}, 1: {"a": (1e-200, 2e-200)}},
     "infinite-expenditures-of-both-signs": {
         0: {"a": (1e200, 1e200), "b": (1, 1)}, 1: {"a": (-1e200, 1e200), "b": (2, 1)}},
