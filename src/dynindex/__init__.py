@@ -17,6 +17,7 @@ from .core import (
     Dataset,
     FullHistory,
     InvalidComparisonError,
+    InvalidDataError,
     ItemId,
     NumericalError,
     Observation,

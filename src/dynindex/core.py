@@ -37,6 +37,10 @@ class InvalidComparisonError(PriceIndexError, ValueError):
     """A comparison does not fit the dataset (bad periods or window)."""
 
 
+class InvalidDataError(PriceIndexError, ValueError):
+    """The dataset breaks the input contract; the message names its first violation."""
+
+
 class NumericalError(PriceIndexError, ArithmeticError):
     """A computed value left the positive finite range."""
 
@@ -72,33 +76,39 @@ _set_price = Observation.price.__set__
 _set_quantity = Observation.quantity.__set__
 
 
-def _unsummable(values: list[float]) -> float:
-    """The sum of values that fsum raised on: ±inf past the float range.
+def _summary(period: int, items: Mapping[ItemId, Observation]) -> tuple[float, str | None]:
+    """The period's total expenditure and its first break of the input contract, or None.
 
-    fsum raises where any partial sum overflows, even one that later
-    terms bring back, so finite terms are summed exactly and rounded
-    once. Infinite terms decide the sum: inf, -inf, or nan for both
-    (fsum's ValueError).
+    The total is the correctly rounded sum of the items' expenditures;
+    past the float range (fsum raises) it is their plain sum: ±inf, or nan
+    where terms overflow to both inf and -inf. The contract: the period
+    has items, every price and quantity is positive (Observation already
+    requires finite) and the total lies in (0, inf). A period that keeps
+    it takes one pass, in which a term is nan where its price or quantity
+    is not positive; any other is summed again and its violation worded.
     """
-    if not all(map(math.isfinite, values)):
-        return sum(values)
-    from fractions import Fraction  # imported here: few datasets get this far
-
-    exact = sum(map(Fraction, values))
-    try:
-        return float(exact)
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
-
-
-def _total(items: Mapping[ItemId, Observation]) -> float:
-    """The correctly rounded sum of the items' expenditures (see _unsummable)."""
+    values = items.values()
     try:
         # a generator, not a list: a period of a large dataset would hold
-        # one float per item at once
-        return math.fsum(o.price * o.quantity for o in items.values())
+        # one float per item at once; 0.0, not 0: a float compares faster with a float
+        total = math.fsum(o.price * o.quantity if o.price > 0.0 and o.quantity > 0.0
+                          else math.nan for o in values)
+    except OverflowError:
+        total = math.nan
+    if 0 < total < math.inf:
+        return total, None
+    try:
+        total = math.fsum(o.price * o.quantity for o in values)
     except (OverflowError, ValueError):
-        return _unsummable([o.price * o.quantity for o in items.values()])
+        total = sum(o.price * o.quantity for o in values)
+    if not items:
+        return total, f"period {period} has no items"
+    for item, o in items.items():
+        if not o.price > 0:
+            return total, f"price of item {item!r} in period {period} is {o.price!r}"
+        if not o.quantity > 0:
+            return total, f"quantity of item {item!r} in period {period} is {o.quantity!r}"
+    return total, f"total expenditure of period {period} is {total!r}"
 
 
 @dataclass(frozen=True)
@@ -107,6 +117,7 @@ class PeriodData:
 
     The total expenditure is the correctly rounded sum of the items'
     expenditures, ±inf past the float range (nan for inf and -inf terms).
+    The period is checked against the input contract once, with its total.
     """
 
     period: int
@@ -114,16 +125,20 @@ class PeriodData:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", MappingProxyType(dict(self.items)))
-        object.__setattr__(self, "_total_expenditure", _total(self.items))
+        total, violation = _summary(self.period, self.items)
+        object.__setattr__(self, "_total_expenditure", total)
+        object.__setattr__(self, "_violation", violation)
 
     @classmethod
     def _owning(cls, period: int, items: dict[ItemId, Observation]) -> "PeriodData":
         """Internal: the public constructor without its copy, for a fresh dict
-        that the caller hands over and keeps no hold on; the same total."""
+        that the caller hands over and keeps no hold on; the same total and check."""
         self = object.__new__(cls)
+        total, violation = _summary(period, items)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "items", MappingProxyType(items))
-        object.__setattr__(self, "_total_expenditure", _total(items))
+        object.__setattr__(self, "_total_expenditure", total)
+        object.__setattr__(self, "_violation", violation)
         return self
 
     def total_expenditure(self) -> float:
@@ -134,13 +149,18 @@ class PeriodData:
 class Dataset:
     """An ordered, gap-checkable sequence of period data.
 
-    Construction only rejects duplicate period indices; substantive
-    problems (gaps, empty periods, non-positive values) are reported by
-    :meth:`validate` so that ingestion can surface them all at once.
+    Construction only rejects duplicate period indices. The engines need
+    the input contract: no period is empty, every price and quantity is
+    positive and every period's total expenditure lies in (0, inf). Each
+    period is checked once, when it is built, and the dataset keeps its
+    first violation in period order, which :meth:`require_contract`
+    raises. :meth:`validate` reports every finding, gaps included, so that
+    ingestion can surface them all at once.
     """
 
     periods: tuple[PeriodData, ...]
     _by_period: Mapping[int, PeriodData] = field(init=False, repr=False, compare=False)
+    _violation: str | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         periods = tuple(self.periods)
@@ -153,6 +173,12 @@ class Dataset:
             periods = tuple(index.values())
         object.__setattr__(self, "periods", periods)
         object.__setattr__(self, "_by_period", MappingProxyType(index))
+        violation = None
+        for pd in periods:
+            if pd._violation is not None:
+                violation = pd._violation
+                break
+        object.__setattr__(self, "_violation", violation)
 
     @classmethod
     def build(cls, data: Mapping[int, Mapping[ItemId, tuple[float, float]]]) -> "Dataset":
@@ -160,6 +186,11 @@ class Dataset:
         return cls(tuple(
             PeriodData._owning(t, {i: Observation(p, q) for i, (p, q) in data[t].items()})
             for t in sorted(data)))
+
+    def require_contract(self) -> None:
+        """Raise InvalidDataError naming the first violation of the input contract."""
+        if self._violation is not None:
+            raise InvalidDataError(self._violation)
 
     def period_indices(self) -> tuple[int, ...]:
         return tuple(pd.period for pd in self.periods)
@@ -219,11 +250,18 @@ class Dataset:
         return numerator / denominator
 
     def validate(self) -> list["Violation"]:
-        """Report structural problems; an empty list means the dataset is ok."""
+        """Report structural problems; an empty list means the dataset is ok.
+
+        Only the periods that break the input contract are walked, and
+        each of their findings is reported.
+        """
         violations: list[Violation] = []
         for pd in self.periods:
+            if pd._violation is None:
+                continue
             if not pd.items:
                 violations.append(Violation("empty-period", pd.period, None, "period has no items"))
+                continue
             for item, obs in pd.items.items():
                 if obs.price <= 0:
                     violations.append(
@@ -233,6 +271,10 @@ class Dataset:
                     violations.append(
                         Violation("non-positive-quantity", pd.period, item, f"quantity {obs.quantity!r}")
                     )
+            total = pd._total_expenditure
+            if not 0 < total < math.inf:
+                violations.append(Violation(
+                    "total-out-of-range", pd.period, None, f"total expenditure {total!r}"))
         indices = self.period_indices()
         for a, b in zip(indices, indices[1:]):
             if b != a + 1:
@@ -309,7 +351,9 @@ class ComparisonSpec:
             )
 
     def reference_periods(self, dataset: Dataset) -> tuple[int, ...]:
-        """Resolve the policy against the dataset, checking both endpoints exist."""
+        """Resolve the policy against the dataset, checking the input contract
+        and that both endpoints exist; every engine calls this first."""
+        dataset.require_contract()
         dataset.period_data(self.base)
         dataset.period_data(self.current)
         return self.policy.reference_periods(dataset, self.base, self.current)

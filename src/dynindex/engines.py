@@ -41,12 +41,10 @@ from .references import (
     TPDGeometric,
     _overflow,
     _undefined_log,
-    _zero_quantity,
     gk_start,
     reference_data,
     reference_prices,
     reference_quantities,
-    share_total,
     solve_fixed_point,
     tpd_start,
 )
@@ -80,8 +78,6 @@ def _quantity_ratio(numerator_terms: Iterable[float], denominator_terms: Iterabl
         denominator = math.fsum(denominator_terms)
     except OverflowError:
         raise NumericalError("reference-price quantity index sums past the float range") from None
-    except ValueError:  # fsum of inf and -inf
-        raise NumericalError("reference-price quantity index sums hold both inf and -inf") from None
     if denominator <= 0 or numerator <= 0:
         raise NumericalError("reference-price quantity index is not positive")
     quantity = numerator / denominator
@@ -146,8 +142,9 @@ def _lehr_bilateral(dataset: Dataset, base: int, current: int) -> tuple[float, f
     observations (base first), each term is price times quantity, and
     each list of terms comes in the table path's order, so the result is
     bit-identical to the table path's, even where a sum overflows. So are
-    the errors, in the table path's order: the price of the first failing
-    item (base map first), then the value ratio, then the quantity index.
+    the errors, in the table path's order: the price of the first item
+    whose sums overflow (base map first), then the value ratio, then the
+    quantity index.
 
     GEKS chains of more than two periods price their legs from per-period
     columns instead (_lehr_legs). This kernel stays for one-shot
@@ -167,9 +164,9 @@ def _lehr_bilateral(dataset: Dataset, base: int, current: int) -> tuple[float, f
                 b = mt[item]
                 expenditure = a.price * a.quantity + b.price * b.quantity
                 quantity = a.quantity + b.quantity
-                # x - x is 0.0 for a finite x and nan for inf or nan
+                # x - x is 0.0 for a finite x and nan for inf
                 if not (expenditure - expenditure or quantity - quantity):
-                    p = (expenditure or 0.0) / quantity
+                    p = expenditure / quantity
                 else:
                     p = (math.fsum([a.price * a.quantity, b.price * b.quantity])
                          / math.fsum([a.quantity, b.quantity]))
@@ -180,9 +177,7 @@ def _lehr_bilateral(dataset: Dataset, base: int, current: int) -> tuple[float, f
             if p is None:
                 p = b.price * b.quantity / b.quantity
             numerator_terms.append(p * b.quantity)
-    except ZeroDivisionError:
-        raise _zero_quantity(item, (base, current)) from None
-    except (OverflowError, ValueError):
+    except OverflowError:
         raise _overflow(item, (base, current)) from None
     value_ratio = dataset.value_ratio(base, current)
     return value_ratio, _quantity_ratio(numerator_terms, denominator_terms)
@@ -276,7 +271,7 @@ def gk_index(
 
 
 def _expenditure_shares(data: ReferenceData, position: int) -> dict[ItemId, float]:
-    total = share_total(data, position)
+    total = data.totals[position]
     return {i: o.price * o.quantity / total for i, o in data.period_items[position].items()}
 
 
@@ -343,8 +338,9 @@ def _wgm_exp(log_terms: list[float]) -> float:
     """exp of the fsum of a WGM's log terms, NumericalError past the float range.
 
     fsum raises an OverflowError where a partial sum overflows and a
-    ValueError where the terms hold inf and -inf; exp an OverflowError
-    where the index itself is past the float range.
+    ValueError where the terms hold inf and -inf (an infinite custom
+    reference price); exp an OverflowError where the index itself is past
+    the float range.
     """
     try:
         return math.exp(math.fsum(log_terms))
@@ -409,9 +405,8 @@ def _wgm_bilateral(dataset: Dataset, base: int, current: int) -> float:
     current items first, each share computed as there, so
     the result is bit-identical to the table path's, even where a sum
     overflows. So are the errors, in the table path's order: the price of
-    the first failing item (base map first), then the base period's total,
-    then the current period's, then an undefined log or an index past the
-    float range.
+    the first item whose sums overflow (base map first), then an undefined
+    log or an index past the float range.
     """
     pd0, pdt = dataset.period_data(base), dataset.period_data(current)
     ms, mt = pd0.items, pdt.items
@@ -426,9 +421,9 @@ def _wgm_bilateral(dataset: Dataset, base: int, current: int) -> float:
                 b = mt[item]
                 expenditure = a.price * a.quantity + b.price * b.quantity
                 quantity = a.quantity + b.quantity
-                # x - x is 0.0 for a finite x and nan for inf or nan
+                # x - x is 0.0 for a finite x and nan for inf
                 if not (expenditure - expenditure or quantity - quantity):
-                    p = (expenditure or 0.0) / quantity
+                    p = expenditure / quantity
                 else:
                     p = (math.fsum([a.price * a.quantity, b.price * b.quantity])
                          / math.fsum([a.quantity, b.quantity]))
@@ -439,15 +434,9 @@ def _wgm_bilateral(dataset: Dataset, base: int, current: int) -> float:
             if p is None:
                 p = b.price * b.quantity / b.quantity
             current_prices.append(p)
-    except ZeroDivisionError:
-        raise _zero_quantity(item, (base, current)) from None
-    except (OverflowError, ValueError):
+    except OverflowError:
         raise _overflow(item, (base, current)) from None
     total0, totalt = pd0.total_expenditure(), pdt.total_expenditure()
-    # share_total's checks, base period first
-    for period, m, total in ((base, ms, total0), (current, mt, totalt)):
-        if m and not 0 < total < math.inf:
-            raise NumericalError(f"total expenditure of period {period} is {total!r}")
     log = math.log
     try:
         log_terms = [o.price * o.quantity / totalt * (log(o.price) - log(p))
@@ -520,44 +509,35 @@ def _lehr_legs(dataset: Dataset) -> Callable[[int, int], float | None]:
     ratio and then the quantity index raise as there.
 
     None where the leg must go through evaluate, which raises the error
-    of its data in its order: a period whose lone term divides by a zero
-    quantity, a shared item whose expenditures or quantities sum to zero
-    or past the float range, or a value that is not positive and finite.
+    of its data in its order: a shared item whose expenditures or
+    quantities sum past the float range, or a value that is not positive
+    and finite.
     """
-    columns: dict[int, tuple[dict[ItemId, int], list, list[float]] | None] = {}
+    columns: dict[int, tuple[dict[ItemId, int], list, list[float]]] = {}
 
     def period_columns(t: int):
         if t not in columns:
             items = dataset.period_data(t).items
             observations = list(items.values())
-            try:
-                lone = [a.price * a.quantity / a.quantity * a.quantity for a in observations]
-            except ZeroDivisionError:
-                columns[t] = None
-            else:
-                columns[t] = {item: k for k, item in enumerate(items)}, observations, lone
+            lone = [a.price * a.quantity / a.quantity * a.quantity for a in observations]
+            columns[t] = {item: k for k, item in enumerate(items)}, observations, lone
         return columns[t]
 
     def leg(s: int, t: int) -> float | None:
-        cs, ct = period_columns(s), period_columns(t)
-        if cs is None or ct is None:
-            return None
-        (index_s, observations_s, lone_s), (index_t, observations_t, lone_t) = cs, ct
+        (index_s, observations_s, lone_s), (index_t, observations_t, lone_t) = (
+            period_columns(s), period_columns(t))
         denominator_terms, numerator_terms = lone_s.copy(), lone_t.copy()
-        try:
-            for item in index_s.keys() & index_t.keys():
-                i, j = index_s[item], index_t[item]
-                a, b = observations_s[i], observations_t[j]
-                expenditure = a.price * a.quantity + b.price * b.quantity
-                quantity = a.quantity + b.quantity
-                # x - x is 0.0 for a finite x and nan for inf or nan
-                if expenditure - expenditure or quantity - quantity:
-                    return None
-                p = (expenditure or 0.0) / quantity
-                denominator_terms[i] = p * a.quantity
-                numerator_terms[j] = p * b.quantity
-        except ZeroDivisionError:
-            return None
+        for item in index_s.keys() & index_t.keys():
+            i, j = index_s[item], index_t[item]
+            a, b = observations_s[i], observations_t[j]
+            expenditure = a.price * a.quantity + b.price * b.quantity
+            quantity = a.quantity + b.quantity
+            # x - x is 0.0 for a finite x and nan for inf
+            if expenditure - expenditure or quantity - quantity:
+                return None
+            p = expenditure / quantity
+            denominator_terms[i] = p * a.quantity
+            numerator_terms[j] = p * b.quantity
         value = dataset.value_ratio(s, t) / _quantity_ratio(numerator_terms, denominator_terms)
         return value if 0 < value < math.inf else None
 
@@ -742,18 +722,27 @@ def rqp_index(
 
 
 def classical_indices(dataset: Dataset, base: int, current: int) -> tuple[float, float, float]:
-    """(Laspeyres, Paasche, Fisher) over the persistent universe."""
+    """(Laspeyres, Paasche, Fisher) over the persistent universe.
+
+    InvalidDataError where the dataset breaks the input contract, and
+    NumericalError unless each index is positive and finite.
+    """
+    dataset.require_contract()
     m0, mt = dataset.period_data(base).items, dataset.period_data(current).items
     persistent = m0.keys() & mt.keys()
     if not persistent:
         raise InvalidComparisonError("classical indices need a non-empty persistent universe")
-    q0p0 = math.fsum([m0[i].expenditure for i in persistent])
-    qtpt = math.fsum([mt[i].expenditure for i in persistent])
-    q0pt = math.fsum([m0[i].quantity * mt[i].price for i in persistent])
-    qtp0 = math.fsum([mt[i].quantity * m0[i].price for i in persistent])
-    laspeyres = q0pt / q0p0
-    paasche = qtpt / qtp0
-    return laspeyres, paasche, math.sqrt(laspeyres * paasche)
+    try:
+        laspeyres = (math.fsum([m0[i].quantity * mt[i].price for i in persistent])
+                     / math.fsum([m0[i].expenditure for i in persistent]))
+        paasche = (math.fsum([mt[i].expenditure for i in persistent])
+                   / math.fsum([mt[i].quantity * m0[i].price for i in persistent]))
+    except (OverflowError, ZeroDivisionError):
+        raise NumericalError("a classical index's sums are zero or past the float range") from None
+    indices = laspeyres, paasche, math.sqrt(laspeyres * paasche)
+    if not all(0 < v < math.inf for v in indices):
+        raise NumericalError(f"classical indices {indices!r} are not all positive and finite")
+    return indices
 
 
 def adjusted_laspeyres(

@@ -116,26 +116,8 @@ def _deflators(data: ReferenceData, index_series: Mapping[int, float] | None) ->
     return [index_series[r] for r in data.periods]
 
 
-def share_total(data: ReferenceData, position: int) -> float:
-    """The total that the period's expenditure shares divide by.
-
-    NumericalError unless it is positive and finite; an empty period has
-    no shares, and its total passes as it is.
-    """
-    total = data.totals[position]
-    if data.period_items[position] and not 0 < total < math.inf:
-        raise NumericalError(f"total expenditure of period {data.periods[position]} is {total!r}")
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Reference price schemes
-
-
-def _zero_quantity(item: ItemId, periods: tuple[int, ...]) -> NumericalError:
-    """The error of a unit value whose quantities sum to zero."""
-    return NumericalError(
-        f"quantities of item {item!r} sum to zero over reference periods {periods}")
 
 
 def _undefined_log() -> NumericalError:
@@ -145,11 +127,7 @@ def _undefined_log() -> NumericalError:
 
 
 def _overflow(item: ItemId, periods: tuple[int, ...]) -> NumericalError:
-    """The error of an item whose expenditures or quantities sum past the float range.
-
-    Also raised where its expenditures overflow to both inf and -inf, whose
-    sum fsum rejects with a ValueError.
-    """
+    """The error of an item whose expenditures or quantities sum past the float range."""
     return NumericalError(
         f"expenditures or quantities of item {item!r} sum past the float range "
         f"over reference periods {periods}")
@@ -167,10 +145,8 @@ class LehrUnitValue:
         # written out as price * quantity and an item seen in one or two
         # periods skips fsum: the fsum of one term is that term, and the
         # sum of two finite floats is correctly rounded, as fsum's is.
-        # fsum decides where a two-term sum is not finite (fsum raises on
-        # overflow), and its zero is +0.0, where -0.0 + -0.0 is -0.0.
-        # A zero quantity sum, an overflow and inf + -inf (fsum's ValueError)
-        # are caught once, outside the loop.
+        # fsum decides where a two-term sum overflows (fsum raises), which
+        # is caught once, outside the loop.
         prices = {}
         try:
             for item, obs in data.observations.items():
@@ -178,9 +154,9 @@ class LehrUnitValue:
                     a, b = obs
                     expenditure = a.price * a.quantity + b.price * b.quantity
                     quantity = a.quantity + b.quantity
-                    # x - x is 0.0 for a finite x and nan for inf or nan
+                    # x - x is 0.0 for a finite x and nan for inf
                     if not (expenditure - expenditure or quantity - quantity):
-                        prices[item] = (expenditure or 0.0) / quantity
+                        prices[item] = expenditure / quantity
                         continue
                 elif len(obs) == 1:
                     (o,) = obs
@@ -188,9 +164,7 @@ class LehrUnitValue:
                     continue
                 prices[item] = (math.fsum([o.price * o.quantity for o in obs])
                                 / math.fsum([o.quantity for o in obs]))
-        except ZeroDivisionError:
-            raise _zero_quantity(item, data.periods) from None
-        except (OverflowError, ValueError):
+        except OverflowError:
             raise _overflow(item, data.periods) from None
         return prices
 
@@ -210,9 +184,7 @@ class DeflatedUnitValue:
                 prices[item] = (math.fsum([o.price / deflators[k] * o.quantity
                                            for k, o in zip(positions[item], obs)])
                                 / math.fsum([o.quantity for o in obs]))
-        except ZeroDivisionError:
-            raise _zero_quantity(item, data.periods) from None
-        except (OverflowError, ValueError):
+        except OverflowError:
             raise _overflow(item, data.periods) from None
         return prices
 
@@ -230,8 +202,7 @@ class TPDGeometric:
 
     def prices_for(self, data, index_series=None):
         deflators = _deflators(data, index_series)
-        totals = [share_total(data, k) for k in range(len(data.periods))]
-        positions = data.positions
+        totals, positions = data.totals, data.positions
         prices = {}
         for item, obs in data.observations.items():
             try:
@@ -244,7 +215,7 @@ class TPDGeometric:
                 raise NumericalError(f"expenditure shares of item {item!r} sum to {weight_sum!r}")
             try:
                 prices[item] = math.exp(math.fsum(w / weight_sum * lg for w, lg in terms))
-            except (OverflowError, ValueError):
+            except OverflowError:
                 raise NumericalError("weighted geometric mean is past the float range") from None
         return prices
 
@@ -356,7 +327,7 @@ class ExpenditureOverReferencePrice:
                 quantities[item] = mean_expenditure / prices[item]
         except ZeroDivisionError:
             raise NumericalError(f"reference price of item {item!r} is {prices[item]!r}") from None
-        except (OverflowError, ValueError):
+        except OverflowError:
             raise _overflow(item, data.periods) from None
         return quantities
 
@@ -401,15 +372,6 @@ def reference_quantities(
 _MAX_LOG = math.log(sys.float_info.max)
 
 _quantity = attrgetter("quantity")
-
-
-def _positive(data: ReferenceData) -> bool:
-    """Whether every reference-period price and quantity is positive."""
-    for m in data.period_items:
-        for o in m.values():
-            if not o.price > 0 < o.quantity:
-                return False
-    return True
 
 
 def _solve_linked(
@@ -472,8 +434,8 @@ def gk_start(data: ReferenceData) -> dict[int, float] | None:
     over the items present in r and s, Q_i is the item's quantity summed
     over the reference periods, and E_r = sum_s M_sr is period r's
     expenditure. data must cover every item of its reference periods.
-    None where the reference periods are not linked by common items or the
-    data, a sum of it or the solution is not positive and finite.
+    None where the reference periods are not linked by common items, or a
+    sum of the data or the solution is not positive and finite.
 
     M is built one row at a time, item-major within the row: each item of
     period r adds one term to M_rs for each other position s it occupies,
@@ -484,8 +446,6 @@ def gk_start(data: ReferenceData) -> dict[int, float] | None:
     scan's, even where a sum overflows (where fsum's result can depend on
     the order of its terms).
     """
-    if not _positive(data):
-        return None
     observations, positions = data.observations, data.positions
     n = len(data.periods)
     links = []
@@ -516,9 +476,8 @@ def tpd_start(data: ReferenceData) -> dict[int, float] | None:
     B_rs = sum_i w_ir w_is / W_i and c_r = sum_i w_ir (log p_ir - L_i), with
     L_i the item's w-weighted mean log price. data must cover every item
     of its reference periods. None where the reference periods are not
-    linked by common items, or the data, a period's total expenditure, an
-    item's W_i (zero where its expenditure underflows, nan where it
-    overflows) or the solution is not positive and finite.
+    linked by common items, an item's W_i is zero (its expenditure
+    underflows) or the solution is not positive and finite.
 
     B and c are built as gk_start builds M, one row at a time: each item
     of period r adds its term to c_r and one term to B_rs for each later
@@ -528,8 +487,6 @@ def tpd_start(data: ReferenceData) -> dict[int, float] | None:
     of period r's items, so B is bit-identical to a scan of period r's
     items for the ones in s.
     """
-    if not _positive(data) or not all(0 < total < math.inf for total in data.totals):
-        return None
     observations, positions, totals = data.observations, data.positions, data.totals
     weight, mean_log = {}, {}
     for i, obs in observations.items():

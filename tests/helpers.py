@@ -6,7 +6,14 @@ import math
 import random
 import sys
 
-from dynindex import Dataset, PeriodData, SynthConfig, synth
+from hypothesis import strategies as st
+
+from dynindex import Dataset, EngineSpec, PeriodData, SynthConfig, synth
+from dynindex.engines import ENGINE_FAMILIES
+
+# Every registered family with its defaults, plus GEKS over WGM legs.
+ENGINES = {**{family: EngineSpec(family) for family in ENGINE_FAMILIES},
+           "geks(wgm)": EngineSpec("geks", inner=EngineSpec("wgm"))}
 
 SMALL_FIXED = {
     0: {"A": (1.0, 1.0), "B": (1.0, 1.0)},
@@ -38,6 +45,14 @@ OVERFLOWING_QUANTITY_SUM = {t: {"a": (1e-300, sys.float_info.max), "b": (1, 1)} 
 OVERFLOWING_QUANTITY_INDEX = {0: {"a": (0.5e308, 1.0), "b": (0.5e308, 1.0)},
                               1: {"a": (0.5e8, 1e300), "b": (0.5e8, 1e300)}}
 DISJOINT_UNIVERSES = {0: {"A": (1, 2)}, 1: {"B": (3, 4)}}
+
+# Positive finite floats, the prices and quantities the input contract
+# admits. Most lie in [1e-150, 1e150], where products and short sums stay
+# in the float range; one in eight is an edge, where they leave it, so
+# that most drawn tables keep the contract and the rest break it at a total.
+POSITIVE_EDGE_FLOATS = st.integers(0, 7).flatmap(
+    lambda k: st.sampled_from([5e-324, sys.float_info.min, 1e-200, 1.0, 1e200, sys.float_info.max])
+    if k == 0 else st.floats(min_value=1e-150, max_value=1e150))
 
 
 def small_fixed() -> Dataset:

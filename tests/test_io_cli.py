@@ -1,6 +1,5 @@
 import io
 import json
-import math
 
 import pytest
 
@@ -15,7 +14,7 @@ from dynindex import (
     synth,
     write_report,
 )
-from dynindex.cli import EX_DATA, EX_ENGINE, EX_NOT_FOUND, EX_OK, EX_USAGE, main
+from dynindex.cli import EX_DATA, EX_NOT_FOUND, EX_OK, EX_USAGE, main
 from dynindex.engines import ENGINE_FAMILIES
 from helpers import random_market, small_fixed
 
@@ -54,9 +53,9 @@ class TestIngest:
     def test_round_trip_small_fixed(self):
         assert ingest_csv(io.StringIO(SF_CSV)) == small_fixed()
 
-    def test_total_past_the_float_range_ingests(self):
-        ds = ingest_csv(io.StringIO(OVERFLOWING_TOTAL_CSV))
-        assert ds.period_data(0).total_expenditure() == math.inf
+    def test_total_past_the_float_range_is_rejected(self):
+        with pytest.raises(CsvError, match=r"validation failed: total-out-of-range \(period 0\)$"):
+            ingest_csv(io.StringIO(OVERFLOWING_TOTAL_CSV))
 
     def test_duplicate_names_line(self):
         text = SF_CSV + "0,A,3.0,1.0\n"
@@ -441,13 +440,14 @@ class TestCli:
         assert code == EX_OK
         assert float(capsys.readouterr().out) > 0
 
-    def test_compute_on_a_total_past_the_float_range_is_engine_failure(self, tmp_path, capsys):
+    def test_compute_on_a_total_past_the_float_range_is_a_data_error(self, tmp_path, capsys):
+        # ingest refuses the total, so compute reports a data error, not an engine error
         path = tmp_path / "overflow.csv"
         path.write_text(OVERFLOWING_TOTAL_CSV + "1,a,1e300,1e8\n1,b,1e300,1e8\n")
         code = main(["compute", "--input", str(path), "--engine", "mgk", "--base", "0",
                      "--current", "1"])
-        assert code == EX_ENGINE
-        assert capsys.readouterr().err.startswith("engine error: ")
+        assert code == EX_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
 
     def test_matrix_expect_table1_needs_table1_rows(self, capsys):
         code = main(["matrix", "--rows", "rq", "--trials", "5", "--expect-table1"])

@@ -17,8 +17,13 @@ from dynindex import (
     Dataset,
     EngineSpec,
     FullHistory,
+    InvalidDataError,
     LehrUnitValue,
+    PriceIndexError,
+    RollingWindow,
     ScenarioParams,
+    adjusted_laspeyres,
+    classical_indices,
     evaluate,
     generate_scenario,
     geks_index,
@@ -29,7 +34,15 @@ from dynindex import (
     tornqvist_index,
     wgm_index,
 )
-from helpers import presence_mgk, random_market, relabeled, scaled, swapped
+from helpers import (
+    ENGINES,
+    POSITIVE_EDGE_FLOATS,
+    presence_mgk,
+    random_market,
+    relabeled,
+    scaled,
+    swapped,
+)
 
 BILATERAL = ComparisonSpec(0, 1, Bilateral())
 
@@ -179,3 +192,74 @@ class TestTornqvistSymmetry:
             CustomPrices({i: 17.0 for i in ds.universe(0)}),
         ).value
         assert custom == pytest.approx(torn, rel=1e-12)
+
+
+# Dataset.build inputs of finite floats of any sign: zeros, magnitudes of
+# 1e±300 and empty periods drawn often.
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, -1e-300]),
+)
+_ANY_TABLE = st.dictionaries(
+    st.integers(0, 3),
+    st.dictionaries(st.sampled_from("abcd"), st.tuples(_ANY_FLOAT, _ANY_FLOAT), max_size=4),
+    min_size=2, max_size=3)
+# Few of those keep the contract, so half the tables draw positive values
+# into periods that are not empty, most of which keep it.
+_TABLES = st.one_of(_ANY_TABLE, st.dictionaries(
+    st.integers(0, 3),
+    st.dictionaries(st.sampled_from("abcd"),
+                    st.tuples(POSITIVE_EDGE_FLOATS, POSITIVE_EDGE_FLOATS), min_size=1, max_size=4),
+    min_size=2, max_size=3))
+
+
+def _first_violation(data):
+    """The input contract, stated over the raw table: the first violation in
+    period order, then item order, or None."""
+    for t in sorted(data):
+        items = data[t]
+        if not items:
+            return f"period {t} has no items"
+        for item, (price, quantity) in items.items():
+            if price <= 0:
+                return f"price of item {item!r} in period {t} is {price!r}"
+            if quantity <= 0:
+                return f"quantity of item {item!r} in period {t} is {quantity!r}"
+        try:
+            total = math.fsum(p * q for p, q in items.values())
+        except OverflowError:
+            total = math.inf
+        if total == 0 or total == math.inf:
+            return f"total expenditure of period {t} is {total!r}"
+    return None
+
+
+def _kept(violation, compute):
+    """compute() gives positive, finite values or raises a PriceIndexError:
+    the contract error, naming the violation, exactly when there is one."""
+    try:
+        values = compute()
+    except InvalidDataError as error:
+        assert str(error) == violation
+        return
+    except PriceIndexError:
+        assert violation is None
+        return
+    assert violation is None
+    assert all(0 < v < math.inf for v in values)
+
+
+@given(_TABLES)
+@settings(max_examples=150, deadline=None)
+def test_engines_keep_the_input_contract(data):
+    ds = Dataset.build(data)
+    violation = _first_violation(data)
+    periods = ds.period_indices()
+    for a, base in enumerate(periods):
+        for current in periods[a + 1:]:
+            for policy in (Bilateral(), FullHistory(), RollingWindow(3)):
+                spec = ComparisonSpec(base, current, policy)
+                for engine in ENGINES.values():
+                    _kept(violation, lambda: [evaluate(ds, spec, engine).value])
+            _kept(violation, lambda: classical_indices(ds, base, current))
+            _kept(violation, lambda: [adjusted_laspeyres(ds, base, current)])

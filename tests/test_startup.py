@@ -21,7 +21,8 @@ PUBLIC = [
     "CsvError", "CurrentQuantity", "CustomPrices", "CustomQuantities", "CustomWeights",
     "Dataset", "DeflatedUnitValue", "EngineSpec", "ExpenditureOverReferencePrice",
     "ExpenditureShare", "FixedBase", "FixedPointConfig", "FixedPointReport", "FullHistory",
-    "ImputationPolicy", "IndexResult", "IngestWarning", "InvalidComparisonError", "ItemId",
+    "ImputationPolicy", "IndexResult", "IngestWarning", "InvalidComparisonError",
+    "InvalidDataError", "ItemId",
     "LehrUnitValue", "NumericalError", "Observation", "Outcome", "PeriodData",
     "PriceIndexError", "ReferenceData", "RollingWindow", "Scenario", "ScenarioParams",
     "SchemeError", "SynthConfig", "SynthResult", "TPDGeometric", "TornqvistWeights",

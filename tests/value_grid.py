@@ -41,9 +41,9 @@ from dynindex import (  # noqa: E402
     RollingWindow,
     evaluate,
 )
-from dynindex.engines import ENGINE_FAMILIES  # noqa: E402
 from helpers import (  # noqa: E402
     DISJOINT_UNIVERSES,
+    ENGINES,
     LEHR_PRICE_UNDERFLOW,
     OVERFLOWING_QUANTITY_INDEX,
     OVERFLOWING_QUANTITY_SUM,
@@ -55,8 +55,6 @@ from helpers import (  # noqa: E402
 
 GRID_FILE = HERE / "value_grid.json"
 
-ENGINES = {**{family: EngineSpec(family) for family in ENGINE_FAMILIES},
-           "geks(wgm)": EngineSpec("geks", inner=EngineSpec("wgm"))}
 POLICIES = {"bilateral": Bilateral(), "full-history": FullHistory(),
             "window-3": RollingWindow(3)}
 TABLES = {
