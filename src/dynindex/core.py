@@ -75,6 +75,12 @@ class Observation:
 _set_price = Observation.price.__set__
 _set_quantity = Observation.quantity.__set__
 
+# One item's run in a dataset: the positions of the periods it is in, its
+# observations there, their expenditures and their quantities.
+ItemRun = tuple[tuple[int, ...], tuple[Observation, ...], tuple[float, ...], tuple[float, ...]]
+# A dataset's item-major view: every item's run, and each position's entrants.
+ItemView = tuple[dict[ItemId, ItemRun], tuple[tuple[ItemId, ...], ...]]
+
 
 def _summary(period: int, items: Mapping[ItemId, Observation]) -> tuple[float, str | None]:
     """The period's total expenditure and its first break of the input contract, or None.
@@ -156,11 +162,16 @@ class Dataset:
     first violation in period order, which :meth:`require_contract`
     raises. :meth:`validate` reports every finding, gaps included, so that
     ingestion can surface them all at once.
+
+    The item-major view that multi-period reference tables are sliced
+    from is built on first use (:meth:`_item_view`), never at construction.
     """
 
     periods: tuple[PeriodData, ...]
     _by_period: Mapping[int, PeriodData] = field(init=False, repr=False, compare=False)
     _violation: str | None = field(init=False, repr=False, compare=False)
+    _view: ItemView | None = field(
+        init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         periods = tuple(self.periods)
@@ -191,6 +202,44 @@ class Dataset:
         """Raise InvalidDataError naming the first violation of the input contract."""
         if self._violation is not None:
             raise InvalidDataError(self._violation)
+
+    def _item_view(self) -> ItemView:
+        """The item-major view, built by the first call.
+
+        Each item's run, items in order of first appearance: the positions
+        in ``periods`` of the periods it is in, its observations there (the
+        dataset's own), their expenditures, price * quantity, and their
+        quantities, so that sums over a run read no observation. Beside the
+        runs, each position's entrants: the items of its map, in the map's
+        order, that the position before does not hold. One walk of the
+        period maps builds both, and one assignment publishes them; two
+        threads that race build them twice, which is harmless.
+        """
+        view = self._view
+        if view is None:
+            grouped: dict[ItemId, tuple[list[int], list[Observation], list[float], list[float]]] = {}
+            entrants = []
+            for k, pd in enumerate(self.periods):
+                entering = []
+                for item, o in pd.items.items():
+                    run = grouped.get(item)
+                    if run is None:
+                        grouped[item] = [k], [o], [o.price * o.quantity], [o.quantity]
+                        entering.append(item)
+                    else:
+                        ks, obs, spent, quantities = run
+                        if ks[-1] != k - 1:
+                            entering.append(item)
+                        ks.append(k)
+                        obs.append(o)
+                        spent.append(o.price * o.quantity)
+                        quantities.append(o.quantity)
+                entrants.append(tuple(entering))
+            runs = {item: (tuple(ks), tuple(obs), tuple(spent), tuple(quantities))
+                    for item, (ks, obs, spent, quantities) in grouped.items()}
+            view = runs, tuple(entrants)
+            object.__setattr__(self, "_view", view)
+        return view
 
     def period_indices(self) -> tuple[int, ...]:
         return tuple(pd.period for pd in self.periods)

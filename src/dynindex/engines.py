@@ -572,19 +572,20 @@ def geks_index(
     leg = _lehr_legs(dataset) if lehr and len(periods) > 2 else None
     cache: dict[tuple[int, int], float] = {}
 
+    # bilateral does not call itself for the reverse direction: a closure
+    # that refers to itself is a cycle, which would keep the legs' columns
+    # and the cache alive after the call until the cyclic collector runs.
     def bilateral(s: int, r: int) -> float:
         if s == r:
             return 1.0
-        if (s, r) in cache:
-            return cache[(s, r)]
-        if s < r:
-            value = leg(s, r) if leg is not None else None
+        pair = (s, r) if s < r else (r, s)
+        value = cache.get(pair)
+        if value is None:
+            value = leg(*pair) if leg is not None else None
             if value is None:
-                value = evaluate(dataset, ComparisonSpec(s, r, Bilateral()), inner_spec).value
-        else:
-            value = 1.0 / bilateral(r, s)
-        cache[(s, r)] = value
-        return value
+                value = evaluate(dataset, ComparisonSpec(*pair, Bilateral()), inner_spec).value
+            cache[pair] = value
+        return value if s < r else 1.0 / value
 
     def disseminated(r: int) -> float:
         window = spec.policy.reference_periods(dataset, spec.base, r)
@@ -611,8 +612,8 @@ class ImputationPolicy:
     Birth items get an imputed base price of birth_markup times their
     current price; death items get an imputed current price of
     death_markup times their base price. Markups below one are rejected:
-    they would invert the intended direction of the imputation. Custom
-    per-item prices override the markups.
+    they would invert the intended direction of the imputation, as are
+    infinite and nan ones. Custom per-item prices override the markups.
     """
 
     birth_markup: float = 1.05
@@ -621,8 +622,8 @@ class ImputationPolicy:
     custom_death_prices: Mapping[ItemId, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.birth_markup < 1 or self.death_markup < 1:
-            raise ValueError("imputation markups must be at least 1")
+        if not (1 <= self.birth_markup < math.inf and 1 <= self.death_markup < math.inf):
+            raise ValueError("imputation markups must be finite and at least 1")
 
     def base_price_for_birth(self, item: ItemId, current_price: float) -> float:
         if self.custom_birth_prices is not None and item in self.custom_birth_prices:
@@ -633,6 +634,13 @@ class ImputationPolicy:
         if self.custom_death_prices is not None and item in self.custom_death_prices:
             return self.custom_death_prices[item]
         return self.death_markup * base_price
+
+
+def _imputed(item: ItemId, price: float) -> float:
+    """The imputed price, SchemeError naming the item unless it is positive and finite."""
+    if not 0 < price < math.inf:
+        raise SchemeError(f"imputed price for {item!r} is {price!r}")
+    return price
 
 
 def _rq(
@@ -655,14 +663,12 @@ def _rq(
         base_obs, current_obs = base.get(item), current.get(item)
         if base_obs is None:
             current_price = current_obs.price
-            base_price = policy.base_price_for_birth(item, current_price)
+            base_price = _imputed(item, policy.base_price_for_birth(item, current_price))
         elif current_obs is None:
             base_price = base_obs.price
-            current_price = policy.current_price_for_death(item, base_price)
+            current_price = _imputed(item, policy.current_price_for_death(item, base_price))
         else:
             base_price, current_price = base_obs.price, current_obs.price
-        if base_price <= 0 or current_price <= 0:
-            raise SchemeError(f"imputed price for {item!r} is not positive")
         numerator_terms.append(quantity * current_price)
         denominator_terms.append(quantity * base_price)
     # IndexResult rejects a quotient that is not positive and finite.

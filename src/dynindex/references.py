@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from functools import cached_property
-from operator import attrgetter
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .core import (
@@ -39,15 +39,18 @@ class SchemeError(PriceIndexError):
 
 @dataclass(frozen=True)
 class ReferenceData:
-    """The observations one comparison's schemes read, grouped once.
+    """The observations one comparison's schemes read, grouped by item.
 
     period_items[k] and totals[k] are the item map and total expenditure
     of reference period periods[k]; base and current are the positions of
     the compared periods. observations maps each requested item, in order
-    of first appearance, to its observations in position order; the
-    observations are the dataset's own. positions holds the matching
-    positions, found on first use: only index-deflated schemes and the GK
-    and TPD direct starts need them.
+    of first appearance in the reference periods, to its observations in
+    position order; the observations are the dataset's own. positions,
+    expenditures and quantities map each item, in the same order, to the
+    matching positions, each observation's price * quantity and each
+    observation's quantity. The four mappings are the table's own, and
+    their sequences are read-only tuples that may be shared with the
+    dataset and with other tables.
     """
 
     periods: tuple[int, ...]
@@ -56,16 +59,13 @@ class ReferenceData:
     period_items: tuple[Mapping[ItemId, Observation], ...]
     totals: tuple[float, ...]
     observations: Mapping[ItemId, Sequence[Observation]]
+    positions: Mapping[ItemId, Sequence[int]]
+    expenditures: Mapping[ItemId, Sequence[float]]
+    quantities: Mapping[ItemId, Sequence[float]]
 
-    @cached_property
-    def positions(self) -> dict[ItemId, list[int]]:
-        positions: dict[ItemId, list[int]] = {item: [] for item in self.observations}
-        for k, m in enumerate(self.period_items):
-            for item in m:
-                present = positions.get(item)
-                if present is not None:
-                    present.append(k)
-        return positions
+
+# An item's positions in a two-period table, shared by every such table.
+_FIRST, _SECOND, _BOTH = (0,), (1,), (0, 1)
 
 
 def reference_data(
@@ -73,24 +73,74 @@ def reference_data(
 ) -> ReferenceData:
     """Group the reference periods' observations of ``items`` (default: all of them).
 
-    One pass over the reference periods' item maps. Raises SchemeError for
-    an item present in no reference period.
+    A two-period table walks the two item maps. A longer window, whose
+    periods are consecutive, is sliced from the dataset's item-major view
+    (built by the first such call): each item's run is taken whole where
+    it lies inside the window and cut otherwise. Raises SchemeError
+    for an item present in no reference period.
     """
     periods = spec.reference_periods(dataset)
     period_data = [dataset.period_data(r) for r in periods]
     period_items = tuple(pd.items for pd in period_data)
     wanted = items if items is None or isinstance(items, AbstractSet) else frozenset(items)
-    first, *later = period_items
-    observations: dict[ItemId, list[Observation]] = (
-        {item: [obs] for item, obs in first.items()} if wanted is None
-        else {item: [obs] for item, obs in first.items() if item in wanted})
-    for m in later:
-        for item, obs in m.items():
-            present = observations.get(item)
-            if present is not None:
-                present.append(obs)
-            elif wanted is None or item in wanted:
-                observations[item] = [obs]
+    positions: dict[ItemId, Sequence[int]] = {}
+    observations: dict[ItemId, Sequence[Observation]] = {}
+    expenditures: dict[ItemId, Sequence[float]] = {}
+    quantities: dict[ItemId, Sequence[float]] = {}
+    if len(periods) == 2:
+        first, second = period_items
+        for item, a in first.items():
+            if wanted is None or item in wanted:
+                if item not in second:  # faster than a get on the read-only map
+                    positions[item], observations[item] = _FIRST, (a,)
+                    expenditures[item], quantities[item] = (a.price * a.quantity,), (a.quantity,)
+                else:
+                    b = second[item]
+                    positions[item], observations[item] = _BOTH, (a, b)
+                    expenditures[item] = a.price * a.quantity, b.price * b.quantity
+                    quantities[item] = a.quantity, b.quantity
+        for item, b in second.items():
+            if item not in first and (wanted is None or item in wanted):
+                positions[item], observations[item] = _SECOND, (b,)
+                expenditures[item], quantities[item] = (b.price * b.quantity,), (b.quantity,)
+    else:
+        runs, entrants = dataset._item_view()
+        lo = dataset.period_indices().index(periods[0])
+        hi = lo + len(periods) - 1
+        span = tuple(range(len(periods)))
+        # The view's order is the order of first appearance from the first
+        # period on. A later window's order is its first map's, then each
+        # later position's entrants not yet seen: an item can leave and
+        # come back.
+        for item in runs if lo == 0 else dict.fromkeys(
+                chain(period_items[0], *entrants[lo + 1:hi + 1])):
+            if wanted is not None and item not in wanted:
+                continue
+            ks, obs, spent, traded = runs[item]
+            first, last = ks[0], ks[-1]
+            if last - first == len(ks) - 1:
+                # no gaps: the window cuts the run where its positions say,
+                # and the positions are a slice of the window's
+                if first < lo or last > hi:
+                    a = lo - first if first < lo else 0
+                    b = hi - first + 1 if last > hi else len(ks)
+                    if a >= b:
+                        continue
+                    ks = span[first + a - lo:first + b - lo]
+                    obs, spent, traded = obs[a:b], spent[a:b], traded[a:b]
+                elif lo:
+                    ks = span[first - lo:last - lo + 1]
+            else:
+                a, b = bisect_left(ks, lo), bisect_right(ks, hi)
+                if a == b:
+                    continue
+                ks, obs, spent, traded = ks[a:b], obs[a:b], spent[a:b], traded[a:b]
+                if lo:
+                    ks = tuple([k - lo for k in ks])
+            positions[item] = ks
+            observations[item] = obs
+            expenditures[item] = spent
+            quantities[item] = traded
     if wanted is not None and len(observations) < len(wanted):
         missing = next(item for item in wanted if item not in observations)
         raise SchemeError(f"item {missing!r} absent from all reference periods {periods}")
@@ -101,6 +151,9 @@ def reference_data(
         period_items,
         tuple(pd.total_expenditure() for pd in period_data),
         observations,
+        positions,
+        expenditures,
+        quantities,
     )
 
 
@@ -147,6 +200,7 @@ class LehrUnitValue:
         # sum of two finite floats is correctly rounded, as fsum's is.
         # fsum decides where a two-term sum overflows (fsum raises), which
         # is caught once, outside the loop.
+        expenditures, quantities = data.expenditures, data.quantities
         prices = {}
         try:
             for item, obs in data.observations.items():
@@ -162,8 +216,7 @@ class LehrUnitValue:
                     (o,) = obs
                     prices[item] = o.price * o.quantity / o.quantity
                     continue
-                prices[item] = (math.fsum([o.price * o.quantity for o in obs])
-                                / math.fsum([o.quantity for o in obs]))
+                prices[item] = math.fsum(expenditures[item]) / math.fsum(quantities[item])
         except OverflowError:
             raise _overflow(item, data.periods) from None
         return prices
@@ -177,13 +230,13 @@ class DeflatedUnitValue:
 
     def prices_for(self, data, index_series=None):
         deflators = _deflators(data, index_series)
-        positions = data.positions
+        positions, quantities = data.positions, data.quantities
         prices = {}
         try:
             for item, obs in data.observations.items():
                 prices[item] = (math.fsum([o.price / deflators[k] * o.quantity
                                            for k, o in zip(positions[item], obs)])
-                                / math.fsum([o.quantity for o in obs]))
+                                / math.fsum(quantities[item]))
         except OverflowError:
             raise _overflow(item, data.periods) from None
         return prices
@@ -202,12 +255,12 @@ class TPDGeometric:
 
     def prices_for(self, data, index_series=None):
         deflators = _deflators(data, index_series)
-        totals, positions = data.totals, data.positions
+        totals, positions, expenditures = data.totals, data.positions, data.expenditures
         prices = {}
         for item, obs in data.observations.items():
             try:
-                terms = [(o.expenditure / totals[k], math.log(o.price / deflators[k]))
-                         for k, o in zip(positions[item], obs)]
+                terms = [(e / totals[k], math.log(o.price / deflators[k]))
+                         for k, o, e in zip(positions[item], obs, expenditures[item])]
             except ValueError:
                 raise _undefined_log() from None
             weight_sum = math.fsum(w for w, _ in terms)
@@ -250,8 +303,8 @@ class CustomPrices:
         for item in data.observations:
             if item not in self.prices:
                 raise SchemeError(f"no custom reference price for item {item!r}")
-            if self.prices[item] <= 0:
-                raise SchemeError(f"custom reference price for {item!r} is not positive")
+            if not 0 < self.prices[item] < math.inf:
+                raise SchemeError(f"custom reference price for {item!r} is {self.prices[item]!r}")
         return {item: self.prices[item] for item in data.observations}
 
 
@@ -307,8 +360,8 @@ class ArithmeticMeanQuantity:
     def quantities_for(self, data, prices=None):
         quantities = {}
         try:
-            for item, obs in data.observations.items():
-                quantities[item] = math.fsum([o.quantity for o in obs]) / len(obs)
+            for item, traded in data.quantities.items():
+                quantities[item] = math.fsum(traded) / len(traded)
         except OverflowError:
             raise _overflow(item, data.periods) from None
         return quantities
@@ -320,10 +373,10 @@ class ExpenditureOverReferencePrice:
     def quantities_for(self, data, prices=None):
         quantities = {}
         try:
-            for item, obs in data.observations.items():
+            for item, spent in data.expenditures.items():
                 if prices is None or item not in prices:
                     raise SchemeError(f"no reference price available for item {item!r}")
-                mean_expenditure = math.fsum([o.expenditure for o in obs]) / len(obs)
+                mean_expenditure = math.fsum(spent) / len(spent)
                 quantities[item] = mean_expenditure / prices[item]
         except ZeroDivisionError:
             raise NumericalError(f"reference price of item {item!r} is {prices[item]!r}") from None
@@ -370,8 +423,6 @@ def reference_quantities(
 
 # exp(v) and exp(-v) are positive and finite exactly when |v| is below this.
 _MAX_LOG = math.log(sys.float_info.max)
-
-_quantity = attrgetter("quantity")
 
 
 def _solve_linked(
@@ -439,25 +490,25 @@ def gk_start(data: ReferenceData) -> dict[int, float] | None:
 
     M is built one row at a time, item-major within the row: each item of
     period r adds one term to M_rs for each other position s it occupies,
-    read from data.observations and data.positions, and each entry is one
+    read from data.positions and data.expenditures, and each entry is one
     fsum. Only one row's terms are held at once. An entry's terms are
     those of a scan of period r's items for the ones in s, with the same
     expression and in the same order, so M is bit-identical to that
     scan's, even where a sum overflows (where fsum's result can depend on
     the order of its terms).
     """
-    observations, positions = data.observations, data.positions
+    positions, expenditures = data.positions, data.expenditures
     n = len(data.periods)
     links = []
     try:
-        quantity = {i: math.fsum(map(_quantity, obs)) for i, obs in observations.items()}
+        quantity = {i: math.fsum(traded) for i, traded in data.quantities.items()}
         for r, mr in enumerate(data.period_items):
             row: list[list[float]] = [[] for _ in range(n)]
             for i, o in mr.items():
                 q, total = o.quantity, quantity[i]
-                for s, other in zip(positions[i], observations[i]):
+                for s, e in zip(positions[i], expenditures[i]):
                     if s != r:
-                        row[s].append(q * (other.price * other.quantity) / total)
+                        row[s].append(q * e / total)
             links.append(list(map(math.fsum, row)))
     except OverflowError:
         return None
@@ -485,12 +536,14 @@ def tpd_start(data: ReferenceData) -> dict[int, float] | None:
     e_ir / T_r * e_is / T_s / W_i, with T_r the period's total, evaluated
     left to right (w_ir w_is / W_i would round differently), in the order
     of period r's items, so B is bit-identical to a scan of period r's
-    items for the ones in s.
+    items for the ones in s. Rows visit an item's periods in order, so a
+    cursor per item finds period r's entry in its run, and the row reads
+    only the later entries.
     """
-    observations, positions, totals = data.observations, data.positions, data.totals
+    positions, expenditures, totals = data.positions, data.expenditures, data.totals
     weight, mean_log = {}, {}
-    for i, obs in observations.items():
-        shares = [o.price * o.quantity / totals[k] for k, o in zip(positions[i], obs)]
+    for i, obs in data.observations.items():
+        shares = [e / totals[k] for k, e in zip(positions[i], expenditures[i])]
         weight[i] = item_weight = math.fsum(shares)
         if not item_weight > 0:
             return None
@@ -498,17 +551,21 @@ def tpd_start(data: ReferenceData) -> dict[int, float] | None:
     n = len(data.periods)
     links = [[0.0] * n for _ in range(n)]
     rhs = []
+    cursor = dict.fromkeys(weight, 0)
     for r, mr in enumerate(data.period_items):
         total = totals[r]
         row: list[list[float]] = [[] for _ in range(n)]
         constant = []
         for i, o in mr.items():
-            w, item_weight = o.price * o.quantity / total, weight[i]
+            j = cursor[i]
+            cursor[i] = j + 1
+            spent, item_weight, item_positions = expenditures[i], weight[i], positions[i]
+            w = spent[j] / total
             constant.append(w * (math.log(o.price) - mean_log[i]))
-            for s, other in zip(positions[i], observations[i]):
-                if s > r:
-                    # w is e_ir / T_r, so this is e_ir / T_r * e_is / T_s / W_i
-                    row[s].append(w * (other.price * other.quantity) / totals[s] / item_weight)
+            for m in range(j + 1, len(item_positions)):
+                s = item_positions[m]
+                # w is e_ir / T_r, so this is e_ir / T_r * e_is / T_s / W_i
+                row[s].append(w * spent[m] / totals[s] / item_weight)
         for s in range(r + 1, n):
             links[r][s] = links[s][r] = math.fsum(row[s])
         rhs.append(math.fsum(constant))

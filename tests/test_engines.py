@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 import sys
@@ -167,10 +168,9 @@ class TestWgm:
         with pytest.raises(SchemeError):
             tornqvist_index(small_dyn(), BILATERAL)
 
-    def test_infinite_custom_reference_price_raises_numerical_error(self):
-        # the log terms hold -inf (current items) and inf (base items)
+    def test_infinite_custom_reference_price_names_the_item(self):
         prices = CustomPrices({"A": math.inf, "B": 1.0})
-        with pytest.raises(NumericalError, match="weighted geometric mean is past the float"):
+        with pytest.raises(SchemeError, match="^custom reference price for 'A' is inf$"):
             wgm_index(small_fixed(), BILATERAL, reference_price=prices)
 
     def test_contract_error_precedes_the_tornqvist_universe_check(self):
@@ -335,6 +335,61 @@ class TestRq:
             IndexResult(0.0)
         with pytest.raises(NumericalError):
             IndexResult(math.inf)
+
+
+_NOT_POSITIVE_AND_FINITE = [math.inf, math.nan, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("price", _NOT_POSITIVE_AND_FINITE)
+@pytest.mark.parametrize("family", ["guv", "wgm", "rqp"])
+def test_custom_reference_price_must_be_positive_and_finite(family, price):
+    prices = CustomPrices({"A": 1.0, "B": price})
+    with pytest.raises(SchemeError, match=f"^custom reference price for 'B' is {price!r}$"):
+        evaluate(small_fixed(), BILATERAL, EngineSpec(family, reference_price=prices))
+
+
+@pytest.mark.parametrize("price", _NOT_POSITIVE_AND_FINITE)
+@pytest.mark.parametrize("which", ["custom_birth_prices", "custom_death_prices"])
+def test_custom_imputed_price_must_be_positive_and_finite(which, price):
+    ds = Dataset.build({0: {"A": (1, 1), "D": (2, 1)}, 1: {"A": (1, 1), "B": (2, 1)}})
+    item = "B" if which == "custom_birth_prices" else "D"
+    policy = ImputationPolicy(**{which: {item: price}})
+    with pytest.raises(SchemeError, match=f"^imputed price for '{item}' is {price!r}$"):
+        rq_index(ds, BILATERAL, imputation=policy)
+
+
+@pytest.mark.parametrize("markup", [math.inf, math.nan, 0.9])
+@pytest.mark.parametrize("which", ["birth_markup", "death_markup"])
+def test_imputation_markups_must_be_finite_and_at_least_one(which, markup):
+    with pytest.raises(ValueError, match="imputation markups must be finite and at least 1"):
+        ImputationPolicy(**{which: markup})
+
+
+@pytest.mark.parametrize("policy", [Bilateral(), FullHistory(), RollingWindow(3)],
+                         ids=["bilateral", "full-history", "rolling-3"])
+@pytest.mark.parametrize("label", list(ENGINES))
+def test_a_call_leaves_no_cycles_for_the_collector(label, policy):
+    # Everything a call allocates is freed by reference counting as it
+    # returns, so no working set waits for a cyclic collection.
+    ds = random_market(1, periods=6, items=20, churn=0.2)
+    spec = ComparisonSpec(3, 5, policy)
+
+    def call():
+        try:
+            evaluate(Dataset(ds.periods), spec, ENGINES[label])
+        except PriceIndexError:
+            pass
+
+    call()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestRqp:

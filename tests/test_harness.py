@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import math
 import random
 
@@ -29,6 +31,7 @@ from dynindex import harness
 from dynindex.engines import ENGINE_FAMILIES
 from dynindex.harness import derive_seed
 from helpers import presence_mgk
+from matrix_digest import cell_lines
 
 MGK = EngineSpec("mgk")
 WGM = EngineSpec("wgm")
@@ -355,6 +358,33 @@ def test_matrix_cells_and_witnesses_are_pinned():
                 cells[(row, column, sub)] = (
                     cell.label, cell.passes, cell.failures, cell.errors, witness)
     assert cells == MATRIX_20_SEED_0
+
+
+
+# sha256 of matrix_digest.cell_lines(run_matrix(trials=200, seed=s)), by seed
+MATRIX_200_DIGESTS = {
+    0: "81a2b845ba842d448379221b7c31799bc0b16bf8850bdbb348ba11c6648c673b",
+    1: "35116ae19a7df9926cdf8206c9ed39899a7fde3f97fb420138f96343147d916c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MATRIX_200_DIGESTS))
+def test_200_trial_matrix_digest_is_pinned(seed):
+    lines = cell_lines(run_matrix(trials=200, seed=seed))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MATRIX_200_DIGESTS[seed]
+
+
+def test_matrix_leaves_no_cycles_for_the_collector():
+    run_matrix(trials=2)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run_matrix(trials=2)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestCheck:

@@ -15,6 +15,7 @@ from dynindex import (
     ComparisonSpec,
     CurrentQuantity,
     CustomPrices,
+    CustomQuantities,
     Dataset,
     DeflatedUnitValue,
     EngineSpec,
@@ -27,10 +28,12 @@ from dynindex import (
     InvalidDataError,
     LehrUnitValue,
     PriceIndexError,
+    ReferenceData,
     RollingWindow,
     SchemeError,
     TPDGeometric,
     evaluate,
+    ingest_csv,
     reference_data,
     reference_prices,
     reference_quantities,
@@ -90,7 +93,7 @@ class TestReferenceData:
         assert set(data.observations) == set().union(*(ds.universe(r) for r in data.periods))
         assert list(data.positions) == list(data.observations)
         for item, present in data.observations.items():
-            positions = [k for k, r in enumerate(data.periods) if ds.has(r, item)]
+            positions = tuple(k for k, r in enumerate(data.periods) if ds.has(r, item))
             assert data.positions[item] == positions
             assert len(present) == len(positions)
             for k, obs in zip(positions, present):
@@ -106,7 +109,140 @@ class TestReferenceData:
         assert list(data.observations) == ["A", "B", "C"]
         assert [o.price for o in data.observations["A"]] == [1.0, 1.5]
         assert [o.price for o in data.observations["B"]] == [2.0, 2.5]
-        assert data.positions == {"A": [0, 1], "B": [0, 2], "C": [1]}
+        assert data.positions == {"A": (0, 1), "B": (0, 2), "C": (1,)}
+
+
+def _returning_market(seed, first=0, gap=None):
+    """Six or seven periods of up to eight items that leave and come back, each
+    map in its own random order; with a gap, the period ``gap`` is missing."""
+    rng = random.Random(seed)
+    pool = [f"i{n}" for n in range(8)]
+    data = {}
+    for t in range(first, first + 7 if gap is not None else first + 6):
+        if t == gap:
+            continue
+        items = [i for i in pool if rng.random() < 0.6] or [rng.choice(pool)]
+        rng.shuffle(items)
+        data[t] = {i: (rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0)) for i in items}
+    return Dataset.build(data)
+
+
+def _walked_table(ds, spec, items=None):
+    """The table that one walk of the reference periods' maps gives, with no view."""
+    periods = spec.reference_periods(ds)
+    maps = tuple(ds.period_data(r).items for r in periods)
+    observations, positions = {}, {}
+    for k, m in enumerate(maps):
+        for item, o in m.items():
+            if items is None or item in items:
+                observations.setdefault(item, []).append(o)
+                positions.setdefault(item, []).append(k)
+    if items is not None:
+        missing = [item for item in items if item not in observations]
+        if missing:
+            raise SchemeError(f"item {missing[0]!r} absent from all reference periods {periods}")
+    return ReferenceData(
+        periods, periods.index(spec.base), periods.index(spec.current), maps,
+        tuple(ds.period_data(r).total_expenditure() for r in periods),
+        {i: tuple(obs) for i, obs in observations.items()},
+        {i: tuple(ks) for i, ks in positions.items()},
+        {i: tuple(o.price * o.quantity for o in obs) for i, obs in observations.items()},
+        {i: tuple(o.quantity for o in obs) for i, obs in observations.items()})
+
+
+def _windows(ds):
+    """Every comparison over consecutive periods of the dataset, under every policy."""
+    indices = ds.period_indices()
+
+    def present(start, current):
+        return all(r in indices for r in range(start, current + 1))
+
+    for base in indices:
+        for current in indices:
+            if current <= base or not present(base, current):
+                continue
+            yield ComparisonSpec(base, current, FullHistory())
+            yield ComparisonSpec(base, current, Bilateral())
+            for window in range(current - base + 1, current - indices[0] + 2):
+                if present(max(indices[0], current - window + 1), current):
+                    yield ComparisonSpec(base, current, RollingWindow(window))
+
+
+def _outcome(f):
+    try:
+        return f()
+    except SchemeError as e:
+        return str(e)
+
+
+class TestItemView:
+    @pytest.mark.parametrize("seed, first, gap", [(0, 0, None), (1, 0, None), (2, 3, None),
+                                                  (3, 0, 3), (4, 2, 4)])
+    def test_tables_match_a_walk_of_the_period_maps(self, seed, first, gap):
+        ds = _returning_market(seed, first, gap)
+        rng = random.Random(seed)
+        everything = sorted(set().union(*(ds.universe(r) for r in ds.period_indices())))
+        for spec in _windows(ds):
+            compared = ds.universe(spec.base) | ds.universe(spec.current)
+            some = set(rng.sample(everything, rng.randint(1, len(everything))))
+            for items in (None, compared, some):
+                expected = _outcome(lambda: _walked_table(ds, spec, items))
+                data = _outcome(lambda: reference_data(ds, spec, items))
+                if isinstance(expected, str):
+                    assert data == expected
+                    continue
+                assert (data.periods, data.base, data.current) == (
+                    expected.periods, expected.base, expected.current)
+                assert all(a is b for a, b in zip(data.period_items, expected.period_items))
+                assert data.totals == expected.totals
+                assert list(data.observations) == list(expected.observations)
+                for column in (data.positions, data.expenditures, data.quantities):
+                    assert list(column) == list(data.observations)
+                for item, obs in expected.observations.items():
+                    assert len(data.observations[item]) == len(obs)
+                    assert all(a is b for a, b in zip(data.observations[item], obs))
+                    assert tuple(data.positions[item]) == expected.positions[item]
+                    assert tuple(data.expenditures[item]) == expected.expenditures[item]
+                    assert tuple(data.quantities[item]) == expected.quantities[item]
+
+    @pytest.mark.parametrize("seed, first, gap", [(5, 0, None), (6, 1, 3)])
+    def test_schemes_name_the_walks_first_missing_item(self, seed, first, gap):
+        ds = _returning_market(seed, first, gap)
+        rng = random.Random(seed)
+        everything = sorted(set().union(*(ds.universe(r) for r in ds.period_indices())))
+        for spec in _windows(ds):
+            covered = rng.sample(everything, rng.randint(0, len(everything)))
+            schemes = (FixedBase().prices_for,
+                       CustomPrices(dict.fromkeys(covered, 2.0)).prices_for,
+                       CustomQuantities(dict.fromkeys(covered, 2.0)).quantities_for)
+            for scheme in schemes:
+                expected = _outcome(lambda: scheme(_walked_table(ds, spec)))
+                assert _outcome(lambda: scheme(reference_data(ds, spec))) == expected
+
+    def test_only_tables_of_three_or_more_periods_build_the_view(self, tmp_path):
+        data = {t: {"a": (1.0 + t, 2.0), "b": (2.0, 1.0 + t), f"c{t}": (3.0, 1.0)} for t in range(4)}
+        built = [Dataset.build(data), Dataset(Dataset.build(data).periods)]
+        path = tmp_path / "market.csv"
+        path.write_text("period,item,price,quantity\n" + "".join(
+            f"{t},{i},{p},{q}\n" for t, m in data.items() for i, (p, q) in m.items()))
+        with path.open() as f:
+            built.append(ingest_csv(f))
+        full = ComparisonSpec(0, 3, FullHistory())
+        for ds in built:
+            assert ds._view is None
+            # the bilateral Lehr and WGM kernels, and GEKS column legs
+            for family in ("mgk", "wgm"):
+                evaluate(ds, ComparisonSpec(0, 1, Bilateral()), EngineSpec(family))
+                evaluate(ds, full, EngineSpec("geks", inner=EngineSpec(family)))
+            reference_data(ds, ComparisonSpec(1, 2, RollingWindow(2)))
+            assert ds._view is None
+            reference_data(ds, full)
+            view = ds._view
+            assert view is not None
+            for family in ("gk", "tpd", "mgk", "rq"):
+                evaluate(ds, ComparisonSpec(1, 3, RollingWindow(3)), EngineSpec(family))
+                evaluate(ds, full, EngineSpec(family))
+            assert ds._view is view
 
 
 class TestLehrPrice:
