@@ -20,7 +20,11 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+import marshal
+import os
 import random
+import signal
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -320,6 +324,7 @@ def check(
     responsiveness_batch: int = 20,
 ) -> Verdict:
     """Evaluate the engine on the scenario and judge the test's conclusion."""
+    _require_check_args(tolerance, responsiveness_batch)
 
     def run(dataset: Dataset) -> IndexResult:
         result = evaluate(dataset, scenario.spec, engine)
@@ -362,6 +367,13 @@ def check(
     else:  # pragma: no cover
         raise ValueError(f"unknown test {test!r}")
     return Verdict(test.value, label, Outcome.PASS if ok else Outcome.FAIL, witness, tolerance)
+
+
+def _require_check_args(tolerance: float, responsiveness_batch: int = 1) -> None:
+    """Refuse a tolerance or responsiveness batch that check cannot judge with."""
+    require_tolerance(tolerance)
+    if responsiveness_batch < 1:
+        raise ValueError(f"responsiveness_batch must be at least 1, got {responsiveness_batch}")
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +530,19 @@ def run_matrix(
     passes, which means no counterexample was found, not that the test
     holds; a single witnessed failure makes it No, and the first
     failure's witness is kept for reproduction. Deterministic in the seed.
+
+    The trials run on every CPU in the process's affinity mask: with W
+    CPUs, worker w runs trials w, w + W, ... of every cell, worker 0 in
+    this process and the others in forked children, and the merge gives
+    the cells and witnesses a single worker would. The matrix stays in
+    this process where the platform has no os.fork or
+    os.sched_getaffinity, where another thread is alive (forking a
+    threaded process can deadlock), where the mask holds one CPU
+    (``taskset -c 0``) and for a single trial.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if responsiveness_batch < 1:
-        raise ValueError(f"responsiveness_batch must be at least 1, got {responsiveness_batch}")
-    require_tolerance(tolerance)
+    _require_check_args(tolerance, responsiveness_batch)
     families = TABLE1_ROWS if engines is None else tuple(dict.fromkeys(engines))
     if not families:
         raise ValueError("engines must name at least one engine family")
@@ -536,42 +555,143 @@ def run_matrix(
         unknown = set(tests) - set(_COLUMNS)
         if unknown:
             raise ValueError(f"tests names unknown matrix columns {sorted(unknown)}")
+    plan = [
+        (_row_label(family), column, sub_label, test, EngineSpec(family), params)
+        for family in families
+        for column, subplans in _row_plan(family).items()
+        if tests is None or column in tests
+        for sub_label, test, params in subplans
+    ]
+    workers = _worker_count(trials)
+    shares = _run_shares(workers, (plan, trials, seed, tolerance, responsiveness_batch))
     rows: dict[str, dict[str, dict[str, MatrixCell]]] = {}
-    rng = random.Random()  # the run's one generator, reseeded per trial
-    for family in families:
-        row_label = _row_label(family)
-        engine = EngineSpec(family)
-        row_cells: dict[str, dict[str, MatrixCell]] = {}
-        for column, subplans in _row_plan(family).items():
-            if tests is not None and column not in tests:
-                continue
-            cells: dict[str, MatrixCell] = {}
-            for sub_label, test, params in subplans:
-                passes = failures = errors = 0
-                witness = None
-                seeds = (derive_seed(seed, row_label, column, sub_label, trial)
-                         for trial in range(trials))
-                for verdict in _verdicts(rng, test, engine, params, seeds,
-                                         tolerance, responsiveness_batch):
-                    if verdict.outcome is Outcome.PASS:
-                        passes += 1
-                        continue
-                    if verdict.outcome is Outcome.FAIL:
-                        failures += 1
-                    else:
-                        errors += 1
-                    if witness is None:
-                        witness = dict(verdict.witness)
-                if failures:
-                    label = "No"
-                elif errors:
-                    label = "EngineError"
-                else:
-                    label = "Yes"
-                cells[sub_label] = MatrixCell(label, passes, failures, errors, witness)
-            row_cells[column] = cells
-        rows[row_label] = row_cells
+    for k, (row_label, column, sub_label, *_) in enumerate(plan):
+        passes, failures, errors, firsts, witnesses = zip(*(share[k] for share in shares))
+        passes, failures, errors = sum(passes), sum(failures), sum(errors)
+        # the shares' first non-passing trials are distinct numbers, so min never compares witnesses
+        failed = [(first, witness) for first, witness in zip(firsts, witnesses) if first is not None]
+        witness = min(failed)[1] if failed else None
+        if failures:
+            label = "No"
+        elif errors:
+            label = "EngineError"
+        else:
+            label = "Yes"
+        rows.setdefault(row_label, {}).setdefault(column, {})[sub_label] = MatrixCell(
+            label, passes, failures, errors, witness)
     return VerdictMatrix(trials, seed, tolerance, rows)
+
+
+def _matrix_share(worker: int, workers: int, plan: list, trials: int, seed: int,
+                  tolerance: float, responsiveness_batch: int) -> list[tuple]:
+    """One worker's trials of every cell in plan, worker, worker + workers, ...
+
+    Per cell: passes, failures, errors, the first trial that did not
+    pass and that trial's witness.
+    """
+    rng = random.Random()  # the share's one generator, reseeded per trial
+    cells = []
+    for row_label, column, sub_label, test, engine, params in plan:
+        passes = failures = errors = 0
+        first = witness = None
+        numbers = range(worker, trials, workers)
+        seeds = (derive_seed(seed, row_label, column, sub_label, trial) for trial in numbers)
+        verdicts = _verdicts(rng, test, engine, params, seeds, tolerance, responsiveness_batch)
+        for trial, verdict in zip(numbers, verdicts):
+            if verdict.outcome is Outcome.PASS:
+                passes += 1
+                continue
+            if verdict.outcome is Outcome.FAIL:
+                failures += 1
+            else:
+                errors += 1
+            if first is None:
+                first, witness = trial, dict(verdict.witness)
+        cells.append((passes, failures, errors, first, witness))
+    return cells
+
+
+def _worker_count(trials: int) -> int:
+    """The CPUs this process may run on, at most one per trial; 1 where it must not fork."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), trials)
+
+
+def _run_shares(workers: int, args: tuple) -> list[list[tuple]]:
+    """_matrix_share(w, workers, *args) for each worker w, in worker order.
+
+    Worker 0, and any worker whose fork fails, runs in this process; every
+    other worker in a forked child, which sends its share back through a
+    pipe, marshalled after the tag byte r, or its exception pickled after
+    the tag byte e. marshal takes the share's ints, floats, strings,
+    tuples, lists and dicts exactly and, unlike pickle, needs no import.
+    No child outlives the call.
+    """
+    running: dict[int, tuple[int, int]] = {}  # worker: (pid, read end of its pipe)
+    here = [0]
+    try:
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                here.append(worker)
+                continue
+            if pid == 0:
+                _child(read_fd, write_fd, worker, workers, args)
+            os.close(write_fd)
+            running[worker] = (pid, read_fd)
+        shares = {worker: _matrix_share(worker, workers, *args) for worker in here}
+        for worker in list(running):
+            pid, read_fd = running[worker]
+            chunks = []
+            while chunk := os.read(read_fd, 1 << 16):
+                chunks.append(chunk)
+            _, status = os.waitpid(pid, 0)
+            del running[worker]
+            os.close(read_fd)
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise RuntimeError(
+                    f"matrix worker {worker} ended without its result (exit status {code})")
+            data = b"".join(chunks)
+            if data[:1] == b"e":
+                import pickle  # only a child's exception needs it
+                raise pickle.loads(data[1:])
+            shares[worker] = marshal.loads(data[1:])
+        return [shares[worker] for worker in range(workers)]
+    finally:
+        for pid, read_fd in running.values():
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)  # unreaped, so the pid is still this child's
+            os.waitpid(pid, 0)
+
+
+def _child(read_fd: int, write_fd: int, worker: int, workers: int, args: tuple) -> None:
+    """A forked worker: its share through the pipe, then os._exit, never a return.
+
+    Leaving through os._exit runs none of the parent's exit handlers and
+    flushes none of its inherited stdio buffers. The exit status is 0
+    only once the whole payload is written.
+    """
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            payload = b"r" + marshal.dumps(_matrix_share(worker, workers, *args))
+        except Exception as exc:
+            import pickle
+            payload = b"e" + pickle.dumps(exc)
+        view = memoryview(payload)
+        while view:
+            view = view[os.write(write_fd, view):]
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +709,7 @@ def find_counterexample(
     """First failing verdict within the scenario budget, or None."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    require_tolerance(tolerance)
+    _require_check_args(tolerance)
     seeds = (derive_seed(seed, "counterexample", k) for k in range(budget))
     verdicts = _verdicts(random.Random(), test, engine, params, seeds, tolerance)
     return next((v for v in verdicts if v.outcome is Outcome.FAIL), None)

@@ -155,6 +155,15 @@ class TestWgm:
         with pytest.raises(SchemeError, match="sum"):
             wgm_index(small_fixed(), BILATERAL, bad)
 
+    def test_custom_weights_price_with_each_periods_weights(self):
+        from dynindex import CustomWeights
+
+        # Lehr reference prices of small_fixed: A (1 + 2) / 2, B 1
+        weights = CustomWeights({"A": 0.25, "B": 0.75}, {"A": 0.5, "B": 0.5})
+        expected = math.exp(0.5 * math.log(2.0 / 1.5) - 0.25 * math.log(1.0 / 1.5))
+        assert wgm_index(small_fixed(), BILATERAL, weights).value == pytest.approx(
+            expected, rel=1e-15)
+
     def test_custom_weights_must_cover_universe(self):
         from dynindex import CustomWeights, SchemeError
 
@@ -507,6 +516,8 @@ class TestEngineSpec:
             EngineSpec("geks", inner=EngineSpec(family))
         with pytest.raises(ValueError):
             EngineSpec("geks", inner=EngineSpec("guv", reference_price=FixedBase()))
+        with pytest.raises(ValueError, match="^index-coupled reference prices"):
+            EngineSpec("geks", inner=EngineSpec("guv", reference_price=DeflatedUnitValue()))
 
     def test_geks_inner_lehr_allowed(self):
         spec = EngineSpec("geks", inner=EngineSpec("guv", reference_price=LehrUnitValue()))

@@ -1,7 +1,9 @@
 import gc
 import hashlib
 import math
+import os
 import random
+import threading
 
 import pytest
 
@@ -387,6 +389,111 @@ def test_matrix_leaves_no_cycles_for_the_collector():
             gc.enable()
 
 
+def _fork_refused():
+    raise BlockingIOError("fork refused")
+
+
+def _first_non_pass_trial(matrix, row, column, sub):
+    """The trial whose derived seed is the cell's witness seed."""
+    seed = matrix.cell(row, column, sub).witness["seed"]
+    return next(trial for trial in range(matrix.trials)
+                if derive_seed(matrix.seed, row, column, sub, trial) == seed)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="Linux only: CPU affinity")
+class TestForkedMatrix:
+    """Every worker count gives the cells, witnesses and text of one worker."""
+
+    def test_every_worker_count_gives_the_same_matrix(self, monkeypatch):
+        late_witnesses = 0
+        for engines in (None, ["rq", "rqp", "tornqvist"]):
+            for seed in range(3):
+                for trials in (1, 2, 7, 20):
+                    matrices = []
+                    for workers in (1, 2, 3):
+                        monkeypatch.setattr(harness, "_worker_count",
+                                            lambda trials, w=workers: w)
+                        matrices.append(run_matrix(engines=engines, trials=trials, seed=seed))
+                    serial = matrices[0]
+                    for matrix in matrices[1:]:
+                        assert cell_lines(matrix) == cell_lines(serial)
+                        assert matrix == serial
+                        assert matrix.to_text() == serial.to_text()
+                    late_witnesses += sum(
+                        _first_non_pass_trial(serial, row, column, sub) % 6 != 0
+                        for row, columns in serial.rows.items()
+                        for column, subs in columns.items()
+                        for sub, cell in subs.items() if cell.witness is not None)
+        assert serial.cell("TORNQVIST", "Upper-bound").label == "EngineError"
+        # some witness comes from a share other than the parent's, so the merge picks it
+        assert late_witnesses > 0
+
+    def test_a_childs_exception_is_raised_with_its_type_and_no_child_remains(self, monkeypatch):
+        share = harness._matrix_share
+
+        def failing_share(worker, *args):
+            if worker == 1:
+                raise harness.InfeasibleParams("worker 1 failed")
+            return share(worker, *args)
+
+        monkeypatch.setattr(harness, "_matrix_share", failing_share)
+        monkeypatch.setattr(harness, "_worker_count", lambda trials: 3)
+        fds = os.listdir("/proc/self/fd")
+        with pytest.raises(harness.InfeasibleParams, match="^worker 1 failed$"):
+            run_matrix(trials=6)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.listdir("/proc/self/fd") == fds
+
+    def test_a_child_ending_without_its_result_names_its_exit_status(self, monkeypatch):
+        share = harness._matrix_share
+
+        def exiting_share(worker, *args):
+            if worker == 2:
+                os._exit(7)
+            return share(worker, *args)
+
+        monkeypatch.setattr(harness, "_matrix_share", exiting_share)
+        monkeypatch.setattr(harness, "_worker_count", lambda trials: 3)
+        with pytest.raises(RuntimeError, match=r"worker 2 .*\(exit status 7\)$"):
+            run_matrix(trials=6)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_nothing_forks_while_another_thread_is_alive(self, monkeypatch):
+        forks = []
+
+        def fork():
+            forks.append(1)
+            _fork_refused()
+
+        monkeypatch.setattr(os, "fork", fork)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            matrix = run_matrix(trials=4, seed=1)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        monkeypatch.setattr(harness, "_worker_count", lambda trials: 1)
+        assert matrix == run_matrix(trials=4, seed=1)
+
+    def test_a_refused_fork_leaves_the_matrix_unchanged(self, monkeypatch):
+        monkeypatch.setattr(harness, "_worker_count", lambda trials: 1)
+        serial = run_matrix(trials=7, seed=2)
+        monkeypatch.setattr(harness, "_worker_count", lambda trials: 3)
+        monkeypatch.setattr(os, "fork", _fork_refused)
+        assert cell_lines(run_matrix(trials=7, seed=2)) == cell_lines(serial)
+
+    def test_one_worker_per_allowed_cpu_and_at_most_one_per_trial(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert harness._worker_count(1) == 1
+        assert harness._worker_count(1000) == cpus
+
+
 class TestCheck:
     def test_identity_bilateral_passes(self):
         scenario = generate_scenario(AxiomTest.T1_IDENTITY, 0, ScenarioParams(n_periods=3))
@@ -447,6 +554,11 @@ class TestCheck:
         else:
             assert verdict.outcome is Outcome.ENGINE_ERROR
             assert verdict.witness == {"error": "boom", "seed": 5}
+
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_responsiveness_batch_must_be_positive(self, batch):
+        with pytest.raises(ValueError, match=f"^responsiveness_batch must be at least 1, got {batch}$"):
+            _check_t5(responsiveness_batch=batch)
 
     def test_fixed_basket_fails_for_geometric_family(self):
         scenario = generate_scenario(AxiomTest.T2_FIXED_BASKET, 1, BILATERAL_2)
@@ -596,6 +708,11 @@ class TestCounterexamples:
         assert witness["gap"] > 1e-6
 
 
+def _check_t5(**kwargs):
+    scenario = generate_scenario(AxiomTest.T5_SHARP, 0, BILATERAL_2)
+    return check(AxiomTest.T5_SHARP, MGK, scenario, **kwargs)
+
+
 @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
 @pytest.mark.parametrize(
     "run",
@@ -603,8 +720,9 @@ class TestCounterexamples:
         lambda tolerance: run_matrix(trials=1, tolerance=tolerance),
         lambda tolerance: closed_form_suite(tolerance=tolerance),
         lambda tolerance: find_counterexample(MGK, AxiomTest.T1_IDENTITY, 1, tolerance=tolerance),
+        lambda tolerance: _check_t5(tolerance=tolerance),
     ],
-    ids=["run_matrix", "closed_form_suite", "find_counterexample"],
+    ids=["run_matrix", "closed_form_suite", "find_counterexample", "check"],
 )
 def test_tolerance_must_be_positive_and_finite(run, tolerance):
     with pytest.raises(ValueError, match="positive and finite"):

@@ -4,17 +4,23 @@ import json
 import pytest
 
 from dynindex import (
+    ComparisonSpec,
     CsvError,
     Dataset,
+    EngineSpec,
     IngestWarning,
+    RollingWindow,
     SynthConfig,
     emit_csv,
+    evaluate,
     format_csv,
     ingest_csv,
     synth,
     write_report,
 )
-from dynindex.cli import EX_DATA, EX_NOT_FOUND, EX_OK, EX_USAGE, main
+from dynindex.cli import (
+    EX_DATA, EX_ENGINE, EX_IO, EX_MISMATCH, EX_NOT_FOUND, EX_OK, EX_USAGE, main,
+)
 from dynindex.engines import ENGINE_FAMILIES
 from helpers import random_market, small_fixed
 
@@ -32,6 +38,15 @@ ITEM_LAST_CSV = """period,price,quantity,item
 0,1.0,1.0,B
 1,2.0,1.0,A
 1,1.0,1.0,B
+"""
+
+
+# B dies and C is born, so the universe is not fixed.
+CHURN_CSV = """period,item,price,quantity
+0,A,1.0,1.0
+0,B,2.0,1.0
+1,A,1.2,1.0
+1,C,3.0,1.0
 """
 
 
@@ -351,6 +366,47 @@ class TestCli:
         assert report["fixed_point"]["method"] == "direct"
         assert report["tool"]["name"] == "dynindex"
 
+    def test_compute_json_reports_rqp_components(self, tmp_path, capsys):
+        path, out = tmp_path / "churn.csv", tmp_path / "rqp.json"
+        path.write_text(CHURN_CSV)
+        code = main(["compute", "--input", str(path), "--engine", "rqp", "--alpha", "0.25",
+                     "--base", "0", "--current", "1", "--json", str(out)])
+        assert code == EX_OK
+        report = json.loads(out.read_text())
+        components = report["components"]
+        assert components.keys() == {"rq", "guv", "alpha"} and components["alpha"] == 0.25
+        assert components["rq"] != components["guv"]
+        assert report["value"] == pytest.approx(
+            components["rq"] ** 0.75 * components["guv"] ** 0.25, rel=1e-15)
+
+    def test_compute_engine_error_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "churn.csv"
+        path.write_text(CHURN_CSV)
+        code = main(["compute", "--input", str(path), "-e", "tornqvist",
+                     "--base", "0", "--current", "1"])
+        assert code == EX_ENGINE
+        assert capsys.readouterr().err.startswith("engine error: ")
+
+    def test_compute_json_into_a_missing_directory_is_an_io_error(self, tmp_path, capsys):
+        code = main(["compute", "--input", self._write_small_fixed(tmp_path), "-e", "mgk",
+                     "--base", "0", "--current", "1",
+                     "--json", str(tmp_path / "missing" / "report.json")])
+        assert code == EX_IO
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_compute_rolling_window_prints_the_in_process_value(self, tmp_path, capsys, window):
+        path = str(tmp_path / "market.csv")
+        assert main(["synth", "--periods", "4", "--items", "6", "--churn", "0.3",
+                     "--seed", "2", "--out", path]) == EX_OK
+        capsys.readouterr()
+        code = main(["compute", "--input", path, "-e", "mgk", "--base", "2", "--current", "3",
+                     "--policy", "rolling", "--window", str(window)])
+        assert code == EX_OK
+        expected = evaluate(ingest_csv(path), ComparisonSpec(2, 3, RollingWindow(window)),
+                            EngineSpec("mgk")).value
+        assert capsys.readouterr().out == f"{expected:.12g}\n"
+
     def test_compute_rejects_bad_csv(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("period,item,price,quantity\n0,A,zero,1\n")
@@ -459,6 +515,15 @@ class TestCli:
         assert code == EX_OK
         out = capsys.readouterr().out
         assert "all cells match the expected summary" in out
+
+    def test_matrix_expect_table1_mismatch_exit_code(self, capsys):
+        # with tolerance 10 every non-responsiveness trial passes, so the expected No cells read Yes
+        code = main(["matrix", "--trials", "2", "--seed", "0", "--tolerance", "10",
+                     "--expect-table1"])
+        assert code == EX_MISMATCH
+        err = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("mismatch: ") for line in err)
+        assert "mismatch: GUV (MGK) / Identity / if R_M: expected No, got Yes" in err
 
     def test_matrix_json(self, tmp_path, capsys):
         out = tmp_path / "matrix.json"

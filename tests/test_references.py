@@ -385,6 +385,11 @@ class TestReferenceQuantity:
         with pytest.raises(SchemeError):
             reference_quantity(small_dyn(), BaseQuantity(), "C", spec)
 
+    def test_custom_quantity_must_be_positive(self):
+        engine = EngineSpec("rq", reference_quantity=CustomQuantities({"A": 0.0, "B": 1.0}))
+        with pytest.raises(SchemeError, match="^reference quantity for 'A' is 0.0$"):
+            evaluate(small_fixed(), ComparisonSpec(0, 1, Bilateral()), engine)
+
 
 class TestCustomPrices:
     def test_missing_coverage(self):
