@@ -75,8 +75,9 @@ class Observation:
 _set_price = Observation.price.__set__
 _set_quantity = Observation.quantity.__set__
 
-# One item's run in a dataset: the positions of the periods it is in, its
-# observations there, their expenditures and their quantities.
+# One item's run in a dataset or a reference table: the positions of the
+# periods it is in, its observations there, their expenditures and their
+# quantities.
 ItemRun = tuple[tuple[int, ...], tuple[Observation, ...], tuple[float, ...], tuple[float, ...]]
 # A dataset's item-major view: every item's run, and each position's entrants.
 ItemView = tuple[dict[ItemId, ItemRun], tuple[tuple[ItemId, ...], ...]]

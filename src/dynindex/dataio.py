@@ -231,14 +231,16 @@ def _write(target: Source, chunks: Iterable[str]) -> None:
 def render_report(payload: Mapping[str, object], timestamp: str | None = None) -> str:
     """One structured JSON document; identical inputs give identical bytes.
 
-    The timestamp is the only non-reproducible field and is left out
-    unless supplied by the caller.
+    The payload must hold JSON types only: dicts with string keys, lists,
+    tuples, strings, ints, floats, bools and None; anything else raises
+    TypeError. The timestamp is the only non-reproducible field and is
+    left out unless supplied by the caller.
     """
     document = {"tool": {"name": "dynindex", "version": __version__}}
     document.update(payload)
     if timestamp is not None:
         document["generated_at"] = timestamp
-    return json.dumps(document, sort_keys=True, indent=2, default=_jsonable) + "\n"
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 def write_report(
@@ -246,12 +248,3 @@ def write_report(
 ) -> None:
     _write(target, (render_report(payload, timestamp),))
 
-
-def _jsonable(value: object) -> object:
-    if hasattr(value, "value") and hasattr(value, "name"):  # enums
-        return getattr(value, "value")
-    if isinstance(value, Mapping):
-        return dict(value)
-    if isinstance(value, (set, frozenset, tuple)):
-        return sorted(value, key=str) if isinstance(value, (set, frozenset)) else list(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")

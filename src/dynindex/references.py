@@ -21,12 +21,13 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol
 
 from .core import (
     ComparisonSpec,
     Dataset,
     ItemId,
+    ItemRun,
     NumericalError,
     Observation,
     PriceIndexError,
@@ -43,14 +44,12 @@ class ReferenceData:
 
     period_items[k] and totals[k] are the item map and total expenditure
     of reference period periods[k]; base and current are the positions of
-    the compared periods. observations maps each requested item, in order
-    of first appearance in the reference periods, to its observations in
-    position order; the observations are the dataset's own. positions,
-    expenditures and quantities map each item, in the same order, to the
-    matching positions, each observation's price * quantity and each
-    observation's quantity. The four mappings are the table's own, and
-    their sequences are read-only tuples that may be shared with the
-    dataset and with other tables.
+    the compared periods. runs maps each requested item, in order of first
+    appearance in the reference periods, to its run there (core.ItemRun):
+    the positions it occupies, its observations there (the dataset's own),
+    each observation's price * quantity and each observation's quantity.
+    The mapping is the table's own; a run is a tuple of read-only tuples
+    that may be shared with the dataset and with other tables.
     """
 
     periods: tuple[int, ...]
@@ -58,10 +57,7 @@ class ReferenceData:
     current: int
     period_items: tuple[Mapping[ItemId, Observation], ...]
     totals: tuple[float, ...]
-    observations: Mapping[ItemId, Sequence[Observation]]
-    positions: Mapping[ItemId, Sequence[int]]
-    expenditures: Mapping[ItemId, Sequence[float]]
-    quantities: Mapping[ItemId, Sequence[float]]
+    runs: Mapping[ItemId, ItemRun]
 
 
 # An item's positions in a two-period table, shared by every such table.
@@ -75,36 +71,31 @@ def reference_data(
 
     A two-period table walks the two item maps. A longer window, whose
     periods are consecutive, is sliced from the dataset's item-major view
-    (built by the first such call): each item's run is taken whole where
-    it lies inside the window and cut otherwise. Raises SchemeError
-    for an item present in no reference period.
+    (built by the first such call): each item's run is the view's own
+    where it lies inside a window that starts at the dataset's first
+    period, and is cut or shifted otherwise. Raises SchemeError for an
+    item present in no reference period.
     """
     periods = spec.reference_periods(dataset)
     period_data = [dataset.period_data(r) for r in periods]
     period_items = tuple(pd.items for pd in period_data)
     wanted = items if items is None or isinstance(items, AbstractSet) else frozenset(items)
-    positions: dict[ItemId, Sequence[int]] = {}
-    observations: dict[ItemId, Sequence[Observation]] = {}
-    expenditures: dict[ItemId, Sequence[float]] = {}
-    quantities: dict[ItemId, Sequence[float]] = {}
+    runs: dict[ItemId, ItemRun] = {}
     if len(periods) == 2:
         first, second = period_items
         for item, a in first.items():
             if wanted is None or item in wanted:
                 if item not in second:  # faster than a get on the read-only map
-                    positions[item], observations[item] = _FIRST, (a,)
-                    expenditures[item], quantities[item] = (a.price * a.quantity,), (a.quantity,)
+                    runs[item] = _FIRST, (a,), (a.price * a.quantity,), (a.quantity,)
                 else:
                     b = second[item]
-                    positions[item], observations[item] = _BOTH, (a, b)
-                    expenditures[item] = a.price * a.quantity, b.price * b.quantity
-                    quantities[item] = a.quantity, b.quantity
+                    runs[item] = (_BOTH, (a, b), (a.price * a.quantity, b.price * b.quantity),
+                                  (a.quantity, b.quantity))
         for item, b in second.items():
             if item not in first and (wanted is None or item in wanted):
-                positions[item], observations[item] = _SECOND, (b,)
-                expenditures[item], quantities[item] = (b.price * b.quantity,), (b.quantity,)
+                runs[item] = _SECOND, (b,), (b.price * b.quantity,), (b.quantity,)
     else:
-        runs, entrants = dataset._item_view()
+        view, entrants = dataset._item_view()
         lo = dataset.period_indices().index(periods[0])
         hi = lo + len(periods) - 1
         span = tuple(range(len(periods)))
@@ -112,11 +103,12 @@ def reference_data(
         # period on. A later window's order is its first map's, then each
         # later position's entrants not yet seen: an item can leave and
         # come back.
-        for item in runs if lo == 0 else dict.fromkeys(
+        for item in view if lo == 0 else dict.fromkeys(
                 chain(period_items[0], *entrants[lo + 1:hi + 1])):
             if wanted is not None and item not in wanted:
                 continue
-            ks, obs, spent, traded = runs[item]
+            run = view[item]
+            ks, obs, spent, traded = run
             first, last = ks[0], ks[-1]
             if last - first == len(ks) - 1:
                 # no gaps: the window cuts the run where its positions say,
@@ -126,23 +118,20 @@ def reference_data(
                     b = hi - first + 1 if last > hi else len(ks)
                     if a >= b:
                         continue
-                    ks = span[first + a - lo:first + b - lo]
-                    obs, spent, traded = obs[a:b], spent[a:b], traded[a:b]
+                    run = span[first + a - lo:first + b - lo], obs[a:b], spent[a:b], traded[a:b]
                 elif lo:
-                    ks = span[first - lo:last - lo + 1]
+                    run = span[first - lo:last - lo + 1], obs, spent, traded
             else:
                 a, b = bisect_left(ks, lo), bisect_right(ks, hi)
                 if a == b:
                     continue
-                ks, obs, spent, traded = ks[a:b], obs[a:b], spent[a:b], traded[a:b]
-                if lo:
-                    ks = tuple([k - lo for k in ks])
-            positions[item] = ks
-            observations[item] = obs
-            expenditures[item] = spent
-            quantities[item] = traded
-    if wanted is not None and len(observations) < len(wanted):
-        missing = next(item for item in wanted if item not in observations)
+                if lo or b - a < len(ks):
+                    ks = ks[a:b]
+                    run = (tuple([k - lo for k in ks]) if lo else ks,
+                           obs[a:b], spent[a:b], traded[a:b])
+            runs[item] = run
+    if wanted is not None and len(runs) < len(wanted):
+        missing = next(item for item in wanted if item not in runs)
         raise SchemeError(f"item {missing!r} absent from all reference periods {periods}")
     return ReferenceData(
         periods,
@@ -150,10 +139,7 @@ def reference_data(
         periods.index(spec.current),
         period_items,
         tuple(pd.total_expenditure() for pd in period_data),
-        observations,
-        positions,
-        expenditures,
-        quantities,
+        runs,
     )
 
 
@@ -193,30 +179,26 @@ class LehrUnitValue:
     needs_index = False
 
     def prices_for(self, data, index_series=None):
-        # Expenditure over quantity, summed over the item's observations.
-        # This loop runs once per item of every GEKS leg, so expenditure is
-        # written out as price * quantity and an item seen in one or two
-        # periods skips fsum: the fsum of one term is that term, and the
+        # Expenditure over quantity, summed over the item's run. This loop
+        # runs once per item of every GEKS leg, so an item seen in one or
+        # two periods skips fsum: the fsum of one term is that term, and the
         # sum of two finite floats is correctly rounded, as fsum's is.
         # fsum decides where a two-term sum overflows (fsum raises), which
         # is caught once, outside the loop.
-        expenditures, quantities = data.expenditures, data.quantities
         prices = {}
         try:
-            for item, obs in data.observations.items():
-                if len(obs) == 2:
-                    a, b = obs
-                    expenditure = a.price * a.quantity + b.price * b.quantity
-                    quantity = a.quantity + b.quantity
+            for item, (_, _, spent, traded) in data.runs.items():
+                if len(spent) == 2:
+                    expenditure = spent[0] + spent[1]
+                    quantity = traded[0] + traded[1]
                     # x - x is 0.0 for a finite x and nan for inf
                     if not (expenditure - expenditure or quantity - quantity):
                         prices[item] = expenditure / quantity
                         continue
-                elif len(obs) == 1:
-                    (o,) = obs
-                    prices[item] = o.price * o.quantity / o.quantity
+                elif len(spent) == 1:
+                    prices[item] = spent[0] / traded[0]
                     continue
-                prices[item] = math.fsum(expenditures[item]) / math.fsum(quantities[item])
+                prices[item] = math.fsum(spent) / math.fsum(traded)
         except OverflowError:
             raise _overflow(item, data.periods) from None
         return prices
@@ -230,13 +212,12 @@ class DeflatedUnitValue:
 
     def prices_for(self, data, index_series=None):
         deflators = _deflators(data, index_series)
-        positions, quantities = data.positions, data.quantities
         prices = {}
         try:
-            for item, obs in data.observations.items():
+            for item, (ks, obs, _, traded) in data.runs.items():
                 prices[item] = (math.fsum([o.price / deflators[k] * o.quantity
-                                           for k, o in zip(positions[item], obs)])
-                                / math.fsum(quantities[item]))
+                                           for k, o in zip(ks, obs)])
+                                / math.fsum(traded))
         except OverflowError:
             raise _overflow(item, data.periods) from None
         return prices
@@ -255,12 +236,12 @@ class TPDGeometric:
 
     def prices_for(self, data, index_series=None):
         deflators = _deflators(data, index_series)
-        totals, positions, expenditures = data.totals, data.positions, data.expenditures
+        totals = data.totals
         prices = {}
-        for item, obs in data.observations.items():
+        for item, (ks, obs, spent, _) in data.runs.items():
             try:
                 terms = [(e / totals[k], math.log(o.price / deflators[k]))
-                         for k, o, e in zip(positions[item], obs, expenditures[item])]
+                         for k, o, e in zip(ks, obs, spent)]
             except ValueError:
                 raise _undefined_log() from None
             weight_sum = math.fsum(w for w, _ in terms)
@@ -282,7 +263,7 @@ class FixedBase:
     def prices_for(self, data, index_series=None):
         base, current = data.period_items[data.base], data.period_items[data.current]
         prices = {}
-        for item in data.observations:
+        for item in data.runs:
             found = base.get(item)
             if found is None:
                 found = current.get(item)
@@ -300,12 +281,12 @@ class CustomPrices:
     needs_index = False
 
     def prices_for(self, data, index_series=None):
-        for item in data.observations:
+        for item in data.runs:
             if item not in self.prices:
                 raise SchemeError(f"no custom reference price for item {item!r}")
             if not 0 < self.prices[item] < math.inf:
                 raise SchemeError(f"custom reference price for {item!r} is {self.prices[item]!r}")
-        return {item: self.prices[item] for item in data.observations}
+        return {item: self.prices[item] for item in data.runs}
 
 
 class ReferencePriceScheme(Protocol):
@@ -332,7 +313,7 @@ def reference_prices(
 def _quantity_at(data: ReferenceData, position: int, what: str) -> dict[ItemId, float]:
     period = data.period_items[position]
     quantities = {}
-    for item in data.observations:
+    for item in data.runs:
         obs = period.get(item)
         if obs is None:
             raise SchemeError(f"item {item!r} has no {what}-period quantity")
@@ -360,7 +341,7 @@ class ArithmeticMeanQuantity:
     def quantities_for(self, data, prices=None):
         quantities = {}
         try:
-            for item, traded in data.quantities.items():
+            for item, (_, _, _, traded) in data.runs.items():
                 quantities[item] = math.fsum(traded) / len(traded)
         except OverflowError:
             raise _overflow(item, data.periods) from None
@@ -373,7 +354,7 @@ class ExpenditureOverReferencePrice:
     def quantities_for(self, data, prices=None):
         quantities = {}
         try:
-            for item, spent in data.expenditures.items():
+            for item, (_, _, spent, _) in data.runs.items():
                 if prices is None or item not in prices:
                     raise SchemeError(f"no reference price available for item {item!r}")
                 mean_expenditure = math.fsum(spent) / len(spent)
@@ -392,10 +373,10 @@ class CustomQuantities:
     quantities: Mapping[ItemId, float]
 
     def quantities_for(self, data, prices=None):
-        for item in data.observations:
+        for item in data.runs:
             if item not in self.quantities:
                 raise SchemeError(f"no custom reference quantity for item {item!r}")
-        return {item: self.quantities[item] for item in data.observations}
+        return {item: self.quantities[item] for item in data.runs}
 
 
 class ReferenceQuantityScheme(Protocol):
@@ -490,23 +471,24 @@ def gk_start(data: ReferenceData) -> dict[int, float] | None:
 
     M is built one row at a time, item-major within the row: each item of
     period r adds one term to M_rs for each other position s it occupies,
-    read from data.positions and data.expenditures, and each entry is one
-    fsum. Only one row's terms are held at once. An entry's terms are
-    those of a scan of period r's items for the ones in s, with the same
-    expression and in the same order, so M is bit-identical to that
-    scan's, even where a sum overflows (where fsum's result can depend on
-    the order of its terms).
+    read from the positions and expenditures of its run in data.runs,
+    and each entry is one fsum. Only one row's terms are held at once. An
+    entry's terms are those of a scan of period r's items for the ones in
+    s, with the same expression and in the same order, so M is
+    bit-identical to that scan's, even where a sum overflows (where
+    fsum's result can depend on the order of its terms).
     """
-    positions, expenditures = data.positions, data.expenditures
+    runs = data.runs
     n = len(data.periods)
     links = []
     try:
-        quantity = {i: math.fsum(traded) for i, traded in data.quantities.items()}
+        quantity = {i: math.fsum(traded) for i, (_, _, _, traded) in runs.items()}
         for r, mr in enumerate(data.period_items):
             row: list[list[float]] = [[] for _ in range(n)]
             for i, o in mr.items():
+                ks, _, spent, _ = runs[i]
                 q, total = o.quantity, quantity[i]
-                for s, e in zip(positions[i], expenditures[i]):
+                for s, e in zip(ks, spent):
                     if s != r:
                         row[s].append(q * e / total)
             links.append(list(map(math.fsum, row)))
@@ -537,13 +519,13 @@ def tpd_start(data: ReferenceData) -> dict[int, float] | None:
     left to right (w_ir w_is / W_i would round differently), in the order
     of period r's items, so B is bit-identical to a scan of period r's
     items for the ones in s. Rows visit an item's periods in order, so a
-    cursor per item finds period r's entry in its run, and the row reads
-    only the later entries.
+    cursor per item finds period r's entry in its run in data.runs, and
+    the row reads only the later entries.
     """
-    positions, expenditures, totals = data.positions, data.expenditures, data.totals
+    runs, totals = data.runs, data.totals
     weight, mean_log = {}, {}
-    for i, obs in data.observations.items():
-        shares = [e / totals[k] for k, e in zip(positions[i], expenditures[i])]
+    for i, (ks, obs, spent, _) in runs.items():
+        shares = [e / totals[k] for k, e in zip(ks, spent)]
         weight[i] = item_weight = math.fsum(shares)
         if not item_weight > 0:
             return None
@@ -559,7 +541,8 @@ def tpd_start(data: ReferenceData) -> dict[int, float] | None:
         for i, o in mr.items():
             j = cursor[i]
             cursor[i] = j + 1
-            spent, item_weight, item_positions = expenditures[i], weight[i], positions[i]
+            item_positions, _, spent, _ = runs[i]
+            item_weight = weight[i]
             w = spent[j] / total
             constant.append(w * (math.log(o.price) - mean_log[i]))
             for m in range(j + 1, len(item_positions)):

@@ -626,6 +626,14 @@ class TestEngineSpec:
         with pytest.raises(NumericalError, match="quantity index sums past the float range"):
             evaluate(Dataset.build(data), BILATERAL, EngineSpec(family))
 
+    def test_overflowing_reference_quantity_sum_raises_numerical_error(self):
+        # mean quantities of about 1e8 at period 1's prices of 1e300 give
+        # numerator terms of 1e308 that sum past the float range
+        data = {0: {"a": (1e-10, 2e8), "b": (1e-10, 2e8)}, 1: {"a": (1e300, 1), "b": (1e300, 1)}}
+        with pytest.raises(NumericalError,
+                           match="^reference-quantity index sums past the float range$"):
+            evaluate(Dataset.build(data), BILATERAL, EngineSpec("rq"))
+
     def test_quantity_index_sum_of_inf_and_minus_inf_raises_the_contract_error(self):
         # period 3's deflated reference prices times quantities would
         # overflow to inf for i1 and to -inf for i2 (a negative quantity in
@@ -699,7 +707,7 @@ class TestEngineSpec:
         assert data.periods == spec.reference_periods(ds)
         compared = ds.universe(spec.base) | ds.universe(spec.current)
         in_order = [i for r in data.periods for i in ds.period_data(r).items if i in compared]
-        assert list(data.observations) == list(dict.fromkeys(in_order))
+        assert list(data.runs) == list(dict.fromkeys(in_order))
 
     def test_disjoint_universes_still_evaluate(self):
         ds = Dataset.build({0: {"A": (1, 2)}, 1: {"B": (3, 4)}})

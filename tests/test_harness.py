@@ -13,6 +13,7 @@ from dynindex import (
     ComparisonSpec,
     Dataset,
     EngineSpec,
+    FixedPointConfig,
     FullHistory,
     IndexResult,
     Observation,
@@ -20,6 +21,7 @@ from dynindex import (
     PeriodData,
     PriceIndexError,
     ScenarioParams,
+    TPDGeometric,
     check,
     closed_form_suite,
     find_counterexample,
@@ -554,6 +556,16 @@ class TestCheck:
         else:
             assert verdict.outcome is Outcome.ENGINE_ERROR
             assert verdict.witness == {"error": "boom", "seed": 5}
+
+    def test_unconverged_fixed_point_is_an_engine_error(self):
+        # the engine runs for real; one sweep is too few for TPD prices
+        engine = EngineSpec("guv", reference_price=TPDGeometric(),
+                            fixed_point=FixedPointConfig(max_iterations=1))
+        scenario = generate_scenario(AxiomTest.T1_IDENTITY, 3, MULTI_3)
+        verdict = check(AxiomTest.T1_IDENTITY, engine, scenario)
+        assert verdict.outcome is Outcome.ENGINE_ERROR
+        assert verdict.witness["error"].startswith("fixed point did not converge (residual ")
+        assert verdict.witness["seed"] == 3
 
     @pytest.mark.parametrize("batch", [0, -3])
     def test_responsiveness_batch_must_be_positive(self, batch):

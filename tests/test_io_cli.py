@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import json
+import re
 
 import pytest
 
@@ -8,6 +10,7 @@ from dynindex import (
     CsvError,
     Dataset,
     EngineSpec,
+    FixedPointConfig,
     IngestWarning,
     RollingWindow,
     SynthConfig,
@@ -18,6 +21,7 @@ from dynindex import (
     synth,
     write_report,
 )
+from dynindex import cli
 from dynindex.cli import (
     EX_DATA, EX_ENGINE, EX_IO, EX_MISMATCH, EX_NOT_FOUND, EX_OK, EX_USAGE, main,
 )
@@ -49,6 +53,11 @@ CHURN_CSV = """period,item,price,quantity
 1,C,3.0,1.0
 """
 
+
+# CHURN_CSV with a third period in which C leaves and B comes back.
+THREE_PERIOD_CSV = CHURN_CSV + """2,A,1.5,2.0
+2,B,2.4,3.0
+"""
 
 # Both columns are finite, the unit value 1e308 / 1e-10 is not.
 OVERFLOWING_UNIT_VALUE_CSV = """period,item,expenditure,quantity
@@ -208,6 +217,40 @@ class TestIngest:
         assert str(error.value) == "line 3: unit value 1e+308/1e-10 is past the float range"
         assert error.value.line == 3
 
+    def test_empty_input_is_rejected(self):
+        with pytest.raises(CsvError) as error:
+            ingest_csv(io.StringIO(""))
+        assert str(error.value) == "empty input"
+
+    def test_blank_lines_are_skipped_and_still_numbered(self):
+        text = SF_CSV.replace("0,B,", "\n0,B,")
+        assert ingest_csv(io.StringIO(text)) == small_fixed()
+        with pytest.raises(CsvError, match="^line 7: bad price 'x'$"):
+            ingest_csv(io.StringIO(text + "0,C,x,1.0\n"))
+
+    def test_only_zero_quantity_rows_is_no_usable_rows(self):
+        text = "period,item,price,quantity\n0,A,1.0,0\n1,A,2.0,0.0\n"
+        with pytest.raises(CsvError) as error, pytest.warns(IngestWarning, match="2 zero"):
+            ingest_csv(io.StringIO(text))
+        assert str(error.value) == "no usable rows"
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("period,item,price,quantity,quantity",
+             "line 1: repeated column names in header "
+             "['period', 'item', 'price', 'quantity', 'quantity']"),
+            ("period,item,price,quantity,store",
+             "line 1: unexpected header ['period', 'item', 'price', 'quantity', 'store']; "
+             "want columns ['item', 'period', 'price', 'quantity']"),
+        ],
+        ids=["repeated", "extra-column"],
+    )
+    def test_header_errors_name_the_header(self, header, message):
+        with pytest.raises(CsvError) as error:
+            ingest_csv(io.StringIO(header + "\n0,A,1.0,1.0,1.0\n"))
+        assert str(error.value) == message
+
     def test_period_strings_parse_alike(self):
         text = "period,item,price,quantity\n0,a,1,1\n1,a,2,1\n00,b,1,1\n 1,b,3,1\n"
         assert ingest_csv(io.StringIO(text)) == Dataset.build(
@@ -259,6 +302,15 @@ class TestEmit:
         with pytest.raises(CsvError, match="unquoted"):
             emit_csv(ds, out)
         assert out.getvalue() == ""
+
+    def test_unknown_value_column_is_rejected_and_leaves_no_file(self, tmp_path):
+        with pytest.raises(CsvError) as error:
+            format_csv(small_fixed(), "cost")
+        assert str(error.value) == "unknown value column 'cost'"
+        path = tmp_path / "out.csv"
+        with pytest.raises(CsvError, match="^unknown value column 'cost'$"):
+            emit_csv(small_fixed(), path, "cost")
+        assert not path.exists()
 
     def test_first_unwritable_item_in_written_order_is_named(self):
         ds = Dataset.build({0: {"z,": (1.0, 1.0), "a": (1.0, 1.0)},
@@ -386,6 +438,27 @@ class TestCli:
                      "--base", "0", "--current", "1"])
         assert code == EX_ENGINE
         assert capsys.readouterr().err.startswith("engine error: ")
+
+    def test_compute_unconverged_fixed_point_warns_and_exits_70(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the engine runs for real; only its stopping rule allows one sweep
+        made = cli._engine_from_args
+        monkeypatch.setattr(cli, "_engine_from_args", lambda args: dataclasses.replace(
+            made(args), fixed_point=FixedPointConfig(max_iterations=1)))
+        path, out = tmp_path / "market.csv", tmp_path / "report.json"
+        path.write_text(THREE_PERIOD_CSV)
+        code = main(["compute", "--input", str(path), "-e", "guv", "--reference-price", "tpd",
+                     "--policy", "full-history", "--base", "0", "--current", "2",
+                     "--json", str(out)])
+        assert code == EX_ENGINE
+        captured = capsys.readouterr()
+        assert float(captured.out) > 0
+        assert re.fullmatch(r"warning: fixed point not converged \(residual \S+\)\n",
+                            captured.err)
+        report = json.loads(out.read_text())
+        assert report["fixed_point"]["converged"] is False
+        assert report["fixed_point"]["iterations"] == 1
+        assert f"{report['value']:.12g}\n" == captured.out
 
     def test_compute_json_into_a_missing_directory_is_an_io_error(self, tmp_path, capsys):
         code = main(["compute", "--input", self._write_small_fixed(tmp_path), "-e", "mgk",

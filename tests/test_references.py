@@ -90,11 +90,10 @@ class TestReferenceData:
         for k, r in enumerate(data.periods):
             assert data.period_items[k] is ds.period_data(r).items
             assert data.totals[k] == ds.period_data(r).total_expenditure()
-        assert set(data.observations) == set().union(*(ds.universe(r) for r in data.periods))
-        assert list(data.positions) == list(data.observations)
-        for item, present in data.observations.items():
+        assert set(data.runs) == set().union(*(ds.universe(r) for r in data.periods))
+        for item, (ks, present, _, _) in data.runs.items():
             positions = tuple(k for k, r in enumerate(data.periods) if ds.has(r, item))
-            assert data.positions[item] == positions
+            assert ks == positions
             assert len(present) == len(positions)
             for k, obs in zip(positions, present):
                 assert obs is ds.observation(data.periods[k], item)
@@ -106,10 +105,11 @@ class TestReferenceData:
             2: {"D": (4.0, 1.0), "B": (2.5, 1.0)},
         })
         data = reference_data(ds, ComparisonSpec(0, 2, FullHistory()), ["B", "C", "A"])
-        assert list(data.observations) == ["A", "B", "C"]
-        assert [o.price for o in data.observations["A"]] == [1.0, 1.5]
-        assert [o.price for o in data.observations["B"]] == [2.0, 2.5]
-        assert data.positions == {"A": (0, 1), "B": (0, 2), "C": (1,)}
+        assert list(data.runs) == ["A", "B", "C"]
+        assert [o.price for o in data.runs["A"][1]] == [1.0, 1.5]
+        assert [o.price for o in data.runs["B"][1]] == [2.0, 2.5]
+        assert {i: ks for i, (ks, _, _, _) in data.runs.items()} == {
+            "A": (0, 1), "B": (0, 2), "C": (1,)}
 
 
 def _returning_market(seed, first=0, gap=None):
@@ -144,10 +144,8 @@ def _walked_table(ds, spec, items=None):
     return ReferenceData(
         periods, periods.index(spec.base), periods.index(spec.current), maps,
         tuple(ds.period_data(r).total_expenditure() for r in periods),
-        {i: tuple(obs) for i, obs in observations.items()},
-        {i: tuple(ks) for i, ks in positions.items()},
-        {i: tuple(o.price * o.quantity for o in obs) for i, obs in observations.items()},
-        {i: tuple(o.quantity for o in obs) for i, obs in observations.items()})
+        {i: (tuple(positions[i]), tuple(obs), tuple(o.price * o.quantity for o in obs),
+             tuple(o.quantity for o in obs)) for i, obs in observations.items()})
 
 
 def _windows(ds):
@@ -195,15 +193,22 @@ class TestItemView:
                     expected.periods, expected.base, expected.current)
                 assert all(a is b for a, b in zip(data.period_items, expected.period_items))
                 assert data.totals == expected.totals
-                assert list(data.observations) == list(expected.observations)
-                for column in (data.positions, data.expenditures, data.quantities):
-                    assert list(column) == list(data.observations)
-                for item, obs in expected.observations.items():
-                    assert len(data.observations[item]) == len(obs)
-                    assert all(a is b for a, b in zip(data.observations[item], obs))
-                    assert tuple(data.positions[item]) == expected.positions[item]
-                    assert tuple(data.expenditures[item]) == expected.expenditures[item]
-                    assert tuple(data.quantities[item]) == expected.quantities[item]
+                assert list(data.runs) == list(expected.runs)
+                for item, (ks, obs, spent, traded) in expected.runs.items():
+                    run = data.runs[item]
+                    assert len(run[1]) == len(obs)
+                    assert all(a is b for a, b in zip(run[1], obs))
+                    assert (run[0], run[2], run[3]) == (ks, spent, traded)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_run_inside_a_window_from_the_first_period_is_the_views_own(self, seed):
+        ds = _returning_market(seed)
+        indices = ds.period_indices()
+        for hi, current in enumerate(indices[2:], 2):
+            data = reference_data(ds, ComparisonSpec(indices[0], current, FullHistory()))
+            view = ds._item_view()[0]
+            for item, run in data.runs.items():
+                assert (run is view[item]) == (view[item][0][-1] <= hi)
 
     @pytest.mark.parametrize("seed, first, gap", [(5, 0, None), (6, 1, 3)])
     def test_schemes_name_the_walks_first_missing_item(self, seed, first, gap):
@@ -282,7 +287,7 @@ _MAX = sys.float_info.max
 def _lehr_formula(data):
     """Expenditure over quantity: p*q/q for one observation, fsum for more."""
     prices = {}
-    for item, obs in data.observations.items():
+    for item, (_, obs, _, _) in data.runs.items():
         if len(obs) == 1:
             (o,) = obs
             prices[item] = o.price * o.quantity / o.quantity
@@ -691,7 +696,7 @@ def oracle_gk_start(data):
     maps = data.period_items
     try:
         quantity = {
-            i: math.fsum([o.quantity for o in obs]) for i, obs in data.observations.items()
+            i: math.fsum([o.quantity for o in obs]) for i, (_, obs, _, _) in data.runs.items()
         }
         links = [
             [
@@ -710,18 +715,18 @@ def oracle_gk_start(data):
 
 
 def oracle_tpd_start(data):
-    maps, totals, positions = data.period_items, data.totals, data.positions
+    maps, totals = data.period_items, data.totals
     weight = {
-        i: math.fsum([o.expenditure / totals[k] for k, o in zip(positions[i], obs)])
-        for i, obs in data.observations.items()
+        i: math.fsum([o.expenditure / totals[k] for k, o in zip(ks, obs)])
+        for i, (ks, obs, _, _) in data.runs.items()
     }
     if not all(w > 0 for w in weight.values()):
         return None
     mean_log = {
         i: math.fsum([o.expenditure / totals[k] * math.log(o.price)
-                      for k, o in zip(positions[i], obs)])
+                      for k, o in zip(ks, obs)])
         / weight[i]
-        for i, obs in data.observations.items()
+        for i, (ks, obs, _, _) in data.runs.items()
     }
     n = len(maps)
     links = [[0.0] * n for _ in range(n)]
@@ -824,7 +829,7 @@ def test_start_holds_one_row_of_terms_at_a_time(start, share):
     # positions (per unordered pair for TPD's symmetric matrix).
     ds = random_market(3, periods=20, items=100, churn=0.05)
     data = reference_data(ds, ComparisonSpec(0, 19, FullHistory()))
-    pairs = sum(len(obs) * (len(obs) - 1) for obs in data.observations.values())
+    pairs = sum(len(ks) * (len(ks) - 1) for ks, _, _, _ in data.runs.values())
     every_term = pairs * share * 32
     tracemalloc.start()
     try:
