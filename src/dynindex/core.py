@@ -264,8 +264,9 @@ class Dataset:
         return frozenset(self.period_data(t).items)
 
     def observation(self, t: int, item: ItemId) -> Observation:
+        items = self.period_data(t).items
         try:
-            return self.period_data(t).items[item]
+            return items[item]
         except KeyError:
             raise KeyError(f"item {item!r} not present in period {t}") from None
 

@@ -8,7 +8,8 @@ quoted. Floats are written with ``repr`` so that a written file parses
 back to exactly the same dataset.
 
 Both directions stream: ingest reads one line at a time and emit writes
-one period at a time, so neither holds the whole text.
+one period at a time, so neither holds the whole text. Emit formats the
+periods on every CPU the process may use, ahead of its writes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ Source = Union[str, Path, IO[str]]
 
 _VALUE_COLUMNS = ("price", "expenditure")
 _NEEDS_QUOTING = re.compile("[,\r\n]")
+# Below this many observations emission formats in this process only: a fork and its
+# pipe cost 2-4 ms, formatting 1.2-2.9 us per observation (2-vCPU Xeon, Python 3.11).
+_FORK_ROWS = 10_000
 
 
 class CsvError(PriceIndexError):
@@ -171,24 +175,40 @@ def emit_csv(dataset: Dataset, target: Source, value_column: str = "price") -> N
     """Write the CSV of ``format_csv`` one period at a time.
 
     Every check runs before the target is opened or written, so a dataset
-    that cannot be written leaves no file and no partial output.
+    that cannot be written leaves no file and no partial output. The
+    periods are formatted on every CPU, but written here, in order.
     """
     chunks = _csv_chunks(dataset, value_column)
     header = next(chunks)
-    _write(target, itertools.chain((header,), chunks))
+    try:
+        _write(target, itertools.chain((header,), chunks))
+    finally:
+        chunks.close()  # a failed write leaves no formatting child behind
 
 
 def _csv_chunks(dataset: Dataset, value_column: str) -> Iterator[str]:
     """The header line, then each period's lines as one chunk.
 
-    Every check runs before the header is yielded; emit_csv relies on it.
+    Every check runs before the header is yielded, and before any fork;
+    emit_csv relies on it. With W workers, worker w formats the periods
+    at positions w, w + W, ... (see ``_workers.interleave``).
     """
     if value_column not in _VALUE_COLUMNS:
         raise CsvError(f"unknown value column {value_column!r}")
     _check_item_ids(dataset)
     yield f"period,item,{value_column},quantity\n"
-    expenditure = value_column == "expenditure"
-    for pd in dataset.periods:
+    from . import _workers
+    periods = dataset.periods
+    rows = sum(len(pd.items) for pd in periods)
+    workers = _workers.count(len(periods)) if rows >= _FORK_ROWS else 1
+    yield from _workers.interleave(
+        workers, _period_chunks, (periods, value_column == "expenditure"))
+
+
+def _period_chunks(worker: int, workers: int, periods: tuple[PeriodData, ...],
+                   expenditure: bool) -> Iterator[str]:
+    """The lines of the periods at positions worker, worker + workers, ..., as one chunk each."""
+    for pd in periods[worker::workers]:
         items = pd.items
         order = sorted(items, key=str)
         rows = zip(order, map(items.__getitem__, order))
@@ -201,18 +221,28 @@ def _csv_chunks(dataset: Dataset, value_column: str) -> Iterator[str]:
 
 
 def _check_item_ids(dataset: Dataset) -> None:
-    """CsvError for an item id that would need quoting, checking each id once.
+    """CsvError for an item id that ingest_csv would refuse or read as another.
 
-    Of several, it names the first in written order.
+    That is an id that would need quoting, the empty id, and two ids of
+    one period with one text, such as 1 and "1". Each id is checked once,
+    and a period's texts only when some id is not a string. Of several,
+    the error names the first in written order.
     """
     ids = set().union(*(pd.items for pd in dataset.periods))
-    unwritable = {item for item in ids if _NEEDS_QUOTING.search(str(item))}
-    if not unwritable:
-        return
-    for pd in dataset.periods:
-        here = unwritable.intersection(pd.items)
-        if here:
-            raise CsvError(f"item id {str(min(here, key=str))!r} cannot be written unquoted")
+    unwritable = {item for item in ids if item == "" or _NEEDS_QUOTING.search(str(item))}
+    if unwritable:
+        for pd in dataset.periods:
+            here = unwritable.intersection(pd.items)
+            if here:
+                text = str(min(here, key=str))
+                raise CsvError(f"item id {text!r} cannot be written unquoted" if text
+                               else "an empty item id cannot be written")
+    if any(type(item) is not str for item in ids):
+        for pd in dataset.periods:
+            texts = sorted(map(str, pd.items))
+            twice = next((a for a, b in zip(texts, texts[1:]) if a == b), None)
+            if twice is not None:
+                raise CsvError(f"item ids of period {pd.period} are written alike as {twice!r}")
 
 
 def _write(target: Source, chunks: Iterable[str]) -> None:

@@ -20,14 +20,11 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-import marshal
-import os
 import random
-import signal
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import _workers
 from .core import (
     AxiomTest,
     Bilateral,
@@ -531,14 +528,10 @@ def run_matrix(
     holds; a single witnessed failure makes it No, and the first
     failure's witness is kept for reproduction. Deterministic in the seed.
 
-    The trials run on every CPU in the process's affinity mask: with W
-    CPUs, worker w runs trials w, w + W, ... of every cell, worker 0 in
-    this process and the others in forked children, and the merge gives
-    the cells and witnesses a single worker would. The matrix stays in
-    this process where the platform has no os.fork or
-    os.sched_getaffinity, where another thread is alive (forking a
-    threaded process can deadlock), where the mask holds one CPU
-    (``taskset -c 0``) and for a single trial.
+    The trials run on every CPU in the process's affinity mask: worker w
+    of W runs trials w, w + W, ... of every cell, and the merge gives the
+    cells and witnesses of one worker. W is 1 for a single trial and where
+    ``_workers.count`` finds the process must not fork.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -562,8 +555,9 @@ def run_matrix(
         if tests is None or column in tests
         for sub_label, test, params in subplans
     ]
-    workers = _worker_count(trials)
-    shares = _run_shares(workers, (plan, trials, seed, tolerance, responsiveness_batch))
+    workers = _workers.count(trials)
+    shares = list(_workers.interleave(
+        workers, _matrix_share, (plan, trials, seed, tolerance, responsiveness_batch)))
     rows: dict[str, dict[str, dict[str, MatrixCell]]] = {}
     for k, (row_label, column, sub_label, *_) in enumerate(plan):
         passes, failures, errors, firsts, witnesses = zip(*(share[k] for share in shares))
@@ -583,11 +577,11 @@ def run_matrix(
 
 
 def _matrix_share(worker: int, workers: int, plan: list, trials: int, seed: int,
-                  tolerance: float, responsiveness_batch: int) -> list[tuple]:
+                  tolerance: float, responsiveness_batch: int) -> Iterator[list[tuple]]:
     """One worker's trials of every cell in plan, worker, worker + workers, ...
 
-    Per cell: passes, failures, errors, the first trial that did not
-    pass and that trial's witness.
+    Yields one item, a list with per cell: passes, failures, errors, the
+    first trial that did not pass and that trial's witness.
     """
     rng = random.Random()  # the share's one generator, reseeded per trial
     cells = []
@@ -608,90 +602,7 @@ def _matrix_share(worker: int, workers: int, plan: list, trials: int, seed: int,
             if first is None:
                 first, witness = trial, dict(verdict.witness)
         cells.append((passes, failures, errors, first, witness))
-    return cells
-
-
-def _worker_count(trials: int) -> int:
-    """The CPUs this process may run on, at most one per trial; 1 where it must not fork."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return min(len(os.sched_getaffinity(0)), trials)
-
-
-def _run_shares(workers: int, args: tuple) -> list[list[tuple]]:
-    """_matrix_share(w, workers, *args) for each worker w, in worker order.
-
-    Worker 0, and any worker whose fork fails, runs in this process; every
-    other worker in a forked child, which sends its share back through a
-    pipe, marshalled after the tag byte r, or its exception pickled after
-    the tag byte e. marshal takes the share's ints, floats, strings,
-    tuples, lists and dicts exactly and, unlike pickle, needs no import.
-    No child outlives the call.
-    """
-    running: dict[int, tuple[int, int]] = {}  # worker: (pid, read end of its pipe)
-    here = [0]
-    try:
-        for worker in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                here.append(worker)
-                continue
-            if pid == 0:
-                _child(read_fd, write_fd, worker, workers, args)
-            os.close(write_fd)
-            running[worker] = (pid, read_fd)
-        shares = {worker: _matrix_share(worker, workers, *args) for worker in here}
-        for worker in list(running):
-            pid, read_fd = running[worker]
-            chunks = []
-            while chunk := os.read(read_fd, 1 << 16):
-                chunks.append(chunk)
-            _, status = os.waitpid(pid, 0)
-            del running[worker]
-            os.close(read_fd)
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0:
-                raise RuntimeError(
-                    f"matrix worker {worker} ended without its result (exit status {code})")
-            data = b"".join(chunks)
-            if data[:1] == b"e":
-                import pickle  # only a child's exception needs it
-                raise pickle.loads(data[1:])
-            shares[worker] = marshal.loads(data[1:])
-        return [shares[worker] for worker in range(workers)]
-    finally:
-        for pid, read_fd in running.values():
-            os.close(read_fd)
-            os.kill(pid, signal.SIGKILL)  # unreaped, so the pid is still this child's
-            os.waitpid(pid, 0)
-
-
-def _child(read_fd: int, write_fd: int, worker: int, workers: int, args: tuple) -> None:
-    """A forked worker: its share through the pipe, then os._exit, never a return.
-
-    Leaving through os._exit runs none of the parent's exit handlers and
-    flushes none of its inherited stdio buffers. The exit status is 0
-    only once the whole payload is written.
-    """
-    status = 1
-    try:
-        os.close(read_fd)
-        try:
-            payload = b"r" + marshal.dumps(_matrix_share(worker, workers, *args))
-        except Exception as exc:
-            import pickle
-            payload = b"e" + pickle.dumps(exc)
-        view = memoryview(payload)
-        while view:
-            view = view[os.write(write_fd, view):]
-        status = 0
-    finally:
-        os._exit(status)
+    yield cells
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ not start with ``test_``.
 
 Lines expected to stay unreached, and why:
 
-- the forked matrix worker: ``_run_shares``' call of ``harness._child``
-  and that function's body run, but in a child process, whose hits stay
+- the forked worker of the verdict matrix and of CSV emission:
+  ``_workers.interleave``'s call of ``_workers._child``, and the bodies of
+  ``_child`` and ``_send``, run, but in a child process, whose hits stay
   there;
 - the ``...`` bodies of ``Protocol`` methods, which are never called;
 - ``cli``'s ``if __name__ == "__main__":`` body, as the suite calls

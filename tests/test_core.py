@@ -38,6 +38,15 @@ class TestUniverse:
             small_fixed().universe(7)
 
 
+def test_observation_of_an_absent_item_names_it_and_its_period():
+    ds = small_dyn()
+    assert ds.observation(1, "C").price == 3.0
+    with pytest.raises(KeyError, match=r"^\"item 'B' not present in period 1\"$"):
+        ds.observation(1, "B")
+    with pytest.raises(UnknownPeriodError):
+        ds.observation(7, "A")
+
+
 class TestUniverseAlgebra:
     def test_small_dyn(self):
         persistent, births, deaths = small_dyn().universe_algebra(0, 1)

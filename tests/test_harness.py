@@ -31,7 +31,7 @@ from dynindex import (
     precondition_holds,
     run_matrix,
 )
-from dynindex import harness
+from dynindex import _workers, harness
 from dynindex.engines import ENGINE_FAMILIES
 from dynindex.harness import derive_seed
 from helpers import presence_mgk
@@ -413,8 +413,7 @@ class TestForkedMatrix:
                 for trials in (1, 2, 7, 20):
                     matrices = []
                     for workers in (1, 2, 3):
-                        monkeypatch.setattr(harness, "_worker_count",
-                                            lambda trials, w=workers: w)
+                        monkeypatch.setattr(_workers, "count", lambda jobs, w=workers: w)
                         matrices.append(run_matrix(engines=engines, trials=trials, seed=seed))
                     serial = matrices[0]
                     for matrix in matrices[1:]:
@@ -439,7 +438,7 @@ class TestForkedMatrix:
             return share(worker, *args)
 
         monkeypatch.setattr(harness, "_matrix_share", failing_share)
-        monkeypatch.setattr(harness, "_worker_count", lambda trials: 3)
+        monkeypatch.setattr(_workers, "count", lambda jobs: 3)
         fds = os.listdir("/proc/self/fd")
         with pytest.raises(harness.InfeasibleParams, match="^worker 1 failed$"):
             run_matrix(trials=6)
@@ -456,7 +455,7 @@ class TestForkedMatrix:
             return share(worker, *args)
 
         monkeypatch.setattr(harness, "_matrix_share", exiting_share)
-        monkeypatch.setattr(harness, "_worker_count", lambda trials: 3)
+        monkeypatch.setattr(_workers, "count", lambda jobs: 3)
         with pytest.raises(RuntimeError, match=r"worker 2 .*\(exit status 7\)$"):
             run_matrix(trials=6)
         with pytest.raises(ChildProcessError):
@@ -480,20 +479,20 @@ class TestForkedMatrix:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert forks == []
-        monkeypatch.setattr(harness, "_worker_count", lambda trials: 1)
+        monkeypatch.setattr(_workers, "count", lambda jobs: 1)
         assert matrix == run_matrix(trials=4, seed=1)
 
     def test_a_refused_fork_leaves_the_matrix_unchanged(self, monkeypatch):
-        monkeypatch.setattr(harness, "_worker_count", lambda trials: 1)
+        monkeypatch.setattr(_workers, "count", lambda jobs: 1)
         serial = run_matrix(trials=7, seed=2)
-        monkeypatch.setattr(harness, "_worker_count", lambda trials: 3)
+        monkeypatch.setattr(_workers, "count", lambda jobs: 3)
         monkeypatch.setattr(os, "fork", _fork_refused)
         assert cell_lines(run_matrix(trials=7, seed=2)) == cell_lines(serial)
 
     def test_one_worker_per_allowed_cpu_and_at_most_one_per_trial(self):
         cpus = len(os.sched_getaffinity(0))
-        assert harness._worker_count(1) == 1
-        assert harness._worker_count(1000) == cpus
+        assert _workers.count(1) == 1
+        assert _workers.count(1000) == cpus
 
 
 class TestCheck:

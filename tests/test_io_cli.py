@@ -292,14 +292,24 @@ class TestEmit:
         emit_csv(ds, out, value_column)
         assert out.getvalue() == format_csv(ds, value_column)
 
-    def test_unwritable_item_leaves_no_file(self, tmp_path):
-        ds = Dataset.build({0: {"a": (1.0, 1.0)}, 1: {"a": (1.0, 1.0), "b\nc": (1.0, 1.0)}})
+    @pytest.mark.parametrize("items, message", [
+        ({0: {"a": (1.0, 1.0)}, 1: {"a": (1.0, 1.0), "b\nc": (1.0, 1.0)}},
+         "item id 'b\\nc' cannot be written unquoted"),
+        # ingest_csv refuses an empty id and reads 1 and "1" as one id
+        ({0: {"": (1.0, 1.0), "a": (2.0, 1.0)}, 1: {"a": (2.5, 1.0)}},
+         "an empty item id cannot be written"),
+        ({0: {1: (1.0, 1.0), "1": (2.0, 1.0)}, 1: {1: (1.5, 1.0)}},
+         "item ids of period 0 are written alike as '1'"),
+    ], ids=["newline", "empty", "int-and-str"])
+    def test_unwritable_item_leaves_no_file(self, tmp_path, items, message):
+        ds = Dataset.build(items)
         path = tmp_path / "out.csv"
-        with pytest.raises(CsvError, match="'b\\\\nc' cannot be written unquoted"):
+        with pytest.raises(CsvError) as error:
             emit_csv(ds, path)
+        assert str(error.value) == message
         assert not path.exists()
         out = io.StringIO()
-        with pytest.raises(CsvError, match="unquoted"):
+        with pytest.raises(CsvError, match=f"^{re.escape(message)}$"):
             emit_csv(ds, out)
         assert out.getvalue() == ""
 

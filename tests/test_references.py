@@ -27,6 +27,7 @@ from dynindex import (
     FullHistory,
     InvalidDataError,
     LehrUnitValue,
+    NumericalError,
     PriceIndexError,
     ReferenceData,
     RollingWindow,
@@ -346,6 +347,19 @@ class TestDeflatedPrice:
     def test_missing_index_value(self):
         with pytest.raises(SchemeError):
             deflated_price(small_dyn(), "A", {0: 1.0})
+
+
+@pytest.mark.parametrize("scheme", [DeflatedUnitValue(), TPDGeometric()])
+@pytest.mark.parametrize("series, error, message", [
+    (None, SchemeError, "index-deflated reference prices need an index series"),
+    ({0: 1.0, 2: 1.0}, SchemeError, "index series has no value for period 1"),
+    ({0: 1.0, 1: 0.0}, NumericalError, "index series value for period 1 is 0.0"),
+    ({0: math.inf, 1: 1.0}, NumericalError, "index series value for period 0 is inf"),
+])
+def test_deflated_schemes_refuse_a_series_without_a_usable_value(scheme, series, error, message):
+    data = reference_data(small_dyn(), BILATERAL)
+    with pytest.raises(error, match=f"^{message}$"):
+        reference_prices(data, scheme, series)
 
 
 class TestTpdPrice:

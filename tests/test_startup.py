@@ -1,4 +1,4 @@
-"""What ``import dynindex`` loads: the harness and the simulator only on first use.
+"""What ``import dynindex`` loads: the harness, the simulator and the fork helper on first use.
 
 Each check runs in a fresh interpreter, because this suite's own imports
 load both modules.
@@ -13,7 +13,7 @@ from pathlib import Path
 import dynindex
 
 SRC = Path(dynindex.__file__).resolve().parents[1]
-LAZY = {"dynindex.harness", "dynindex.simulate"}
+LAZY = {"dynindex._workers", "dynindex.harness", "dynindex.simulate"}
 
 # Every public name of the package, the two lazily loaded modules included.
 PUBLIC = [
