@@ -45,7 +45,7 @@ def interleave(workers: int, share: Callable[..., Iterable], args: tuple) -> Ite
             if head[:1] == b"e":
                 import pickle  # only a child's exception needs it
                 raise pickle.loads(data)
-            yield marshal.loads(data)
+            yield (data := marshal.loads(data))  # rebound: the record's bytes are freed
         _, status = os.waitpid(pid, 0)
         del children[worker]
         reader.close()
