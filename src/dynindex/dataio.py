@@ -20,6 +20,7 @@ import math
 import re
 import warnings
 from array import array
+from contextlib import closing
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Union
 
@@ -167,7 +168,7 @@ def _parse_float(raw: str, column: str, line_no: int) -> float:
 
 
 def format_csv(dataset: Dataset, value_column: str = "price") -> str:
-    """Render a dataset to the CSV schema; exact round-trip via repr floats."""
+    """Render a dataset to the CSV schema on every CPU; exact round-trip via repr floats."""
     return "".join(_csv_chunks(dataset, value_column))
 
 
@@ -180,10 +181,8 @@ def emit_csv(dataset: Dataset, target: Source, value_column: str = "price") -> N
     """
     chunks = _csv_chunks(dataset, value_column)
     header = next(chunks)
-    try:
+    with closing(chunks):  # a failed write leaves no formatting child behind
         _write(target, itertools.chain((header,), chunks))
-    finally:
-        chunks.close()  # a failed write leaves no formatting child behind
 
 
 def _csv_chunks(dataset: Dataset, value_column: str) -> Iterator[str]:
