@@ -1,4 +1,4 @@
-"""The package's one fork path, for the verdict matrix and CSV emission; loaded on first use.
+"""The package's one fork path, for the verdict matrix and CSV I/O; loaded on first use.
 
 Not ``multiprocessing``: a pool pickles each share's function and inputs,
 starts threads here and needs a semaphore in shared memory.
@@ -31,8 +31,10 @@ def interleave(workers: int, share: Callable[..., Iterable], args: tuple) -> Ite
     whose fork fails, runs here, lazily; every other in a forked child that
     sends each item as a record read only when the item is due: the tag
     byte r and the item marshalled (exact, and needing no import), or e and
-    the share's exception pickled, after the data's length. No child or
-    pipe outlives the generator, even one closed early.
+    the share's exception pickled, after the data's length; then the tag d
+    once the share has ended. No child or pipe outlives the generator, even
+    one closed early, and a child that the calling program reaped itself
+    (its own waitpid, or SIGCHLD ignored) is neither waited for nor signalled.
     """
     children: dict[int, tuple[int, BinaryIO]] = {}  # worker: (pid, read end of its pipe)
 
@@ -40,17 +42,17 @@ def interleave(workers: int, share: Callable[..., Iterable], args: tuple) -> Ite
         pid, reader = children[worker]
         while len(head := reader.read(_HEAD)) == _HEAD:
             size = int.from_bytes(head[1:], "little")
-            if len(data := reader.read(size)) < size:
+            if len(data := reader.read(size)) < size or head[:1] == b"d":
                 break
             if head[:1] == b"e":
                 import pickle  # only a child's exception needs it
                 raise pickle.loads(data)
             yield (data := marshal.loads(data))  # rebound: the record's bytes are freed
-        _, status = os.waitpid(pid, 0)
         del children[worker]
         reader.close()
-        if code := os.waitstatus_to_exitcode(status):
-            raise RuntimeError(f"worker {worker} ended without its share (exit status {code})")
+        status = _reap(pid)
+        if head[:1] != b"d":
+            raise RuntimeError(f"worker {worker} ended without its share ({status})")
 
     try:
         for worker in range(1, workers):
@@ -76,9 +78,21 @@ def interleave(workers: int, share: Callable[..., Iterable], args: tuple) -> Ite
                     shares.remove(items)
     finally:
         for pid, reader in children.values():
+            try:
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:  # unreaped, so the pid is still ours
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except (ChildProcessError, ProcessLookupError):  # reaped by the calling program
+                pass
             reader.close()
-            os.kill(pid, signal.SIGKILL)  # unreaped, so the pid is still this child's
-            os.waitpid(pid, 0)
+
+
+def _reap(pid: int) -> str:
+    """Wait for a child; its exit status in words, for the error of a share cut short."""
+    try:
+        return f"exit status {os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])}"
+    except ChildProcessError:
+        return "reaped by the calling program, exit status unknown"
 
 
 def _child(read_fd: int, write_fd: int, share: Callable[..., Iterable], args: tuple) -> None:
@@ -93,6 +107,7 @@ def _child(read_fd: int, write_fd: int, share: Callable[..., Iterable], args: tu
         try:
             for item in share(*args):
                 _send(write_fd, b"r", marshal.dumps(item))
+            _send(write_fd, b"d", b"")
         except Exception as exc:
             import pickle
             _send(write_fd, b"e", pickle.dumps(exc))

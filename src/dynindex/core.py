@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 ItemId = Union[str, int]
 
@@ -74,6 +76,16 @@ class Observation:
 
 _set_price = Observation.price.__set__
 _set_quantity = Observation.quantity.__set__
+
+
+def _observations(prices: Sequence[float], quantities: Iterable[float]) -> list[Observation]:
+    """Internal: the Observations of prices and quantities that the caller has
+    checked finite, in order, built with no Python frame per observation."""
+    built = list(map(object.__new__, repeat(Observation, len(prices))))
+    deque(map(_set_price, built, prices), maxlen=0)
+    deque(map(_set_quantity, built, quantities), maxlen=0)
+    return built
+
 
 # One item's run in a dataset or a reference table: the positions of the
 # periods it is in, its observations there, their expenditures and their

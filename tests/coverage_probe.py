@@ -13,10 +13,11 @@ not start with ``test_``.
 
 Lines expected to stay unreached, and why:
 
-- the forked worker of the verdict matrix and of CSV emission:
-  ``_workers.interleave``'s call of ``_workers._child``, and the bodies of
-  ``_child`` and ``_send``, run, but in a child process, whose hits stay
-  there;
+- the forked worker of the verdict matrix and of CSV ingestion and
+  emission: ``_workers.interleave``'s call of ``_workers._child``, and the
+  bodies of ``_child`` and ``_send``, run, but in a child process, whose
+  hits stay there (``_ingest._share``'s records for a child run here too,
+  for a worker whose fork was refused);
 - the ``...`` bodies of ``Protocol`` methods, which are never called;
 - ``cli``'s ``if __name__ == "__main__":`` body, as the suite calls
   ``main`` directly;

@@ -46,6 +46,15 @@ MULTI_3 = ScenarioParams(n_periods=3, policy=FullHistory())
 
 
 class TestGeneration:
+    @pytest.mark.parametrize("changes, message", [
+        ({"n_items": 0}, "need at least one item and two periods"),
+        ({"n_periods": 1}, "need at least one item and two periods"),
+        ({"setting": "growing"}, "unknown setting 'growing'"),
+    ])
+    def test_params_refuse_a_setting_that_cannot_be_generated(self, changes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScenarioParams(**changes)
+
     @pytest.mark.parametrize("test", list(AxiomTest))
     def test_preconditions_hold(self, test):
         for seed in range(10):

@@ -385,11 +385,17 @@ class TestSynth:
         )
         assert result.mean_log_price_change == pytest.approx(-0.1, abs=1e-12)
 
-    def test_validates_config(self):
-        with pytest.raises(ValueError):
-            SynthConfig(churn_rate=1.0)
-        with pytest.raises(ValueError):
-            SynthConfig(periods=0)
+    @pytest.mark.parametrize("changes, message", [
+        ({"churn_rate": 1.0}, r"churn_rate must lie in \[0, 1\), got 1\.0"),
+        ({"churn_rate": -0.1}, r"churn_rate must lie in \[0, 1\), got -0\.1"),
+        ({"periods": 0}, "periods and initial_items must be at least 1"),
+        ({"initial_items": 0}, "periods and initial_items must be at least 1"),
+        ({"drift_sd": -1.0}, "dispersions must be non-negative"),
+        ({"quantity_sd": -1.0}, "dispersions must be non-negative"),
+    ])
+    def test_validates_config(self, changes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SynthConfig(**changes)
 
 
 class TestCli:

@@ -371,6 +371,16 @@ class TestTpdPrice:
         value = tpd_price(small_dyn(), "C", {0: 1.0, 1: 2.0})
         assert value == pytest.approx(1.5, rel=1e-15)
 
+    def test_a_mean_of_the_largest_log_rounded_past_it_overflows(self):
+        # Every price is the largest float, so every log is the largest, and
+        # the normalized shares 1/2 and 1/3 of item a sum to just over one.
+        top = sys.float_info.max
+        ds = Dataset.build({0: {"a": (top, 0.1), "b": (top, 0.1)},
+                            1: {"a": (top, 0.1), "b": (top, 0.2)}})
+        with pytest.raises(NumericalError,
+                           match="^weighted geometric mean is past the float range$"):
+            tpd_price(ds, "a", {0: 1.0, 1: 1.0})
+
     def test_small_fixed_item_a_exponents(self):
         # shares 1/2 and 2/3 normalize to 3/7 and 4/7, giving 2**(4/7)
         value = tpd_price(small_fixed(), "A", {0: 1.0, 1: 1.0})

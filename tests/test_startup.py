@@ -1,4 +1,4 @@
-"""What ``import dynindex`` loads: the harness, the simulator and the fork helper on first use.
+"""What ``import dynindex`` loads: the harness, the simulator and the fork helpers on first use.
 
 Each check runs in a fresh interpreter, because this suite's own imports
 load both modules.
@@ -14,6 +14,8 @@ import dynindex
 
 SRC = Path(dynindex.__file__).resolve().parents[1]
 LAZY = {"dynindex._workers", "dynindex.harness", "dynindex.simulate"}
+# Loaded only to ingest a large path, so no test below loads it.
+UNLOADED = LAZY | {"dynindex._ingest"}
 
 # Every public name of the package, the two lazily loaded modules included.
 PUBLIC = [
@@ -37,11 +39,12 @@ PUBLIC = [
 ]
 
 
-def run_fresh(code: str, cwd: Path) -> dict:
-    """Run ``code`` in a fresh interpreter; it prints one JSON document."""
+def run_fresh(code: str, cwd: Path, stdin: Path | None = None) -> dict:
+    """Run ``code`` in a fresh interpreter, reading ``stdin``; it prints one JSON document."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
+    with open(stdin if stdin is not None else os.devnull, "rb") as source:
+        done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, stdin=source,
+                              capture_output=True, text=True, timeout=60, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -52,7 +55,7 @@ LOADED = "sorted(m for m in sys.modules if m.startswith('dynindex'))"
 def test_import_leaves_harness_and_simulate_unloaded(tmp_path):
     loaded = run_fresh(f"import json, sys, dynindex; print(json.dumps({LOADED}))", tmp_path)
     assert "dynindex.engines" in loaded
-    assert LAZY.isdisjoint(loaded)
+    assert UNLOADED.isdisjoint(loaded)
 
 
 def test_compute_leaves_harness_and_simulate_unloaded(tmp_path):
@@ -64,7 +67,23 @@ def test_compute_leaves_harness_and_simulate_unloaded(tmp_path):
     code, loaded = run_fresh(code, tmp_path)
     assert code == 0
     assert "dynindex.cli" in loaded
-    assert LAZY.isdisjoint(loaded)
+    assert UNLOADED.isdisjoint(loaded)
+
+
+def test_ingest_of_stdin_a_file_object_or_a_small_file_leaves_the_fork_helper_unloaded(tmp_path):
+    (tmp_path / "tiny.csv").write_text("period,item,price,quantity\n0,a,1,1\n1,a,2,1\n")
+    code = ("import json, os, sys\nfrom dynindex import dataio, ingest_csv\n"
+            "def refuse():\n    raise AssertionError('forked')\n"
+            "os.fork = refuse\n"
+            "small = ingest_csv('tiny.csv')\n"
+            "dataio._FORK_BYTES = 1  # file objects stay serial whatever their size\n"
+            "with open('tiny.csv', encoding='utf-8') as handle:\n"
+            "    same = [ingest_csv(handle) == small, ingest_csv(sys.stdin) == small]\n"
+            f"print(json.dumps([same, {LOADED}]))")
+    same, loaded = run_fresh(code, tmp_path, stdin=tmp_path / "tiny.csv")
+    assert same == [True, True]
+    assert "dynindex.dataio" in loaded
+    assert UNLOADED.isdisjoint(loaded)
 
 
 def test_public_names_are_pinned_and_resolve(tmp_path):
