@@ -4,23 +4,28 @@ The CSV schema is deliberately tiny and bit-exact: a header of either
 ``period,item,price,quantity`` or ``period,item,expenditure,quantity``
 (any column order), comma separation with no quoting, UTF-8, decimal
 point. Item ids containing commas or newlines are rejected rather than
-quoted. Floats are written with ``repr`` so that a written file parses
-back to exactly the same dataset.
+quoted. One leading byte-order mark, as Excel's "CSV UTF-8" export
+writes, is read past; emit writes none. Floats are written with ``repr``
+so that a written file parses back to exactly the same dataset.
 
 Both directions stream: ingest reads one line at a time and emit writes
 one period at a time, so neither holds the whole text. Ingest parses a
 path of 4 MiB or more on every CPU the process may use, each worker a
-range of whole lines, and a file object or stdin in this process. Emit
-formats the periods on every CPU, ahead of its writes.
+range of whole lines, and a file object or stdin in this process. Its
+rows hold no reference cycle, so it builds them with the cyclic garbage
+collector paused and ends with one young collection. Emit formats the
+periods on every CPU, ahead of its writes.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
 import os
 import re
+import threading
 import warnings
 from array import array
 from contextlib import closing
@@ -67,19 +72,35 @@ def ingest_csv(source: Source) -> Dataset:
     warning carrying the count. Any substantive violation (duplicate keys,
     malformed numbers, non-positive values, period gaps) raises CsvError
     with the offending line number where one exists.
+
+    The cyclic garbage collector is switched off for the call, forked
+    workers included, where it is on and no other thread is alive (no
+    other thread may see it switched), and on every exit it is switched on
+    again and collects generations 0 and 1 once, so that the ingest's own
+    objects are walked in the call, not in the caller's next allocation,
+    and the caller's whole heap is not. A collector the caller switched
+    off stays off, with nothing collected.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as lines:
-            layout = _header(lines)
-            parsed = None
-            if (size := os.fstat(lines.fileno()).st_size) >= 2 * _FORK_BYTES:
-                from ._ingest import parse
-                parsed = parse(source, size, layout)
-            rows, dropped = parsed or _rows(lines, layout, {})
-    else:
-        lines = iter(source)
-        rows, dropped = _rows(lines, _header(lines), {})
-    return _dataset(rows, len(dropped))
+    paused = gc.isenabled() and threading.active_count() == 1
+    try:
+        if paused:
+            gc.disable()
+        if isinstance(source, (str, Path)):
+            with open(source, encoding="utf-8") as lines:
+                layout = _header(lines)
+                parsed = None
+                if (size := os.fstat(lines.fileno()).st_size) >= 2 * _FORK_BYTES:
+                    from ._ingest import parse
+                    parsed = parse(source, size, layout)
+                rows, dropped = parsed or _rows(lines, layout, {})
+        else:
+            lines = iter(source)
+            rows, dropped = _rows(lines, _header(lines), {})
+        return _dataset(rows, len(dropped))
+    finally:
+        if paused:
+            gc.enable()
+            gc.collect(1)
 
 
 def _header(lines: Iterator[str]) -> tuple[int, int, int, int, int, str]:
@@ -88,7 +109,8 @@ def _header(lines: Iterator[str]) -> tuple[int, int, int, int, int, str]:
     header_line = next(lines, None)
     if header_line is None:
         raise CsvError("empty input")
-    header = header_line.rstrip("\r\n").split(",")
+    # One byte-order mark, as Excel's "CSV UTF-8" export writes, is not part of the header.
+    header = header_line.removeprefix("\ufeff").rstrip("\r\n").split(",")
     value_column = _resolve_header(header)
     return (len(header), header.index("period"), header.index("item"),
             header.index(value_column), header.index("quantity"), value_column)

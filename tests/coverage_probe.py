@@ -22,7 +22,10 @@ Lines expected to stay unreached, and why:
 - ``cli``'s ``if __name__ == "__main__":`` body, as the suite calls
   ``main`` directly;
 - the module branch of ``dynindex.__getattr__`` (``dynindex.harness`` as
-  an attribute before the submodule is imported) and ``__dir__``.
+  an attribute before the submodule is imported) and ``__dir__``;
+- guards of states the code cannot reach: ``harness``' two "unknown test"
+  raises (every ``AxiomTest`` has its branch) and ``generate_scenario``'s
+  generator-bug ``InfeasibleParams``.
 """
 
 from __future__ import annotations

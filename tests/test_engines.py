@@ -188,6 +188,13 @@ class TestWgm:
         with pytest.raises(InvalidDataError, match="^price of item 'A' in period 0 is -1$"):
             wgm_index(ds, BILATERAL, TornqvistWeights(), LehrUnitValue())
 
+    def test_coupled_index_underflowing_to_zero_raises_numerical_error(self):
+        # a's price falls 1e600-fold: the first sweep's exp(log 1e-300 - log 1e300) is 0.0
+        ds = Dataset.build({0: {"a": (1e300, 1.0)}, 1: {"a": (1e-300, 1.0)}})
+        with pytest.raises(NumericalError,
+                           match=r"^index value for period 1 left \(0, inf\): 0\.0$"):
+            wgm_index(ds, BILATERAL, reference_price=DeflatedUnitValue())
+
 
 class TestTpd:
     def test_identical_periods_full_history(self):

@@ -727,6 +727,9 @@ class TestCounterexamples:
         assert witness is not None
         assert witness["gap"] > 1e-6
 
+    def test_no_intransitivity_witness_in_one_item_markets(self):
+        assert find_intransitivity_witness(budget=3, seed=0, n_items=1, churn_rate=0.0) is None
+
 
 def _check_t5(**kwargs):
     scenario = generate_scenario(AxiomTest.T5_SHARP, 0, BILATERAL_2)

@@ -135,6 +135,19 @@ class TestIngest:
         assert ingest_csv(io.StringIO(text)) == small_fixed()
         assert ingest_csv(path) == small_fixed()
 
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with EF BB BF
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + SF_CSV.encode("utf-8"))
+        assert ingest_csv(path) == small_fixed()
+        assert ingest_csv(io.StringIO("\ufeff" + SF_CSV)) == small_fixed()
+        twice = re.escape("line 1: unexpected header ['\\ufeffperiod'")
+        with pytest.raises(CsvError, match=twice):  # one mark is read past, not two
+            ingest_csv(io.StringIO("\ufeff\ufeff" + SF_CSV))
+        out = io.StringIO()
+        emit_csv(ingest_csv(path), out)
+        assert out.getvalue() == SF_CSV  # and emit writes none
+
     def test_bare_cr_lines_from_a_path(self, tmp_path):
         path = tmp_path / "cr.csv"
         path.write_bytes(SF_CSV.replace("\n", "\r").encode("utf-8"))
@@ -410,6 +423,14 @@ class TestCli:
         assert code == EX_OK
         assert capsys.readouterr().out.strip() == "1.5"
 
+    def test_compute_reads_a_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + SF_CSV.encode("utf-8"))
+        code = main(["compute", "--input", str(path), "--engine", "mgk", "--base", "0",
+                     "--current", "1"])
+        assert code == EX_OK
+        assert capsys.readouterr().out.strip() == "1.5"
+
     def test_compute_fixed_basket_prints_value_ratio_for_value_family(self, tmp_path, capsys):
         path = self._write_small_fixed(tmp_path)
         values = set()
@@ -656,6 +677,13 @@ class TestCli:
         assert code == EX_OK
         witness = json.loads(capsys.readouterr().out)
         assert witness["gap"] > 1e-6
+
+    def test_counterexample_transitivity_not_found(self, capsys):
+        # one item and no churn: every GEKS chain of one item is transitive
+        code = main(["counterexample", "--test", "transitivity", "--items", "1", "--churn", "0",
+                     "--budget", "3", "--seed", "0"])
+        assert code == EX_NOT_FOUND
+        assert capsys.readouterr().out == "no witness found within 3 datasets\n"
 
     def test_counterexample_not_found(self, capsys):
         code = main(["counterexample", "--test", "T2", "--engine", "mgk",

@@ -3,6 +3,8 @@
 The run_matrix side of the helper is tested in test_harness.TestForkedMatrix.
 """
 
+import contextlib
+import gc
 import io
 import os
 import random
@@ -12,8 +14,8 @@ import warnings
 
 import pytest
 
-from dynindex import (CsvError, Dataset, NumericalError, _workers, dataio, emit_csv, format_csv,
-                      ingest_csv)
+from dynindex import (CsvError, Dataset, IngestWarning, NumericalError, _workers, dataio,
+                      emit_csv, format_csv, ingest_csv)
 from helpers import random_market
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
@@ -40,6 +42,20 @@ def refusing(forks):
         forks.append(1)
         raise BlockingIOError("fork refused")
     return fork
+
+
+@contextlib.contextmanager
+def another_thread():
+    """A second thread alive, blocked on an Event, for the length of a with block."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def leaves_nothing(fds):
@@ -156,15 +172,8 @@ def test_nothing_forks_while_another_thread_is_alive(monkeypatch):
     serial = format_csv(ds)
     forks = []
     monkeypatch.setattr(os, "fork", refusing(forks))
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-    try:
+    with another_thread():
         text = format_csv(ds)
-    finally:
-        done.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
     assert forks == []
     assert text == serial
 
@@ -287,6 +296,7 @@ def _corpus():
         "period-gap": [line for line in lines if not line.startswith("2,")],
         "non-positive-price": _replaced(lines, last - 2, _negated(lines[-3])),
         "header-only": head,
+        "byte-order-mark": [b"\xef\xbb\xbf"] + lines,
     }
     for k, error in enumerate(["0,a,1\n", "x,a,1,1\n", "0,,1,1\n", "0,a,p,1\n", "0,a,1,inf\n"]):
         for share in range(4):
@@ -365,6 +375,7 @@ def test_the_corpus_reaches_every_outcome(forked_ingest, tmp_path):
         (tmp_path / "in.csv").write_bytes(data)
         results[name] = outcome(tmp_path / "in.csv")
     assert results["price"] == results["crlf"] == results["bare-cr"] == results["blank-lines"]
+    assert results["byte-order-mark"] == results["price"]
     assert isinstance(results["unsorted"][0], list) and results["price"][1] == []
     zeros = sum(k % 7 == 3 for k in range(1, len(_lines())))
     assert results["zero-quantities"][1][0][1] == f"dropped {zeros} zero-quantity row(s)"
@@ -406,3 +417,97 @@ def test_file_objects_and_small_files_ingest_in_this_process(forked_ingest, monk
     monkeypatch.setattr(dataio, "_FORK_BYTES", len(CORPUS["price"]) + 1)
     assert ingest_csv(path) == expected
     assert forks == []
+
+
+# ---------------------------------------------------------------------------
+# Ingestion with the cyclic collector paused: one young collection, at the end.
+
+
+@pytest.fixture
+def collections(monkeypatch):
+    """The collections that start, as ("collect", generation), with a ("built",)
+    once _dataset returns and the collector's state as each row loop starts."""
+    events = []
+
+    def record(phase, info):
+        if phase == "start":
+            events.append(("collect", info["generation"]))
+
+    rows, dataset = dataio._rows, dataio._dataset
+    monkeypatch.setattr(dataio, "_rows",
+                        lambda *args: events.append(("rows", gc.isenabled())) or rows(*args))
+    monkeypatch.setattr(dataio, "_dataset",
+                        lambda *args: (dataset(*args), events.append(("built",)))[0])
+    gc.callbacks.append(record)
+    yield events
+    gc.callbacks.remove(record)
+
+
+@pytest.fixture(scope="module")
+def rows_20k(tmp_path_factory):
+    """A 20,000-row CSV file, 20 periods of 1,000 items."""
+    path = tmp_path_factory.mktemp("pause") / "20k.csv"
+    path.write_text("period,item,price,quantity\n" + "".join(
+        f"{t},i{k},{1 + (t * k) % 7}.5,{1 + k % 5}\n" for t in range(20) for k in range(1000)))
+    return path
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_ingest_collects_once_young_after_building(forked_ingest, collections, rows_20k,
+                                                      workers):
+    forked_ingest(workers)
+    dataset = ingest_csv(rows_20k)
+    assert collections == [("rows", False), ("built",), ("collect", 1)]
+    assert gc.isenabled()
+    assert sum(len(pd.items) for pd in dataset.periods) == 20_000
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_paused_ingest_builds_the_unpaused_dataset(forked_ingest, collections, rows_20k,
+                                                     workers):
+    forked_ingest(1)
+    with another_thread():
+        unpaused = outcome(rows_20k)
+    forked_ingest(workers)
+    assert outcome(rows_20k) == unpaused
+    assert [event[1] for event in collections if event[0] == "rows"] == [True, False]
+
+
+@pytest.mark.parametrize("failure", [CsvError, IngestWarning, KeyboardInterrupt],
+                         ids=lambda failure: failure.__name__)
+def test_the_collector_is_resumed_on_every_exit(collections, failure, monkeypatch):
+    text = "period,item,price,quantity\n0,a,1,1\n0,b,1,0\n"  # b's row is dropped with a warning
+    if failure is CsvError:
+        text += "0,a,1,1\n"
+    elif failure is KeyboardInterrupt:
+        monkeypatch.setattr(dataio, "_dataset", _interrupt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IngestWarning)
+        with pytest.raises(failure):
+            ingest_csv(io.StringIO(text))
+    assert gc.isenabled()
+    assert collections == [("rows", False), ("collect", 1)]
+
+
+def _interrupt(rows, dropped):
+    raise KeyboardInterrupt
+
+
+def test_a_collector_the_caller_disabled_stays_off(collections, rows_20k):
+    gc.disable()
+    try:
+        ingest_csv(rows_20k)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert collections == [("rows", False), ("built",)]
+
+
+def test_beside_another_thread_the_collector_runs_as_ever(collections, rows_20k):
+    with another_thread():
+        ingest_csv(rows_20k)
+    assert collections[0] == ("rows", True)
+    young = [event for event in collections if event == ("collect", 0)]
+    assert len(young) > 10  # every 700 net allocations of tracked objects
+    assert collections[-1] == ("built",)
+
