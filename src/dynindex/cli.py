@@ -378,8 +378,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The parser is in reference cycles: holding it through the command
+    # would let ingest's young collection move it to the oldest generation.
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except CsvError as exc:

@@ -88,11 +88,21 @@ def _observations(prices: Sequence[float], quantities: Iterable[float]) -> list[
 
 
 # One item's run in a dataset or a reference table: the positions of the
-# periods it is in, its observations there, their expenditures and their
-# quantities.
-ItemRun = tuple[tuple[int, ...], tuple[Observation, ...], tuple[float, ...], tuple[float, ...]]
+# periods it is in, its observations there, their expenditures, their
+# quantities, and the fsum of the expenditures and of the quantities where
+# carried (None where not, or where fsum overflows).
+ItemRun = tuple[tuple[int, ...], tuple[Observation, ...], tuple[float, ...], tuple[float, ...],
+                float | None, float | None]
 # A dataset's item-major view: every item's run, and each position's entrants.
 ItemView = tuple[dict[ItemId, ItemRun], tuple[tuple[ItemId, ...], ...]]
+
+
+def _total(column: list[float]) -> float | None:
+    """The fsum of a run's column, or None where it overflows."""
+    try:
+        return math.fsum(column)
+    except OverflowError:
+        return None
 
 
 def _summary(period: int, items: Mapping[ItemId, Observation]) -> tuple[float, str | None]:
@@ -221,12 +231,14 @@ class Dataset:
 
         Each item's run, items in order of first appearance: the positions
         in ``periods`` of the periods it is in, its observations there (the
-        dataset's own), their expenditures, price * quantity, and their
-        quantities, so that sums over a run read no observation. Beside the
-        runs, each position's entrants: the items of its map, in the map's
-        order, that the position before does not hold. One walk of the
-        period maps builds both, and one assignment publishes them; two
-        threads that race build them twice, which is harmless.
+        dataset's own), their expenditures, price * quantity, their
+        quantities, and the fsum of each of those two columns (None where
+        it overflows), so that no table that takes a run whole sums it
+        again. Beside the runs, each position's entrants: the items of its
+        map, in the map's order, that the position before does not hold.
+        One walk of the period maps builds both, and one assignment
+        publishes them; two threads that race build them twice, which is
+        harmless.
         """
         view = self._view
         if view is None:
@@ -248,7 +260,8 @@ class Dataset:
                         spent.append(o.price * o.quantity)
                         quantities.append(o.quantity)
                 entrants.append(tuple(entering))
-            runs = {item: (tuple(ks), tuple(obs), tuple(spent), tuple(quantities))
+            runs = {item: (tuple(ks), tuple(obs), tuple(spent), tuple(quantities),
+                           _total(spent), _total(quantities))
                     for item, (ks, obs, spent, quantities) in grouped.items()}
             view = runs, tuple(entrants)
             object.__setattr__(self, "_view", view)

@@ -47,9 +47,11 @@ class ReferenceData:
     the compared periods. runs maps each requested item, in order of first
     appearance in the reference periods, to its run there (core.ItemRun):
     the positions it occupies, its observations there (the dataset's own),
-    each observation's price * quantity and each observation's quantity.
-    The mapping is the table's own; a run is a tuple of read-only tuples
-    that may be shared with the dataset and with other tables.
+    each observation's price * quantity, each observation's quantity, and
+    the fsum of those expenditures and of those quantities, or None where
+    the table does not carry them. The mapping is the table's own; a run is
+    a tuple of read-only tuples and totals that may be shared with the
+    dataset and with other tables.
     """
 
     periods: tuple[int, ...]
@@ -73,8 +75,10 @@ def reference_data(
     periods are consecutive, is sliced from the dataset's item-major view
     (built by the first such call): each item's run is the view's own
     where it lies inside a window that starts at the dataset's first
-    period, and is cut or shifted otherwise. Raises SchemeError for an
-    item present in no reference period.
+    period, and is cut or shifted otherwise. A run taken whole, or only
+    shifted, carries the view's totals; a cut run, and every run of a
+    two-period table, carries None, so no table sums what no scheme may
+    read. Raises SchemeError for an item present in no reference period.
     """
     periods = spec.reference_periods(dataset)
     period_data = [dataset.period_data(r) for r in periods]
@@ -86,14 +90,14 @@ def reference_data(
         for item, a in first.items():
             if wanted is None or item in wanted:
                 if item not in second:  # faster than a get on the read-only map
-                    runs[item] = _FIRST, (a,), (a.price * a.quantity,), (a.quantity,)
+                    runs[item] = _FIRST, (a,), (a.price * a.quantity,), (a.quantity,), None, None
                 else:
                     b = second[item]
                     runs[item] = (_BOTH, (a, b), (a.price * a.quantity, b.price * b.quantity),
-                                  (a.quantity, b.quantity))
+                                  (a.quantity, b.quantity), None, None)
         for item, b in second.items():
             if item not in first and (wanted is None or item in wanted):
-                runs[item] = _SECOND, (b,), (b.price * b.quantity,), (b.quantity,)
+                runs[item] = _SECOND, (b,), (b.price * b.quantity,), (b.quantity,), None, None
     else:
         view, entrants = dataset._item_view()
         lo = dataset.period_indices().index(periods[0])
@@ -108,7 +112,7 @@ def reference_data(
             if wanted is not None and item not in wanted:
                 continue
             run = view[item]
-            ks, obs, spent, traded = run
+            ks, obs, spent, traded, expenditure, quantity = run
             first, last = ks[0], ks[-1]
             if last - first == len(ks) - 1:
                 # no gaps: the window cuts the run where its positions say,
@@ -118,17 +122,20 @@ def reference_data(
                     b = hi - first + 1 if last > hi else len(ks)
                     if a >= b:
                         continue
-                    run = span[first + a - lo:first + b - lo], obs[a:b], spent[a:b], traded[a:b]
+                    run = (span[first + a - lo:first + b - lo], obs[a:b], spent[a:b],
+                           traded[a:b], None, None)
                 elif lo:
-                    run = span[first - lo:last - lo + 1], obs, spent, traded
+                    run = span[first - lo:last - lo + 1], obs, spent, traded, expenditure, quantity
             else:
                 a, b = bisect_left(ks, lo), bisect_right(ks, hi)
                 if a == b:
                     continue
                 if lo or b - a < len(ks):
+                    if b - a < len(ks):
+                        expenditure = quantity = None
                     ks = ks[a:b]
                     run = (tuple([k - lo for k in ks]) if lo else ks,
-                           obs[a:b], spent[a:b], traded[a:b])
+                           obs[a:b], spent[a:b], traded[a:b], expenditure, quantity)
             runs[item] = run
     if wanted is not None and len(runs) < len(wanted):
         missing = next(item for item in wanted if item not in runs)
@@ -179,26 +186,28 @@ class LehrUnitValue:
     needs_index = False
 
     def prices_for(self, data, index_series=None):
-        # Expenditure over quantity, summed over the item's run. This loop
-        # runs once per item of every GEKS leg, so an item seen in one or
-        # two periods skips fsum: the fsum of one term is that term, and the
+        # Expenditure over quantity, summed over the item's run: the run's
+        # carried totals where it has both. Otherwise (every run of a
+        # two-period table, and a cut run) an item seen in one or two
+        # periods skips fsum: the fsum of one term is that term, and the
         # sum of two finite floats is correctly rounded, as fsum's is.
         # fsum decides where a two-term sum overflows (fsum raises), which
         # is caught once, outside the loop.
         prices = {}
         try:
-            for item, (_, _, spent, traded) in data.runs.items():
-                if len(spent) == 2:
-                    expenditure = spent[0] + spent[1]
-                    quantity = traded[0] + traded[1]
-                    # x - x is 0.0 for a finite x and nan for inf
-                    if not (expenditure - expenditure or quantity - quantity):
-                        prices[item] = expenditure / quantity
-                        continue
-                elif len(spent) == 1:
-                    prices[item] = spent[0] / traded[0]
-                    continue
-                prices[item] = math.fsum(spent) / math.fsum(traded)
+            for item, (_, _, spent, traded, expenditure, quantity) in data.runs.items():
+                if expenditure is None or quantity is None:
+                    if len(spent) == 2:
+                        expenditure = spent[0] + spent[1]
+                        quantity = traded[0] + traded[1]
+                        # x - x is 0.0 for a finite x and nan for inf
+                        if expenditure - expenditure or quantity - quantity:
+                            expenditure, quantity = math.fsum(spent), math.fsum(traded)
+                    elif len(spent) == 1:
+                        expenditure, quantity = spent[0], traded[0]
+                    else:
+                        expenditure, quantity = math.fsum(spent), math.fsum(traded)
+                prices[item] = expenditure / quantity
         except OverflowError:
             raise _overflow(item, data.periods) from None
         return prices
@@ -214,10 +223,10 @@ class DeflatedUnitValue:
         deflators = _deflators(data, index_series)
         prices = {}
         try:
-            for item, (ks, obs, _, traded) in data.runs.items():
+            for item, (ks, obs, _, traded, _, quantity) in data.runs.items():
                 prices[item] = (math.fsum([o.price / deflators[k] * o.quantity
                                            for k, o in zip(ks, obs)])
-                                / math.fsum(traded))
+                                / (math.fsum(traded) if quantity is None else quantity))
         except OverflowError:
             raise _overflow(item, data.periods) from None
         return prices
@@ -238,7 +247,7 @@ class TPDGeometric:
         deflators = _deflators(data, index_series)
         totals = data.totals
         prices = {}
-        for item, (ks, obs, spent, _) in data.runs.items():
+        for item, (ks, obs, spent, _, _, _) in data.runs.items():
             try:
                 terms = [(e / totals[k], math.log(o.price / deflators[k]))
                          for k, o, e in zip(ks, obs, spent)]
@@ -341,8 +350,8 @@ class ArithmeticMeanQuantity:
     def quantities_for(self, data, prices=None):
         quantities = {}
         try:
-            for item, (_, _, _, traded) in data.runs.items():
-                quantities[item] = math.fsum(traded) / len(traded)
+            for item, (_, _, _, traded, _, q) in data.runs.items():
+                quantities[item] = (math.fsum(traded) if q is None else q) / len(traded)
         except OverflowError:
             raise _overflow(item, data.periods) from None
         return quantities
@@ -354,10 +363,10 @@ class ExpenditureOverReferencePrice:
     def quantities_for(self, data, prices=None):
         quantities = {}
         try:
-            for item, (_, _, spent, _) in data.runs.items():
+            for item, (_, _, spent, _, e, _) in data.runs.items():
                 if prices is None or item not in prices:
                     raise SchemeError(f"no reference price available for item {item!r}")
-                mean_expenditure = math.fsum(spent) / len(spent)
+                mean_expenditure = (math.fsum(spent) if e is None else e) / len(spent)
                 quantities[item] = mean_expenditure / prices[item]
         except ZeroDivisionError:
             raise NumericalError(f"reference price of item {item!r} is {prices[item]!r}") from None
@@ -482,11 +491,12 @@ def gk_start(data: ReferenceData) -> dict[int, float] | None:
     n = len(data.periods)
     links = []
     try:
-        quantity = {i: math.fsum(traded) for i, (_, _, _, traded) in runs.items()}
+        quantity = {i: math.fsum(traded) if q is None else q
+                    for i, (_, _, _, traded, _, q) in runs.items()}
         for r, mr in enumerate(data.period_items):
             row: list[list[float]] = [[] for _ in range(n)]
             for i, o in mr.items():
-                ks, _, spent, _ = runs[i]
+                ks, _, spent, _, _, _ = runs[i]
                 q, total = o.quantity, quantity[i]
                 for s, e in zip(ks, spent):
                     if s != r:
@@ -524,7 +534,7 @@ def tpd_start(data: ReferenceData) -> dict[int, float] | None:
     """
     runs, totals = data.runs, data.totals
     weight, mean_log = {}, {}
-    for i, (ks, obs, spent, _) in runs.items():
+    for i, (ks, obs, spent, _, _, _) in runs.items():
         shares = [e / totals[k] for k, e in zip(ks, spent)]
         weight[i] = item_weight = math.fsum(shares)
         if not item_weight > 0:
@@ -541,7 +551,7 @@ def tpd_start(data: ReferenceData) -> dict[int, float] | None:
         for i, o in mr.items():
             j = cursor[i]
             cursor[i] = j + 1
-            item_positions, _, spent, _ = runs[i]
+            item_positions, _, spent, _, _, _ = runs[i]
             item_weight = weight[i]
             w = spent[j] / total
             constant.append(w * (math.log(o.price) - mean_log[i]))

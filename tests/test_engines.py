@@ -2,6 +2,7 @@ import gc
 import math
 import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -241,6 +242,17 @@ class TestTpd:
         with pytest.raises(InvalidDataError,
                            match="^quantity of item 'i1' in period 1 is -1.098021518089503$"):
             evaluate(ds, ComparisonSpec(0, 1, policy), EngineSpec("tpd"))
+
+    @pytest.mark.parametrize("policy", [Bilateral(), FullHistory()],
+                             ids=["bilateral", "full-history"])
+    def test_deflated_price_without_a_log_raises_numerical_error(self, policy):
+        # b's price 5e-324 over a deflator above one underflows to 0.0, whose
+        # log the TPD reference price cannot take
+        ds = Dataset.build({0: {"a": (1, 1), "b": (1, 1)}, 1: {"a": (4, 1), "b": (5e-324, 1)}})
+        with pytest.raises(NumericalError, match="its log is undefined$") as raised:
+            evaluate(ds, ComparisonSpec(0, 1, policy), EngineSpec("tpd"))
+        last = raised.traceback[-1]
+        assert (last.name, last.path) == ("prices_for", Path(references.__file__))
 
     def test_negative_share_sum_raises_the_contract_error(self):
         # a's quantity is negative in both periods, so its shares would sum

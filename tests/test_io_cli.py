@@ -1,4 +1,6 @@
+import argparse
 import dataclasses
+import gc
 import io
 import json
 import re
@@ -422,6 +424,21 @@ class TestCli:
                      "--engine", "mgk", "--base", "0", "--current", "1"])
         assert code == EX_OK
         assert capsys.readouterr().out.strip() == "1.5"
+
+    def test_compute_leaves_no_parser_for_a_full_collection(self, tmp_path, capsys):
+        # The parser is in reference cycles; held through the command,
+        # ingest's closing young collection would move it to the oldest
+        # generation, which only a full collection walks.
+        def old_parsers():
+            return sum(isinstance(o, argparse.ArgumentParser)
+                       for o in gc.get_objects(generation=2))
+
+        gc.collect()
+        before = old_parsers()
+        code = main(["compute", "--input", self._write_small_fixed(tmp_path),
+                     "--engine", "mgk", "--base", "0", "--current", "1"])
+        assert code == EX_OK
+        assert old_parsers() == before
 
     def test_compute_reads_a_file_with_a_byte_order_mark(self, tmp_path, capsys):
         path = tmp_path / "bom.csv"

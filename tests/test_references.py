@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -43,6 +44,8 @@ from dynindex import (
 from dynindex.engines import _guv_index_at, _wgm_index_at
 from dynindex.references import gk_start, tpd_start
 from helpers import (
+    OVERFLOWING_QUANTITY_INDEX,
+    OVERFLOWING_QUANTITY_SUM,
     POSITIVE_EDGE_FLOATS,
     SMALL_DYN,
     ZERO_PIVOT,
@@ -92,7 +95,7 @@ class TestReferenceData:
             assert data.period_items[k] is ds.period_data(r).items
             assert data.totals[k] == ds.period_data(r).total_expenditure()
         assert set(data.runs) == set().union(*(ds.universe(r) for r in data.periods))
-        for item, (ks, present, _, _) in data.runs.items():
+        for item, (ks, present, _, _, _, _) in data.runs.items():
             positions = tuple(k for k, r in enumerate(data.periods) if ds.has(r, item))
             assert ks == positions
             assert len(present) == len(positions)
@@ -109,7 +112,7 @@ class TestReferenceData:
         assert list(data.runs) == ["A", "B", "C"]
         assert [o.price for o in data.runs["A"][1]] == [1.0, 1.5]
         assert [o.price for o in data.runs["B"][1]] == [2.0, 2.5]
-        assert {i: ks for i, (ks, _, _, _) in data.runs.items()} == {
+        assert {i: ks for i, (ks, _, _, _, _, _) in data.runs.items()} == {
             "A": (0, 1), "B": (0, 2), "C": (1,)}
 
 
@@ -128,8 +131,20 @@ def _returning_market(seed, first=0, gap=None):
     return Dataset.build(data)
 
 
+def _carried(column):
+    """A run's carried total: the fsum of its column, None where that overflows."""
+    try:
+        return math.fsum(column)
+    except OverflowError:
+        return None
+
+
 def _walked_table(ds, spec, items=None):
-    """The table that one walk of the reference periods' maps gives, with no view."""
+    """The table that one walk of the reference periods' maps gives, with no view.
+
+    A run carries its totals where the table has three or more periods and
+    the run is the item's whole run in the dataset.
+    """
     periods = spec.reference_periods(ds)
     maps = tuple(ds.period_data(r).items for r in periods)
     observations, positions = {}, {}
@@ -142,11 +157,16 @@ def _walked_table(ds, spec, items=None):
         missing = [item for item in items if item not in observations]
         if missing:
             raise SchemeError(f"item {missing[0]!r} absent from all reference periods {periods}")
+    runs = {}
+    for i, obs in observations.items():
+        spent = tuple(o.price * o.quantity for o in obs)
+        traded = tuple(o.quantity for o in obs)
+        whole = len(periods) > 2 and len(obs) == sum(ds.has(r, i) for r in ds.period_indices())
+        runs[i] = (tuple(positions[i]), tuple(obs), spent, traded,
+                   _carried(spent) if whole else None, _carried(traded) if whole else None)
     return ReferenceData(
         periods, periods.index(spec.base), periods.index(spec.current), maps,
-        tuple(ds.period_data(r).total_expenditure() for r in periods),
-        {i: (tuple(positions[i]), tuple(obs), tuple(o.price * o.quantity for o in obs),
-             tuple(o.quantity for o in obs)) for i, obs in observations.items()})
+        tuple(ds.period_data(r).total_expenditure() for r in periods), runs)
 
 
 def _windows(ds):
@@ -195,11 +215,11 @@ class TestItemView:
                 assert all(a is b for a, b in zip(data.period_items, expected.period_items))
                 assert data.totals == expected.totals
                 assert list(data.runs) == list(expected.runs)
-                for item, (ks, obs, spent, traded) in expected.runs.items():
+                for item, (ks, obs, spent, traded, *totals) in expected.runs.items():
                     run = data.runs[item]
                     assert len(run[1]) == len(obs)
                     assert all(a is b for a, b in zip(run[1], obs))
-                    assert (run[0], run[2], run[3]) == (ks, spent, traded)
+                    assert (run[0], run[2], run[3], *run[4:]) == (ks, spent, traded, *totals)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_a_run_inside_a_window_from_the_first_period_is_the_views_own(self, seed):
@@ -251,6 +271,91 @@ class TestItemView:
             assert ds._view is view
 
 
+# Runs that sum past the float range, over three or more periods so that
+# their tables are sliced from the view: a's quantities, and a's
+# expenditures (four halves of 2e308), while every period's total is finite.
+_OVERFLOWING = {
+    "quantity-sum": {**OVERFLOWING_QUANTITY_SUM, 2: OVERFLOWING_QUANTITY_SUM[0]},
+    "expenditure-sum": {0: OVERFLOWING_QUANTITY_INDEX[0], 1: OVERFLOWING_QUANTITY_INDEX[1],
+                        2: OVERFLOWING_QUANTITY_INDEX[1], 3: OVERFLOWING_QUANTITY_INDEX[0]},
+}
+
+
+def _stripped(data):
+    """The table with every run's totals set to None, as no view carries them."""
+    return dataclasses.replace(
+        data, runs={item: run[:4] + (None, None) for item, run in data.runs.items()})
+
+
+def _read(f):
+    """Each value of a reader as float.hex (None for no start), or its error."""
+    try:
+        values = f()
+    except PriceIndexError as e:
+        return type(e), str(e)
+    return None if values is None else {key: value.hex() for key, value in values.items()}
+
+
+def _readers_of_totals(data, series, prices):
+    """The schemes and the start that read a run's carried totals, each on data."""
+    return (lambda: LehrUnitValue().prices_for(data),
+            lambda: DeflatedUnitValue().prices_for(data, series),
+            lambda: ArithmeticMeanQuantity().quantities_for(data),
+            lambda: ExpenditureOverReferencePrice().quantities_for(data, prices),
+            lambda: gk_start(data))
+
+
+class TestCarriedTotals:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_views_runs_carry_the_fsum_of_their_columns(self, seed):
+        ds = random_market(seed, periods=8, items=12, churn=0.3)
+        for _, _, spent, traded, expenditure, quantity in ds._item_view()[0].values():
+            assert expenditure.hex() == math.fsum(spent).hex()
+            assert quantity.hex() == math.fsum(traded).hex()
+
+    def test_a_run_that_sums_past_the_float_range_carries_none(self):
+        view = Dataset.build(_OVERFLOWING["quantity-sum"])._item_view()[0]
+        assert view["a"][4:] == (math.fsum(view["a"][2]), None)
+        assert view["b"][4:] == (math.fsum(view["b"][2]), math.fsum(view["b"][3]))
+        for run in Dataset.build(_OVERFLOWING["expenditure-sum"])._item_view()[0].values():
+            assert run[4:] == (None, math.fsum(run[3]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_only_whole_runs_of_longer_tables_carry_the_views_totals(self, seed):
+        ds = random_market(seed, periods=8, items=12, churn=0.3)
+        view = ds._item_view()[0]
+        seen = set()
+        for spec in (ComparisonSpec(0, 4, FullHistory()), ComparisonSpec(5, 7, RollingWindow(4)),
+                     ComparisonSpec(3, 7, FullHistory()), ComparisonSpec(2, 5, Bilateral()),
+                     ComparisonSpec(6, 7, RollingWindow(2))):
+            data = reference_data(ds, spec)
+            for item, run in data.runs.items():
+                whole = len(data.periods) > 2 and len(run[0]) == len(view[item][0])
+                if whole:
+                    # shifted where the window starts after the first period
+                    assert run[4] is view[item][4] and run[5] is view[item][5]
+                    seen.add("shifted" if run[0] != view[item][0] else "whole")
+                else:
+                    assert run[4:] == (None, None)
+                    seen.add("cut" if len(data.periods) > 2 else "two-period")
+        assert seen == {"whole", "shifted", "cut", "two-period"}
+
+    @pytest.mark.parametrize("name", [0, 1, 2, 3, *_OVERFLOWING])
+    def test_readers_give_what_they_sum_without_carried_totals(self, name):
+        if name in _OVERFLOWING:
+            ds = Dataset.build(_OVERFLOWING[name])
+        else:
+            ds = random_market(name, periods=6, items=10, churn=0.3)
+        rng = random.Random(str(name))
+        series = {r: rng.uniform(0.5, 2.0) for r in ds.period_indices()}
+        for spec in _windows(ds):
+            data = reference_data(ds, spec)
+            # a zero price makes the expenditure reader raise at that item
+            prices = {item: rng.choice([0.0, 1.5, 2.0]) for item in data.runs}
+            assert ([_read(f) for f in _readers_of_totals(data, series, prices)]
+                    == [_read(f) for f in _readers_of_totals(_stripped(data), series, prices)])
+
+
 class TestLehrPrice:
     def test_small_fixed_item_a(self):
         assert lehr_price(small_fixed(), "A") == pytest.approx(1.5, abs=1e-15)
@@ -288,7 +393,7 @@ _MAX = sys.float_info.max
 def _lehr_formula(data):
     """Expenditure over quantity: p*q/q for one observation, fsum for more."""
     prices = {}
-    for item, (_, obs, _, _) in data.runs.items():
+    for item, (_, obs, _, _, _, _) in data.runs.items():
         if len(obs) == 1:
             (o,) = obs
             prices[item] = o.price * o.quantity / o.quantity
@@ -720,7 +825,8 @@ def oracle_gk_start(data):
     maps = data.period_items
     try:
         quantity = {
-            i: math.fsum([o.quantity for o in obs]) for i, (_, obs, _, _) in data.runs.items()
+            i: math.fsum([o.quantity for o in obs])
+            for i, (_, obs, _, _, _, _) in data.runs.items()
         }
         links = [
             [
@@ -742,7 +848,7 @@ def oracle_tpd_start(data):
     maps, totals = data.period_items, data.totals
     weight = {
         i: math.fsum([o.expenditure / totals[k] for k, o in zip(ks, obs)])
-        for i, (ks, obs, _, _) in data.runs.items()
+        for i, (ks, obs, _, _, _, _) in data.runs.items()
     }
     if not all(w > 0 for w in weight.values()):
         return None
@@ -750,7 +856,7 @@ def oracle_tpd_start(data):
         i: math.fsum([o.expenditure / totals[k] * math.log(o.price)
                       for k, o in zip(ks, obs)])
         / weight[i]
-        for i, (ks, obs, _, _) in data.runs.items()
+        for i, (ks, obs, _, _, _, _) in data.runs.items()
     }
     n = len(maps)
     links = [[0.0] * n for _ in range(n)]
@@ -853,7 +959,7 @@ def test_start_holds_one_row_of_terms_at_a_time(start, share):
     # positions (per unordered pair for TPD's symmetric matrix).
     ds = random_market(3, periods=20, items=100, churn=0.05)
     data = reference_data(ds, ComparisonSpec(0, 19, FullHistory()))
-    pairs = sum(len(ks) * (len(ks) - 1) for ks, _, _, _ in data.runs.values())
+    pairs = sum(len(ks) * (len(ks) - 1) for ks, _, _, _, _, _ in data.runs.values())
     every_term = pairs * share * 32
     tracemalloc.start()
     try:
