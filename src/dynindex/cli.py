@@ -31,24 +31,17 @@ from .core import (
 )
 from .dataio import CsvError, emit_csv, ingest_csv, write_report
 from .engines import (
+    _REGISTRY,
     CHAINABLE_FAMILIES,
     ENGINE_FAMILIES,
+    PRICE_SCHEMES,
+    QUANTITY_SCHEMES,
     TABLE1_ROWS,
     EngineSpec,
     ImputationPolicy,
     evaluate,
 )
-from .references import (
-    ArithmeticMeanQuantity,
-    BaseQuantity,
-    CurrentQuantity,
-    DeflatedUnitValue,
-    ExpenditureOverReferencePrice,
-    FixedBase,
-    LehrUnitValue,
-    TPDGeometric,
-    require_tolerance,
-)
+from .references import require_tolerance
 
 EX_OK = 0
 EX_MISMATCH = 2
@@ -58,17 +51,14 @@ EX_DATA = 65
 EX_ENGINE = 70
 EX_IO = 74
 
-_PRICE_SCHEMES = {
-    "lehr": LehrUnitValue,
-    "fixed-base": FixedBase,
-    "deflated": DeflatedUnitValue,
-    "tpd": TPDGeometric,
-}
-_QUANTITY_SCHEMES = {
-    "mean": ArithmeticMeanQuantity,
-    "base": BaseQuantity,
-    "current": CurrentQuantity,
-    "expenditure": ExpenditureOverReferencePrice,
+# compute's engine flags: the EngineSpec option each sets, its default, its parser keywords
+_ENGINE_FLAGS = {
+    "--reference-price": ("reference_price", "lehr", {"choices": sorted(PRICE_SCHEMES)}),
+    "--quantity-scheme": ("reference_quantity", "mean", {"choices": sorted(QUANTITY_SCHEMES)}),
+    "--alpha": ("alpha", 0.5, {"type": float}),
+    "--birth-markup": ("imputation", 1.05, {"type": float}),
+    "--death-markup": ("imputation", 1.05, {"type": float}),
+    "--inner": ("inner", "mgk", {"choices": CHAINABLE_FAMILIES}),
 }
 
 
@@ -98,16 +88,11 @@ def build_parser() -> _Parser:
     compute.add_argument("--current", type=int, required=True)
     compute.add_argument("--policy", choices=("bilateral", "full-history", "rolling"),
                          default="bilateral")
-    compute.add_argument("--window", type=int, default=13, help="rolling window length")
-    compute.add_argument("--reference-price", choices=sorted(_PRICE_SCHEMES),
-                         default="lehr")
-    compute.add_argument("--quantity-scheme", choices=sorted(_QUANTITY_SCHEMES),
-                         default="mean")
-    compute.add_argument("--alpha", type=float, default=0.5)
-    compute.add_argument("--birth-markup", type=float, default=1.05)
-    compute.add_argument("--death-markup", type=float, default=1.05)
-    compute.add_argument("--inner", choices=CHAINABLE_FAMILIES, default="mgk",
-                         help="bilateral engine chained by geks")
+    compute.add_argument("--window", type=int,
+                         help="rolling window length (default 13; read by --policy rolling)")
+    for flag, (option, default, keywords) in _ENGINE_FLAGS.items():
+        readers = ", ".join(f for f, (_, reads, _) in _REGISTRY.items() if option in reads)
+        compute.add_argument(flag, help=f"default {default}; read by {readers}", **keywords)
     compute.add_argument("--series", action="store_true",
                          help="print the whole per-period series")
     compute.add_argument("--json", help="also write a machine-readable report here")
@@ -146,7 +131,8 @@ def build_parser() -> _Parser:
     counter.add_argument("--test", required=True,
                          choices=[t.value for t in AxiomTest] + ["transitivity"])
     counter.add_argument("--engine", choices=ENGINE_FAMILIES, default="mgk")
-    counter.add_argument("--inner", choices=CHAINABLE_FAMILIES, default="mgk")
+    counter.add_argument("--inner", choices=CHAINABLE_FAMILIES,
+                         help="default mgk; read by --engine geks and --test transitivity")
     counter.add_argument("--budget", type=int, default=100)
     counter.add_argument("--seed", type=int, default=None)
     counter.add_argument("--items", type=int, default=6)
@@ -161,45 +147,46 @@ def build_parser() -> _Parser:
 
 
 def _policy_from_args(args: argparse.Namespace):
-    if args.policy == "bilateral":
-        return Bilateral()
-    if args.policy == "full-history":
-        return FullHistory()
-    return RollingWindow(args.window)
+    if args.policy == "rolling":
+        return RollingWindow(13 if args.window is None else args.window)
+    return Bilateral() if args.policy == "bilateral" else FullHistory()
 
 
 def _engine_from_args(args: argparse.Namespace) -> EngineSpec:
-    """Every compute engine option; a family ignores the ones it does not read."""
-    return EngineSpec(
-        args.engine,
-        reference_price=_PRICE_SCHEMES[args.reference_price](),
-        reference_quantity=_QUANTITY_SCHEMES[args.quantity_scheme](),
-        alpha=args.alpha,
-        imputation=ImputationPolicy(args.birth_markup, args.death_markup),
-        inner=EngineSpec(args.inner),
-    )
+    """The --engine spec with the options of the engine flags given, each of which it reads."""
+    reads = _REGISTRY[args.engine][1]
+    for flag, (option, *_) in _ENGINE_FLAGS.items():
+        if getattr(args, flag[2:].replace("-", "_")) is not None and option not in reads:
+            raise ValueError(f"{flag} is not read by engine {args.engine}")
+    markups = {k: v for k, v in (("birth_markup", args.birth_markup),
+                                 ("death_markup", args.death_markup)) if v is not None}
+    options = {
+        "reference_price": args.reference_price and PRICE_SCHEMES[args.reference_price](),
+        "reference_quantity": args.quantity_scheme and QUANTITY_SCHEMES[args.quantity_scheme](),
+        "alpha": args.alpha,
+        "imputation": ImputationPolicy(**markups) if markups else None,
+        "inner": args.inner and EngineSpec(args.inner),
+    }
+    return EngineSpec(args.engine, **{k: v for k, v in options.items() if v is not None})
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
+    if args.window is not None and args.policy != "rolling":
+        raise ValueError("--window is read only by --policy rolling")
+    engine = _engine_from_args(args)
     dataset = ingest_csv(sys.stdin if args.input == "-" else args.input)
     spec = ComparisonSpec(args.base, args.current, _policy_from_args(args))
-    engine = _engine_from_args(args)
     result = evaluate(dataset, spec, engine)
     print(f"{result.value:.12g}")
     if args.series and result.series is not None:
         for period in sorted(result.series):
             print(f"{period} {result.series[period]:.12g}")
     if args.json:
-        payload = {
-            "command": "compute",
-            "config": {
-                "engine": engine.label(),
-                "base": args.base,
-                "current": args.current,
-                "policy": args.policy,
-            },
-            "value": result.value,
-        }
+        config = {"engine": engine.label(), "base": args.base, "current": args.current,
+                  "policy": args.policy}
+        if args.policy == "rolling":
+            config["window"] = spec.policy.window
+        payload = {"command": "compute", "config": config, "value": result.value}
         if result.series is not None:
             payload["series"] = {str(k): v for k, v in sorted(result.series.items())}
         if result.decomposition is not None:
@@ -207,12 +194,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if result.components is not None:
             payload["components"] = dict(result.components)
         if result.diagnostics is not None:
-            payload["fixed_point"] = {
-                "converged": result.diagnostics.converged,
-                "iterations": result.diagnostics.iterations,
-                "final_residual": result.diagnostics.final_residual,
-                "method": result.diagnostics.method,
-            }
+            payload["fixed_point"] = dataclasses.asdict(result.diagnostics)
         write_report(args.json, payload)
     if result.diagnostics is not None and not result.diagnostics.converged:
         print(
@@ -277,12 +259,9 @@ def _cmd_closed_forms(args: argparse.Namespace) -> int:
 
     seed = args.seed if args.seed is not None else _default_seed()
     verdicts = closed_form_suite(seed=seed, tolerance=args.tolerance)
-    failures = 0
     for verdict in verdicts:
         status = "PASS" if verdict.passed else "FAIL"
-        failures += 0 if verdict.passed else 1
-        actual = verdict.witness["actual"]
-        expected = verdict.witness["expected"]
+        actual, expected = verdict.witness["actual"], verdict.witness["expected"]
         print(f"{status} {verdict.test}: actual={actual:.12g} expected={expected:.12g}")
     if args.json:
         write_report(
@@ -290,17 +269,11 @@ def _cmd_closed_forms(args: argparse.Namespace) -> int:
             {
                 "command": "closed-forms",
                 "config": {"seed": seed, "tolerance": args.tolerance},
-                "checks": [
-                    {
-                        "name": v.test,
-                        "outcome": v.outcome.value,
-                        "witness": dict(v.witness),
-                    }
-                    for v in verdicts
-                ],
+                "checks": [{"name": v.test, "outcome": v.outcome.value, "witness": dict(v.witness)}
+                           for v in verdicts],
             },
         )
-    return EX_MISMATCH if failures else EX_OK
+    return EX_OK if all(v.passed for v in verdicts) else EX_MISMATCH
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -336,9 +309,12 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     # The transitivity search does not read the tolerance, but rejects a bad one too.
     require_tolerance(args.tolerance)
+    if args.inner is not None and args.engine != "geks" and args.test != "transitivity":
+        raise ValueError("--inner is read only by --engine geks and --test transitivity")
+    inner = args.inner and EngineSpec(args.inner)
     if args.test == "transitivity":
         witness = find_intransitivity_witness(
-            inner=EngineSpec(args.inner),
+            inner=inner,
             budget=args.budget,
             seed=seed,
             n_items=args.items,
@@ -349,7 +325,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
             return EX_NOT_FOUND
         print(json.dumps(witness, sort_keys=True))
         return EX_OK
-    engine = EngineSpec(args.engine, inner=EngineSpec(args.inner))
+    engine = EngineSpec(args.engine, inner=inner)
     params = ScenarioParams(
         n_items=args.items,
         n_periods=args.periods,

@@ -15,7 +15,7 @@ depend on item iteration order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, partial
 from typing import Callable, Iterable, Mapping
 
@@ -29,8 +29,12 @@ from .core import (
 )
 from .references import (
     ArithmeticMeanQuantity,
+    BaseQuantity,
+    CurrentQuantity,
     CustomPrices,
     DeflatedUnitValue,
+    ExpenditureOverReferencePrice,
+    FixedBase,
     FixedPointConfig,
     FixedPointReport,
     LehrUnitValue,
@@ -780,35 +784,49 @@ def adjusted_laspeyres(
 # Engine registry and uniform dispatch
 
 
-# family: (runner, usable as a GEKS inner). Runners look their engine up by
-# module-level name at call time, so a wrapper installed on this module's
-# attributes sees every dispatched call.
+# family: (runner, the EngineSpec options it reads, usable as a GEKS inner).
+# Runners look their engine up by module-level name at call time, so a
+# wrapper installed on this module's attributes sees every dispatched call.
 _REGISTRY = {
-    "gk": (lambda d, s, e: gk_index(d, s, e.fixed_point), False),
-    "mgk": (lambda d, s, e: mgk_index(d, s), True),
-    "guv": (lambda d, s, e: guv_index(d, s, e.reference_price, e.fixed_point), True),
-    "wgm": (lambda d, s, e: wgm_index(d, s, e.weights, e.reference_price, e.fixed_point), True),
-    "tornqvist": (lambda d, s, e: tornqvist_index(d, s), True),
-    "tpd": (lambda d, s, e: tpd_index(d, s, e.fixed_point), False),
-    "geks": (lambda d, s, e: geks_index(d, s, e.inner), False),
-    "rq": (lambda d, s, e: rq_index(d, s, e.reference_quantity, e.imputation), False),
-    "rqp": (
-        lambda d, s, e: rqp_index(
-            d, s, e.alpha, e.reference_quantity, e.imputation, e.reference_price, e.fixed_point
-        ),
-        False,
-    ),
+    "gk": (lambda d, s, e: gk_index(d, s, e.fixed_point), ("fixed_point",), False),
+    "mgk": (lambda d, s, e: mgk_index(d, s), (), True),
+    "guv": (lambda d, s, e: guv_index(d, s, e.reference_price, e.fixed_point),
+            ("reference_price", "fixed_point"), True),
+    "wgm": (lambda d, s, e: wgm_index(d, s, e.weights, e.reference_price, e.fixed_point),
+            ("weights", "reference_price", "fixed_point"), True),
+    "tornqvist": (lambda d, s, e: tornqvist_index(d, s), (), True),
+    "tpd": (lambda d, s, e: tpd_index(d, s, e.fixed_point), ("fixed_point",), False),
+    "geks": (lambda d, s, e: geks_index(d, s, e.inner), ("inner",), False),
+    "rq": (lambda d, s, e: rq_index(d, s, e.reference_quantity, e.imputation),
+           ("reference_quantity", "imputation"), False),
+    "rqp": (lambda d, s, e: rqp_index(d, s, e.alpha, e.reference_quantity, e.imputation,
+                                      e.reference_price, e.fixed_point),
+            ("alpha", "reference_quantity", "imputation", "reference_price", "fixed_point"),
+            False),
 }
 ENGINE_FAMILIES = tuple(_REGISTRY)
-CHAINABLE_FAMILIES = tuple(name for name, (_run, chainable) in _REGISTRY.items() if chainable)
+CHAINABLE_FAMILIES = tuple(name for name, (*_, chainable) in _REGISTRY.items() if chainable)
 # The families with a row in the paper's Table 1, in its order: the verdict
 # matrix's default rows.
 TABLE1_ROWS = ("mgk", "wgm", "geks")
+# The schemes that labels and the CLI name, by those names.
+PRICE_SCHEMES = {"lehr": LehrUnitValue, "fixed-base": FixedBase, "deflated": DeflatedUnitValue,
+                 "tpd": TPDGeometric}
+QUANTITY_SCHEMES = {"mean": ArithmeticMeanQuantity, "base": BaseQuantity,
+                    "current": CurrentQuantity, "expenditure": ExpenditureOverReferencePrice}
+_SCHEME_NAMES = {v: k for schemes in (PRICE_SCHEMES, QUANTITY_SCHEMES) for k, v in schemes.items()}
 
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """Declarative engine choice, used by the harness, the CLI and GEKS."""
+    """Declarative engine choice, used by the harness, the CLI and GEKS.
+
+    An option that the family's registry entry does not name raises
+    ValueError unless at its default. The label names the family, then
+    each option it reads that is not at its default: a scheme by its name
+    above, an inner spec by its label, any other value by its repr, as in
+    guv(reference_price=fixed-base). rqp always names alpha, geks its inner.
+    """
 
     family: str
     reference_price: ReferencePriceScheme | None = None
@@ -820,22 +838,29 @@ class EngineSpec:
     fixed_point: FixedPointConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in ENGINE_FAMILIES:
+        if self.family not in _REGISTRY:
             raise ValueError(f"unknown engine family {self.family!r}")
+        reads, named = _REGISTRY[self.family][1], []
+        for name, default in _DEFAULTS.items():
+            value = getattr(self, name)
+            if name not in reads and value != default:
+                raise ValueError(f"engine family {self.family!r} does not read {name}")
+            if name == "inner" and name in reads:
+                named.append((value or _MGK).label())
+            elif name in reads and (value != default or name == "alpha"):
+                named.append(f"{name}={_SCHEME_NAMES.get(type(value)) or repr(value)}")
         if not 0 <= self.alpha <= 1:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         if self.family == "geks":
-            _require_time_reversible(self.inner if self.inner is not None else EngineSpec("mgk"))
+            _require_time_reversible(self.inner or _MGK)
+        label = f"{self.family}({', '.join(named)})" if named else self.family
+        object.__setattr__(self, "_label", label)
 
     def label(self) -> str:
-        if self.family == "geks":
-            inner = self.inner.label() if self.inner is not None else "mgk"
-            return f"geks({inner})"
-        if self.family == "rqp":
-            return f"rqp(alpha={self.alpha})"
-        return self.family
+        return self._label
 
 
+_DEFAULTS = {field.name: field.default for field in fields(EngineSpec)[1:]}
 # GEKS's default inner, built once: geks_index runs on every small chain
 # of the verdict matrix.
 _MGK = EngineSpec("mgk")
@@ -855,5 +880,4 @@ def _require_time_reversible(inner: EngineSpec) -> None:
 
 def evaluate(dataset: Dataset, spec: ComparisonSpec, engine: EngineSpec) -> IndexResult:
     """Run the engine described by ``engine`` on one comparison."""
-    run, _chainable = _REGISTRY[engine.family]
-    return run(dataset, spec, engine)
+    return _REGISTRY[engine.family][0](dataset, spec, engine)

@@ -248,7 +248,7 @@ def precondition_holds(test: AxiomTest, dataset: Dataset, spec: ComparisonSpec) 
         return u0 != ut
     if test == AxiomTest.T5_SHARP:
         return u0 != ut and prices_equal
-    raise ValueError(f"unknown test {test!r}")  # pragma: no cover
+    raise ValueError(f"unknown test {test!r}")
 
 
 def perturb_dynamic_data(scenario: Scenario, index: int) -> Dataset:
@@ -361,7 +361,7 @@ def check(
             witness["note"] = "no reduction detected"
         else:
             witness["note"] = "index pinned under perturbation of birth/death data"
-    else:  # pragma: no cover
+    else:
         raise ValueError(f"unknown test {test!r}")
     return Verdict(test.value, label, Outcome.PASS if ok else Outcome.FAIL, witness, tolerance)
 

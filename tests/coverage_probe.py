@@ -11,26 +11,27 @@ it (``co_lines``). Only the standard library is used; tracing slows the
 suite about threefold. pytest does not collect this file: its name does
 not start with ``test_``.
 
+A forked child (the fork helper's workers of the verdict matrix and of
+CSV ingestion and emission) inherits the hook. An ``os.register_at_fork``
+handler empties the child's record of lines and wraps ``os._exit``,
+through which every such child leaves, so that the child writes the lines
+it ran to a file named by its pid before it exits; the calling process
+merges those files once pytest returns.
+
 Lines expected to stay unreached, and why:
 
-- the forked worker of the verdict matrix and of CSV ingestion and
-  emission: ``_workers.interleave``'s call of ``_workers._child``, and the
-  bodies of ``_child`` and ``_send``, run, but in a child process, whose
-  hits stay there (``_ingest._share``'s records for a child run here too,
-  for a worker whose fork was refused);
 - the ``...`` bodies of ``Protocol`` methods, which are never called;
 - ``cli``'s ``if __name__ == "__main__":`` body, as the suite calls
-  ``main`` directly;
-- the module branch of ``dynindex.__getattr__`` (``dynindex.harness`` as
-  an attribute before the submodule is imported) and ``__dir__``;
-- guards of states the code cannot reach: ``harness``' two "unknown test"
-  raises (every ``AxiomTest`` has its branch) and ``generate_scenario``'s
-  generator-bug ``InfeasibleParams``.
+  ``main`` directly.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import shutil
 import sys
+import tempfile
 import threading
 from pathlib import Path
 from types import CodeType
@@ -69,6 +70,26 @@ def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
     import pytest
 
+    children = tempfile.mkdtemp(prefix="coverage-probe-")
+    real_exit = os._exit
+
+    def exit_writing_hits(status):
+        # renamed once whole: a child killed while writing leaves only a .part file
+        path = os.path.join(children, str(os.getpid()))
+        try:
+            with open(f"{path}.part", "wb") as out:
+                marshal.dump({name: sorted(lines) for name, lines in hits.items()}, out)
+            os.replace(f"{path}.part", f"{path}.marshal")
+        finally:  # a child must never return into the suite
+            real_exit(status)
+
+    def in_child():
+        if sys.gettrace() is tracer:  # a fork while pytest runs traced
+            for lines in hits.values():  # local adds to the sets it finds
+                lines.clear()
+            os._exit = exit_writing_hits
+
+    os.register_at_fork(after_in_child=in_child)
     sys.settrace(tracer)
     threading.settrace(tracer)
     try:
@@ -76,6 +97,10 @@ def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
     finally:
         threading.settrace(None)
         sys.settrace(None)
+        for record in Path(children).glob("*.marshal"):
+            for filename, lines in marshal.loads(record.read_bytes()).items():
+                hits.setdefault(filename, set()).update(lines)
+        shutil.rmtree(children)
     return int(code), hits
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import re
@@ -14,6 +15,7 @@ from dynindex import (
     Bilateral,
     ComparisonSpec,
     CustomPrices,
+    CustomWeights,
     Dataset,
     DeflatedUnitValue,
     EngineSpec,
@@ -522,6 +524,88 @@ class TestClassical:
             classical_indices(ds, 0, 1)
 
 
+# The EngineSpec options each family reads, written out independently of
+# engines._REGISTRY; every other (family, option) pair is refused.
+READS = {
+    "gk": {"fixed_point"}, "tpd": {"fixed_point"},
+    "mgk": set(), "tornqvist": set(),
+    "guv": {"reference_price", "fixed_point"},
+    "wgm": {"weights", "reference_price", "fixed_point"},
+    "geks": {"inner"},
+    "rq": {"reference_quantity", "imputation"},
+    "rqp": {"alpha", "reference_quantity", "imputation", "reference_price", "fixed_point"},
+}
+# A value of each option other than its default, valid for every family that reads it.
+NOT_DEFAULT = {
+    "reference_price": FixedBase(),
+    "reference_quantity": BaseQuantity(),
+    "weights": TornqvistWeights(),
+    "alpha": 0.25,
+    "imputation": ImputationPolicy(),
+    "inner": EngineSpec("wgm"),
+    "fixed_point": FixedPointConfig(),
+}
+DEFAULT_LABELS = {
+    "gk": "gk", "mgk": "mgk", "guv": "guv", "wgm": "wgm", "tornqvist": "tornqvist",
+    "tpd": "tpd", "geks": "geks(mgk)", "rq": "rq", "rqp": "rqp(alpha=0.5)",
+}
+
+
+class TestEngineRegistry:
+    def test_the_table_reads_fifteen_of_sixty_three_settings(self):
+        assert sorted(READS) == sorted(ENGINE_FAMILIES)
+        assert list(NOT_DEFAULT) == [f.name for f in dataclasses.fields(EngineSpec)][1:]
+        assert sum(map(len, READS.values())) == 15
+        assert len(ENGINE_FAMILIES) * len(NOT_DEFAULT) == 63
+
+    @pytest.mark.parametrize("option", NOT_DEFAULT)
+    @pytest.mark.parametrize("family", ENGINE_FAMILIES)
+    def test_a_family_accepts_exactly_the_options_it_reads(self, family, option):
+        if option in READS[family]:
+            assert EngineSpec(family, **{option: NOT_DEFAULT[option]}).family == family
+        else:
+            message = f"^engine family '{family}' does not read {option}$"
+            with pytest.raises(ValueError, match=message):
+                EngineSpec(family, **{option: NOT_DEFAULT[option]})
+
+    @pytest.mark.parametrize("family", ENGINE_FAMILIES)
+    def test_each_runner_reads_exactly_its_entry_s_options(self, family):
+        run, options, _chainable = engines._REGISTRY[family]
+        assert run.__code__.co_names == (f"{family}_index", *options)
+        assert set(options) == READS[family]
+
+    def test_default_labels(self):
+        assert {f: EngineSpec(f).label() for f in ENGINE_FAMILIES} == DEFAULT_LABELS
+
+    @pytest.mark.parametrize("spec, label", [
+        (EngineSpec("guv", reference_price=FixedBase()), "guv(reference_price=fixed-base)"),
+        (EngineSpec("gk", fixed_point=FixedPointConfig(max_iterations=5)),
+         "gk(fixed_point=FixedPointConfig(tolerance=1e-10, max_iterations=5, damping=1.0))"),
+        (EngineSpec("wgm", weights=CustomWeights({"a": 1.0}, {"a": 1.0}),
+                    reference_price=CustomPrices({"a": 2.0})),
+         "wgm(reference_price=CustomPrices(prices={'a': 2.0}), "
+         "weights=CustomWeights(base_weights={'a': 1.0}, current_weights={'a': 1.0}))"),
+        (EngineSpec("geks", inner=EngineSpec("wgm")), "geks(wgm)"),
+        (EngineSpec("geks", inner=EngineSpec("guv", reference_price=CustomPrices({}))),
+         "geks(guv(reference_price=CustomPrices(prices={})))"),
+        (EngineSpec("rq", reference_quantity=ExpenditureOverReferencePrice()),
+         "rq(reference_quantity=expenditure)"),
+        (EngineSpec("rqp", alpha=0.25, reference_price=DeflatedUnitValue()),
+         "rqp(reference_price=deflated, alpha=0.25)"),
+        (EngineSpec("rqp", alpha=0.5), "rqp(alpha=0.5)"),
+    ], ids=["scheme", "config", "two-options", "inner", "inner-options", "quantity",
+            "rqp-options", "rqp-default-alpha"])
+    def test_a_label_names_each_option_not_at_its_default(self, spec, label):
+        assert spec.label() == label
+
+    def test_the_label_is_built_once_and_rebuilt_by_replace(self):
+        spec = EngineSpec("guv")
+        assert spec.label() is spec.label()
+        changed = dataclasses.replace(spec, reference_price=FixedBase())
+        assert changed.label() == "guv(reference_price=fixed-base)"
+        assert spec.label() == "guv"
+
+
 class TestEngineSpec:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -540,7 +624,7 @@ class TestEngineSpec:
 
     def test_geks_inner_lehr_allowed(self):
         spec = EngineSpec("geks", inner=EngineSpec("guv", reference_price=LehrUnitValue()))
-        assert spec.label() == "geks(guv)"
+        assert spec.label() == "geks(guv(reference_price=lehr))"
 
     @pytest.mark.parametrize("family", ENGINE_FAMILIES)
     def test_dispatch_matches_direct_call(self, family):

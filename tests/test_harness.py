@@ -104,6 +104,17 @@ class TestGeneration:
                 AxiomTest.T4_SHARP, 0, ScenarioParams(n_items=1, n_periods=2)
             )
 
+    def test_a_scenario_that_breaks_its_precondition_is_a_generator_bug(self, monkeypatch):
+        monkeypatch.setattr(harness, "precondition_holds", lambda test, dataset, spec: False)
+        message = r"^generated dataset violates the T3 precondition \(generator bug\)$"
+        with pytest.raises(harness.InfeasibleParams, match=message):
+            generate_scenario(AxiomTest.T3_UPPER_BOUND, 0, BILATERAL_2)
+
+    def test_precondition_of_an_unknown_test_is_a_value_error(self):
+        scenario = generate_scenario(AxiomTest.T1_IDENTITY, 0, BILATERAL_2)
+        with pytest.raises(ValueError, match="^unknown test 'T9'$"):
+            precondition_holds("T9", scenario.dataset, scenario.spec)
+
 
 def _reference_scenario(test, seed, params):
     """generate_scenario as first written: rng.uniform draws through _draw_*
@@ -574,6 +585,12 @@ class TestCheck:
         assert verdict.outcome is Outcome.ENGINE_ERROR
         assert verdict.witness["error"].startswith("fixed point did not converge (residual ")
         assert verdict.witness["seed"] == 3
+
+    def test_an_unknown_test_is_a_value_error(self):
+        # the engine runs; only the judging has no branch for the test
+        scenario = generate_scenario(AxiomTest.T1_IDENTITY, 3, BILATERAL_2)
+        with pytest.raises(ValueError, match="^unknown test 'T9'$"):
+            check("T9", MGK, scenario)
 
     @pytest.mark.parametrize("batch", [0, -3])
     def test_responsiveness_batch_must_be_positive(self, batch):

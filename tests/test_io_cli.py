@@ -13,6 +13,7 @@ from dynindex import (
     Dataset,
     EngineSpec,
     FixedPointConfig,
+    FullHistory,
     IngestWarning,
     RollingWindow,
     SynthConfig,
@@ -726,3 +727,111 @@ class TestCli:
         monkeypatch.setenv("DYNINDEX_SEED", "7")
         code = main(["counterexample", "--test", "transitivity", "--budget", "20"])
         assert code == EX_OK
+
+
+# The compute flags each engine reads, written out independently of the
+# engine registry; every other (engine, flag) pair is refused.
+COMPUTE_READS = {
+    "gk": set(), "mgk": set(), "tornqvist": set(), "tpd": set(),
+    "guv": {"--reference-price"},
+    "wgm": {"--reference-price"},
+    "geks": {"--inner"},
+    "rq": {"--quantity-scheme", "--birth-markup", "--death-markup"},
+    "rqp": {"--alpha", "--quantity-scheme", "--birth-markup", "--death-markup",
+            "--reference-price"},
+}
+# Each engine flag at its default value.
+FLAG_DEFAULTS = {"--reference-price": "lehr", "--quantity-scheme": "mean", "--alpha": "0.5",
+                 "--birth-markup": "1.05", "--death-markup": "1.05", "--inner": "mgk"}
+
+
+class TestEngineFlags:
+    @staticmethod
+    def _compute(tmp_path, capsys, *argv):
+        path = tmp_path / "market.csv"
+        path.write_text(THREE_PERIOD_CSV)
+        code = main(["compute", "--input", str(path), "--base", "0", "--current", "2", *argv])
+        return code, capsys.readouterr()
+
+    def test_the_table_reads_eleven_of_fifty_four_pairs(self):
+        assert sorted(COMPUTE_READS) == sorted(ENGINE_FAMILIES)
+        assert list(FLAG_DEFAULTS) == list(cli._ENGINE_FLAGS)
+        assert sum(map(len, COMPUTE_READS.values())) == 11
+        assert len(ENGINE_FAMILIES) * len(FLAG_DEFAULTS) == 54
+
+    @pytest.mark.parametrize("flag", FLAG_DEFAULTS)
+    @pytest.mark.parametrize("family", ENGINE_FAMILIES)
+    def test_a_flag_is_refused_unless_its_engine_reads_it(self, tmp_path, capsys, family, flag):
+        # the default value is refused too: the flag was given
+        argv = ["-e", family, "--policy", "full-history"]
+        code, captured = self._compute(tmp_path, capsys, *argv, flag, FLAG_DEFAULTS[flag])
+        if flag in COMPUTE_READS[family]:
+            # given at its default, a flag the engine reads leaves the output as it was
+            plain_code, plain = self._compute(tmp_path, capsys, *argv)
+            assert (code, captured.out) == (plain_code, plain.out)
+        else:
+            assert code == EX_USAGE
+            assert captured.err == f"usage error: {flag} is not read by engine {family}\n"
+
+    @pytest.mark.parametrize("policy", [[], ["--policy", "bilateral"],
+                                        ["--policy", "full-history"]],
+                             ids=["default", "bilateral", "full-history"])
+    def test_window_needs_the_rolling_policy(self, tmp_path, capsys, policy):
+        code, captured = self._compute(tmp_path, capsys, "-e", "mgk", "--window", "13", *policy)
+        assert code == EX_USAGE
+        assert captured.err == "usage error: --window is read only by --policy rolling\n"
+
+    def test_rolling_report_records_the_window(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code, _ = self._compute(tmp_path, capsys, "-e", "mgk", "--policy", "rolling",
+                                "--window", "3", "--json", str(out))
+        assert code == EX_OK
+        assert json.loads(out.read_text())["config"] == {
+            "engine": "mgk", "base": 0, "current": 2, "policy": "rolling", "window": 3}
+
+    def test_reports_of_two_reference_prices_differ_in_config(self, tmp_path, capsys):
+        configs, values = [], []
+        for extra in ([], ["--reference-price", "fixed-base"]):
+            out = tmp_path / "report.json"
+            code, _ = self._compute(tmp_path, capsys, "-e", "guv", "--policy", "full-history",
+                                    *extra, "--json", str(out))
+            assert code == EX_OK
+            report = json.loads(out.read_text())
+            configs.append(report["config"])
+            values.append(report["value"])
+        assert values[0] != values[1]
+        assert [c.pop("engine") for c in configs] == ["guv", "guv(reference_price=fixed-base)"]
+        assert configs[0] == configs[1]
+
+    def test_geks_over_wgm_legs_runs(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code, captured = self._compute(tmp_path, capsys, "-e", "geks", "--inner", "wgm",
+                                       "--policy", "full-history", "--json", str(out))
+        assert code == EX_OK
+        engine = EngineSpec("geks", inner=EngineSpec("wgm"))
+        expected = evaluate(ingest_csv(io.StringIO(THREE_PERIOD_CSV)),
+                            ComparisonSpec(0, 2, FullHistory()), engine).value
+        assert captured.out == f"{expected:.12g}\n"
+        assert json.loads(out.read_text())["config"]["engine"] == "geks(wgm)"
+
+    def test_help_states_each_flags_default_and_readers(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["compute", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for flag, default in FLAG_DEFAULTS.items():
+            readers = ", ".join(f for f in ENGINE_FAMILIES if flag in COMPUTE_READS[f])
+            assert f"default {default}; read by {readers}" in help_text, flag
+        assert "default 13; read by --policy rolling" in help_text
+
+    @pytest.mark.parametrize("engine", ["mgk", "rqp"])
+    def test_counterexample_refuses_inner_unless_geks_or_transitivity(self, capsys, engine):
+        code = main(["counterexample", "--test", "T1", "--engine", engine, "--inner", "mgk"])
+        assert code == EX_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: --inner is read only by --engine geks and --test transitivity\n")
+
+    def test_counterexample_geks_reads_inner(self, capsys):
+        code = main(["counterexample", "--test", "T1", "--engine", "geks", "--inner", "wgm",
+                     "--budget", "5", "--seed", "0"])
+        assert code == EX_OK
+        assert json.loads(capsys.readouterr().out)["engine"] == "geks(wgm)"

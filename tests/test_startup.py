@@ -112,3 +112,10 @@ def test_lazy_names_import_from_the_package(tmp_path):
 
 def test_unknown_name_is_an_attribute_error():
     assert not hasattr(dynindex, "no_such_name")
+
+
+def test_lazy_module_and_dir_resolve_in_process():
+    # called directly, so the module branch runs even where the submodule is loaded
+    assert dynindex.__getattr__("harness") is sys.modules["dynindex.harness"]
+    assert dynindex.__getattr__("simulate").synth is dynindex.synth
+    assert dir(dynindex) == sorted({*vars(dynindex), *dynindex.__all__})
