@@ -60,6 +60,14 @@ _ENGINE_FLAGS = {
     "--death-markup": ("imputation", 1.05, {"type": float}),
     "--inner": ("inner", "mgk", {"choices": CHAINABLE_FAMILIES}),
 }
+# counterexample's scenario flags, which the transitivity search does not read:
+# the default each takes otherwise, its parser keywords
+_SCENARIO_FLAGS = {
+    "--engine": ("mgk", {"choices": ENGINE_FAMILIES}),
+    "--periods": (3, {"type": int}),
+    "--policy": ("full-history", {"choices": ("bilateral", "full-history")}),
+    "--setting": ("both", {"choices": ("expanding", "shrinking", "both")}),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,19 +138,16 @@ def build_parser() -> _Parser:
     counter = sub.add_parser("counterexample", help="search for a witnessed failure")
     counter.add_argument("--test", required=True,
                          choices=[t.value for t in AxiomTest] + ["transitivity"])
-    counter.add_argument("--engine", choices=ENGINE_FAMILIES, default="mgk")
     counter.add_argument("--inner", choices=CHAINABLE_FAMILIES,
                          help="default mgk; read by --engine geks and --test transitivity")
     counter.add_argument("--budget", type=int, default=100)
     counter.add_argument("--seed", type=int, default=None)
     counter.add_argument("--items", type=int, default=6)
-    counter.add_argument("--periods", type=int, default=3)
     counter.add_argument("--churn", type=float, default=0.2)
-    counter.add_argument("--policy", choices=("bilateral", "full-history"),
-                         default="full-history")
-    counter.add_argument("--setting", choices=("expanding", "shrinking", "both"),
-                         default="both")
     counter.add_argument("--tolerance", type=float, default=1e-9)
+    for flag, (default, keywords) in _SCENARIO_FLAGS.items():
+        counter.add_argument(flag, help=f"default {default}; not read by --test transitivity",
+                             **keywords)
     return parser
 
 
@@ -309,6 +314,11 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     # The transitivity search does not read the tolerance, but rejects a bad one too.
     require_tolerance(args.tolerance)
+    for flag, (default, _) in _SCENARIO_FLAGS.items():
+        if getattr(args, flag[2:]) is None:
+            setattr(args, flag[2:], default)
+        elif args.test == "transitivity":
+            raise ValueError(f"{flag} is not read by --test transitivity")
     if args.inner is not None and args.engine != "geks" and args.test != "transitivity":
         raise ValueError("--inner is read only by --engine geks and --test transitivity")
     inner = args.inner and EngineSpec(args.inner)

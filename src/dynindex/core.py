@@ -66,13 +66,6 @@ class Observation:
     def expenditure(self) -> float:
         return self.price * self.quantity
 
-    @classmethod
-    def from_expenditure(cls, expenditure: float, quantity: float) -> "Observation":
-        """Build from (expenditure, quantity); the price is the unit value."""
-        if quantity == 0:
-            raise ValueError("cannot derive a unit value from zero quantity")
-        return cls(expenditure / quantity, quantity)
-
 
 _set_price = Observation.price.__set__
 _set_quantity = Observation.quantity.__set__
@@ -105,8 +98,19 @@ def _total(column: list[float]) -> float | None:
         return None
 
 
-def _summary(period: int, items: Mapping[ItemId, Observation]) -> tuple[float, str | None]:
-    """The period's total expenditure and its first break of the input contract, or None.
+@dataclass(frozen=True)
+class Violation:
+    """One validation finding, addressable by code for mechanical checks."""
+
+    code: str
+    period: int | None
+    item: ItemId | None
+    message: str
+
+
+def _summary(period: int,
+             items: Mapping[ItemId, Observation]) -> tuple[float, tuple[Violation, ...]]:
+    """The period's total expenditure and the Violations of the input contract it holds.
 
     The total is the correctly rounded sum of the items' expenditures;
     past the float range (fsum raises) it is their plain sum: ±inf, or nan
@@ -114,7 +118,7 @@ def _summary(period: int, items: Mapping[ItemId, Observation]) -> tuple[float, s
     has items, every price and quantity is positive (Observation already
     requires finite) and the total lies in (0, inf). A period that keeps
     it takes one pass, in which a term is nan where its price or quantity
-    is not positive; any other is summed again and its violation worded.
+    is not positive; any other is summed again and every break worded.
     """
     values = items.values()
     try:
@@ -125,19 +129,21 @@ def _summary(period: int, items: Mapping[ItemId, Observation]) -> tuple[float, s
     except OverflowError:
         total = math.nan
     if 0 < total < math.inf:
-        return total, None
+        return total, ()
     try:
         total = math.fsum(o.price * o.quantity for o in values)
     except (OverflowError, ValueError):
         total = sum(o.price * o.quantity for o in values)
     if not items:
-        return total, f"period {period} has no items"
-    for item, o in items.items():
-        if not o.price > 0:
-            return total, f"price of item {item!r} in period {period} is {o.price!r}"
-        if not o.quantity > 0:
-            return total, f"quantity of item {item!r} in period {period} is {o.quantity!r}"
-    return total, f"total expenditure of period {period} is {total!r}"
+        return total, (Violation("empty-period", period, None, f"period {period} has no items"),)
+    found = [Violation(f"non-positive-{name}", period, item,
+                       f"{name} of item {item!r} in period {period} is {value!r}")
+             for item, o in items.items()
+             for name, value in (("price", o.price), ("quantity", o.quantity)) if not value > 0]
+    if not 0 < total < math.inf:
+        found.append(Violation("total-out-of-range", period, None,
+                               f"total expenditure of period {period} is {total!r}"))
+    return total, tuple(found)
 
 
 @dataclass(frozen=True)
@@ -154,20 +160,20 @@ class PeriodData:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", MappingProxyType(dict(self.items)))
-        total, violation = _summary(self.period, self.items)
+        total, violations = _summary(self.period, self.items)
         object.__setattr__(self, "_total_expenditure", total)
-        object.__setattr__(self, "_violation", violation)
+        object.__setattr__(self, "_violations", violations)
 
     @classmethod
     def _owning(cls, period: int, items: dict[ItemId, Observation]) -> "PeriodData":
         """Internal: the public constructor without its copy, for a fresh dict
         that the caller hands over and keeps no hold on; the same total and check."""
         self = object.__new__(cls)
-        total, violation = _summary(period, items)
+        total, violations = _summary(period, items)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "items", MappingProxyType(items))
         object.__setattr__(self, "_total_expenditure", total)
-        object.__setattr__(self, "_violation", violation)
+        object.__setattr__(self, "_violations", violations)
         return self
 
     def total_expenditure(self) -> float:
@@ -182,7 +188,7 @@ class Dataset:
     the input contract: no period is empty, every price and quantity is
     positive and every period's total expenditure lies in (0, inf). Each
     period is checked once, when it is built, and the dataset keeps its
-    first violation in period order, which :meth:`require_contract`
+    first violation in period order, whose message :meth:`require_contract`
     raises. :meth:`validate` reports every finding, gaps included, so that
     ingestion can surface them all at once.
 
@@ -192,7 +198,7 @@ class Dataset:
 
     periods: tuple[PeriodData, ...]
     _by_period: Mapping[int, PeriodData] = field(init=False, repr=False, compare=False)
-    _violation: str | None = field(init=False, repr=False, compare=False)
+    _violation: Violation | None = field(init=False, repr=False, compare=False)
     _view: ItemView | None = field(
         init=False, default=None, repr=False, compare=False)
 
@@ -209,8 +215,8 @@ class Dataset:
         object.__setattr__(self, "_by_period", MappingProxyType(index))
         violation = None
         for pd in periods:
-            if pd._violation is not None:
-                violation = pd._violation
+            if pd._violations:
+                violation = pd._violations[0]
                 break
         object.__setattr__(self, "_violation", violation)
 
@@ -224,7 +230,7 @@ class Dataset:
     def require_contract(self) -> None:
         """Raise InvalidDataError naming the first violation of the input contract."""
         if self._violation is not None:
-            raise InvalidDataError(self._violation)
+            raise InvalidDataError(self._violation.message)
 
     def _item_view(self) -> ItemView:
         """The item-major view, built by the first call.
@@ -325,32 +331,13 @@ class Dataset:
             raise NumericalError(f"degenerate value ratio {numerator}/{denominator}")
         return numerator / denominator
 
-    def validate(self) -> list["Violation"]:
+    def validate(self) -> list[Violation]:
         """Report structural problems; an empty list means the dataset is ok.
 
-        Only the periods that break the input contract are walked, and
-        each of their findings is reported.
+        Each period's breaks of the input contract, as found when it was
+        built, in period order, then each gap between period indices.
         """
-        violations: list[Violation] = []
-        for pd in self.periods:
-            if pd._violation is None:
-                continue
-            if not pd.items:
-                violations.append(Violation("empty-period", pd.period, None, "period has no items"))
-                continue
-            for item, obs in pd.items.items():
-                if obs.price <= 0:
-                    violations.append(
-                        Violation("non-positive-price", pd.period, item, f"price {obs.price!r}")
-                    )
-                if obs.quantity <= 0:
-                    violations.append(
-                        Violation("non-positive-quantity", pd.period, item, f"quantity {obs.quantity!r}")
-                    )
-            total = pd._total_expenditure
-            if not 0 < total < math.inf:
-                violations.append(Violation(
-                    "total-out-of-range", pd.period, None, f"total expenditure {total!r}"))
+        violations = [v for pd in self.periods for v in pd._violations]
         indices = self.period_indices()
         for a, b in zip(indices, indices[1:]):
             if b != a + 1:
@@ -358,16 +345,6 @@ class Dataset:
                     Violation("period-gap", b, None, f"period {b} follows {a}")
                 )
         return violations
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One validation finding, addressable by code for mechanical checks."""
-
-    code: str
-    period: int | None
-    item: ItemId | None
-    message: str
 
 
 @dataclass(frozen=True)

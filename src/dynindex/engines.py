@@ -142,13 +142,13 @@ def _lehr_bilateral(dataset: Dataset, base: int, current: int) -> tuple[float, f
     base map, in its order, prices each item and adds its denominator
     term, keeping the prices of the items also in the current map; the
     current map, in its order, prices the rest and adds the numerator
-    terms. Each price is LehrUnitValue's expression for one or two
-    observations (base first), each term is price times quantity, and
-    each list of terms comes in the table path's order, so the result is
-    bit-identical to the table path's, even where a sum overflows. So are
-    the errors, in the table path's order: the price of the first item
-    whose sums overflow (base map first), then the value ratio, then the
-    quantity index.
+    terms. Each price equals the table path's fsum of the item's one or
+    two expenditures over that of its quantities (base first), each term
+    is price times quantity, and each list comes in the table path's
+    order, so the result is bit-identical to the table path's, even where
+    a sum overflows. So are the errors, in the table path's order: the
+    price of the first item whose sums overflow (base map first), then the
+    value ratio, then the quantity index.
 
     GEKS chains of more than two periods price their legs from per-period
     columns instead (_lehr_legs). This kernel stays for one-shot
@@ -403,14 +403,14 @@ def _wgm_bilateral(dataset: Dataset, base: int, current: int) -> float:
     observation lists and no price dict for their union: the base map, in
     its order, prices each item, keeping the prices of the items also in
     the current map; the current map, in its order, prices the rest. Each
-    price is _lehr_bilateral's expression, written out again: a shared
-    pricing helper or walk would slow bilateral MGK, whose one-shot
+    price is _lehr_bilateral's, the table path's, written out again: a
+    shared pricing helper or walk would slow bilateral MGK, whose one-shot
     comparisons run that kernel. The log terms are _wgm_index_at's,
-    current items first, each share computed as there, so
-    the result is bit-identical to the table path's, even where a sum
-    overflows. So are the errors, in the table path's order: the price of
-    the first item whose sums overflow (base map first), then an undefined
-    log or an index past the float range.
+    current items first, each share computed as there, so the result is
+    bit-identical to the table path's, even where a sum overflows. So are
+    the errors, in the table path's order: the price of the first item
+    whose sums overflow (base map first), then an undefined log or an
+    index past the float range.
     """
     pd0, pdt = dataset.period_data(base), dataset.period_data(current)
     ms, mt = pd0.items, pdt.items
@@ -507,10 +507,10 @@ def _lehr_legs(dataset: Dataset) -> Callable[[int, int], float | None]:
     item's lone term p * q with p = e / q, what the item adds to the
     quantity index where the other period lacks it. A leg copies the two
     lone-term lists and overwrites the entries of the items both periods
-    hold with _lehr_bilateral's two-observation price times quantity, so
-    each list holds _lehr_bilateral's terms in its order and the value is
-    bit-identical to that kernel's, even where a sum overflows; the value
-    ratio and then the quantity index raise as there.
+    hold with their two-observation price, the table path's, times
+    quantity, so each list holds _lehr_bilateral's terms in its order and
+    the value is bit-identical to that kernel's, even where a sum
+    overflows; the value ratio and then the quantity index raise as there.
 
     None where the leg must go through evaluate, which raises the error
     of its data in its order: a shared item whose expenditures or
@@ -814,7 +814,9 @@ PRICE_SCHEMES = {"lehr": LehrUnitValue, "fixed-base": FixedBase, "deflated": Def
                  "tpd": TPDGeometric}
 QUANTITY_SCHEMES = {"mean": ArithmeticMeanQuantity, "base": BaseQuantity,
                     "current": CurrentQuantity, "expenditure": ExpenditureOverReferencePrice}
-_SCHEME_NAMES = {v: k for schemes in (PRICE_SCHEMES, QUANTITY_SCHEMES) for k, v in schemes.items()}
+WEIGHT_SCHEMES = {"share": ExpenditureShare, "tornqvist": TornqvistWeights}
+_SCHEME_NAMES = {v: k for schemes in (PRICE_SCHEMES, QUANTITY_SCHEMES, WEIGHT_SCHEMES)
+                 for k, v in schemes.items()}
 
 
 @dataclass(frozen=True)
@@ -822,10 +824,12 @@ class EngineSpec:
     """Declarative engine choice, used by the harness, the CLI and GEKS.
 
     An option that the family's registry entry does not name raises
-    ValueError unless at its default. The label names the family, then
-    each option it reads that is not at its default: a scheme by its name
-    above, an inner spec by its label, any other value by its repr, as in
-    guv(reference_price=fixed-base). rqp always names alpha, geks its inner.
+    ValueError unless at its default, as does a fixed_point beside an
+    index-free reference price, which no solver reads. The label names
+    the family, then each option it reads that is not at its default: a
+    scheme by its name above, an inner spec by its label, any other value
+    by its repr, as in guv(reference_price=fixed-base). rqp always names
+    alpha, geks its inner.
     """
 
     family: str
@@ -849,6 +853,10 @@ class EngineSpec:
                 named.append((value or _MGK).label())
             elif name in reads and (value != default or name == "alpha"):
                 named.append(f"{name}={_SCHEME_NAMES.get(type(value)) or repr(value)}")
+        if (self.fixed_point is not None and "reference_price" in reads
+                and not (self.reference_price is not None and self.reference_price.needs_index)):
+            raise ValueError(f"engine family {self.family!r} reads fixed_point only with an "
+                             "index-coupled reference price")
         if not 0 <= self.alpha <= 1:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         if self.family == "geks":

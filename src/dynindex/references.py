@@ -62,10 +62,6 @@ class ReferenceData:
     runs: Mapping[ItemId, ItemRun]
 
 
-# An item's positions in a two-period table, shared by every such table.
-_FIRST, _SECOND, _BOTH = (0,), (1,), (0, 1)
-
-
 def reference_data(
     dataset: Dataset, spec: ComparisonSpec, items: Iterable[ItemId] | None = None
 ) -> ReferenceData:
@@ -90,14 +86,14 @@ def reference_data(
         for item, a in first.items():
             if wanted is None or item in wanted:
                 if item not in second:  # faster than a get on the read-only map
-                    runs[item] = _FIRST, (a,), (a.price * a.quantity,), (a.quantity,), None, None
+                    runs[item] = (0,), (a,), (a.price * a.quantity,), (a.quantity,), None, None
                 else:
                     b = second[item]
-                    runs[item] = (_BOTH, (a, b), (a.price * a.quantity, b.price * b.quantity),
+                    runs[item] = ((0, 1), (a, b), (a.price * a.quantity, b.price * b.quantity),
                                   (a.quantity, b.quantity), None, None)
         for item, b in second.items():
             if item not in first and (wanted is None or item in wanted):
-                runs[item] = _SECOND, (b,), (b.price * b.quantity,), (b.quantity,), None, None
+                runs[item] = (1,), (b,), (b.price * b.quantity,), (b.quantity,), None, None
     else:
         view, entrants = dataset._item_view()
         lo = dataset.period_indices().index(periods[0])
@@ -187,26 +183,13 @@ class LehrUnitValue:
 
     def prices_for(self, data, index_series=None):
         # Expenditure over quantity, summed over the item's run: the run's
-        # carried totals where it has both. Otherwise (every run of a
-        # two-period table, and a cut run) an item seen in one or two
-        # periods skips fsum: the fsum of one term is that term, and the
-        # sum of two finite floats is correctly rounded, as fsum's is.
-        # fsum decides where a two-term sum overflows (fsum raises), which
-        # is caught once, outside the loop.
+        # carried totals where it has both, else the fsum of each column.
+        # An fsum that overflows raises, which is caught once, outside the loop.
         prices = {}
         try:
             for item, (_, _, spent, traded, expenditure, quantity) in data.runs.items():
                 if expenditure is None or quantity is None:
-                    if len(spent) == 2:
-                        expenditure = spent[0] + spent[1]
-                        quantity = traded[0] + traded[1]
-                        # x - x is 0.0 for a finite x and nan for inf
-                        if expenditure - expenditure or quantity - quantity:
-                            expenditure, quantity = math.fsum(spent), math.fsum(traded)
-                    elif len(spent) == 1:
-                        expenditure, quantity = spent[0], traded[0]
-                    else:
-                        expenditure, quantity = math.fsum(spent), math.fsum(traded)
+                    expenditure, quantity = math.fsum(spent), math.fsum(traded)
                 prices[item] = expenditure / quantity
         except OverflowError:
             raise _overflow(item, data.periods) from None

@@ -1,6 +1,7 @@
 """Print each line of the package's source that the Tier-1 suite never runs.
 
     python tests/coverage_probe.py [pytest arguments]
+    python tests/coverage_probe.py --workloads
 
 Runs pytest in this process (on this directory unless arguments are given)
 under a ``sys.settrace`` hook that records every line executed in a file
@@ -11,12 +12,17 @@ it (``co_lines``). Only the standard library is used; tracing slows the
 suite about threefold. pytest does not collect this file: its name does
 not start with ``test_``.
 
+With ``--workloads`` it traces one job of each workload of
+``bench/workloads.py`` at seed 1 in place of pytest, and so prints the
+lines that the benchmark's traffic never runs. Inputs are generated
+before tracing starts, in a temporary directory.
+
 A forked child (the fork helper's workers of the verdict matrix and of
 CSV ingestion and emission) inherits the hook. An ``os.register_at_fork``
 handler empties the child's record of lines and wraps ``os._exit``,
 through which every such child leaves, so that the child writes the lines
 it ran to a file named by its pid before it exits; the calling process
-merges those files once pytest returns.
+merges those files once the traced run returns.
 
 Lines expected to stay unreached, and why:
 
@@ -35,10 +41,13 @@ import tempfile
 import threading
 from pathlib import Path
 from types import CodeType
+from typing import Callable, TypeVar
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "dynindex"
+BENCH = TESTS.parent / "bench"
 sys.path.insert(0, str(PACKAGE.parent))
+T = TypeVar("T")
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -52,8 +61,8 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """pytest's exit code and, per source file of the package, the lines that ran."""
+def run_traced(run: Callable[[], T]) -> tuple[T, dict[str, set[int]]]:
+    """What ``run()`` returns and, per source file of the package, the lines that ran."""
     prefix = str(PACKAGE) + "/"
     hits: dict[str, set[int]] = {}
 
@@ -67,8 +76,6 @@ def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
             return None
         hits.setdefault(filename, set()).add(frame.f_lineno)
         return local
-
-    import pytest
 
     children = tempfile.mkdtemp(prefix="coverage-probe-")
     real_exit = os._exit
@@ -84,7 +91,7 @@ def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
             real_exit(status)
 
     def in_child():
-        if sys.gettrace() is tracer:  # a fork while pytest runs traced
+        if sys.gettrace() is tracer:  # a fork while run() runs traced
             for lines in hits.values():  # local adds to the sets it finds
                 lines.clear()
             os._exit = exit_writing_hits
@@ -93,7 +100,7 @@ def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
     sys.settrace(tracer)
     threading.settrace(tracer)
     try:
-        code = pytest.main(pytest_args)
+        result = run()
     finally:
         threading.settrace(None)
         sys.settrace(None)
@@ -101,12 +108,59 @@ def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
             for filename, lines in marshal.loads(record.read_bytes()).items():
                 hits.setdefault(filename, set()).update(lines)
         shutil.rmtree(children)
-    return int(code), hits
+    return result, hits
+
+
+def run_workloads() -> tuple[int, dict[str, set[int]]]:
+    """One job of each benchmark workload at seed 1, traced: failed operations, lines run.
+
+    The workloads of ``bench/workloads.py`` prepare their inputs, in a
+    temporary directory, before tracing starts; then the package is
+    imported and each workload builds its inputs and runs one job, with
+    as many workers as it would have. The jobs' checks do not run: they
+    recompute values through the package and are not its traffic.
+    """
+    sys.path.insert(0, str(BENCH))
+    import workloads
+
+    with tempfile.TemporaryDirectory(prefix="coverage-probe-workloads-") as out:
+        rec = workloads.Recorder()
+        prepared = []
+        for kind in workloads.WORKLOADS.values():
+            workload = kind(1, Path(out), None)
+            workload.prepare(rec)
+            prepared.append(workload)
+
+        def jobs() -> int:
+            import dynindex
+            import dynindex.cli  # the csv-roundtrip job runs dynindex.cli.main
+
+            for workload in prepared:
+                inputs = workload.build(dynindex)
+                workload.release_inputs()
+                workload.job(dynindex, inputs, rec, lambda check, *args: None)
+            return rec.failed
+
+        try:
+            failed, hits = run_traced(jobs)
+        finally:
+            for workload in prepared:
+                workload.cleanup()
+    for problem in rec.problems:
+        print(f"problem: {problem}")
+    return failed, hits
 
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    code, hits = run_traced(args or ["-q", "-p", "no:cacheprovider", str(TESTS)])
+    if args == ["--workloads"]:
+        failed, hits = run_workloads()
+        code = 1 if failed else 0
+    else:
+        import pytest
+
+        code, hits = run_traced(
+            lambda: int(pytest.main(args or ["-q", "-p", "no:cacheprovider", str(TESTS)])))
     total = missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
         lines = executable_lines(path)
@@ -117,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         for line in never:
             print(f"{path.relative_to(PACKAGE.parent)}:{line}: {source[line - 1].strip()}")
     print(f"{total - missed} of {total} executable lines ran; {missed} never ran "
-          f"(pytest exit code {code})")
+          f"(exit code {code})")
     return code
 
 

@@ -14,11 +14,13 @@ from dynindex import (
     Dataset,
     FullHistory,
     InvalidComparisonError,
+    InvalidDataError,
     NumericalError,
     Observation,
     PeriodData,
     RollingWindow,
     UnknownPeriodError,
+    Violation,
 )
 from helpers import relabeled, small_dyn, small_fixed
 
@@ -196,20 +198,34 @@ class TestValidate:
         assert any(v.code == "empty-period" for v in bad.validate())
         assert ds.validate() == []
 
+    def test_findings_are_the_contract_s_sentences_in_order(self):
+        # every break of each period, price before quantity, then the total,
+        # then the gaps; the first is what require_contract raises
+        ds = Dataset.build({0: {"a": (1.0, 1.0)},
+                            1: {"a": (-1.0, 2.0), "b": (3.0, 0.0), "c": (-2.0, -1.0)},
+                            3: {}})
+        assert ds.validate() == [
+            Violation("non-positive-price", 1, "a", "price of item 'a' in period 1 is -1.0"),
+            Violation("non-positive-quantity", 1, "b", "quantity of item 'b' in period 1 is 0.0"),
+            Violation("non-positive-price", 1, "c", "price of item 'c' in period 1 is -2.0"),
+            Violation("non-positive-quantity", 1, "c",
+                      "quantity of item 'c' in period 1 is -1.0"),
+            Violation("total-out-of-range", 1, None, "total expenditure of period 1 is 0.0"),
+            Violation("empty-period", 3, None, "period 3 has no items"),
+            Violation("period-gap", 3, None, "period 3 follows 1"),
+        ]
+        with pytest.raises(InvalidDataError, match=r"^price of item 'a' in period 1 is -1\.0$"):
+            ds.require_contract()
+
 
 class TestObservation:
     def test_from_expenditure(self):
-        obs = Observation.from_expenditure(3.0, 2.0)
-        assert obs.price == 1.5
+        obs = Observation(1.5, 2.0)
         assert obs.expenditure == 3.0
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Observation(math.inf, 1.0)
-
-    def test_zero_quantity_expenditure(self):
-        with pytest.raises(ValueError):
-            Observation.from_expenditure(3.0, 0.0)
 
     def test_non_finite_message_names_both_values(self):
         with pytest.raises(ValueError, match=r"^non-finite observation 1\.0, nan$"):

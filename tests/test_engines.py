@@ -32,6 +32,7 @@ from dynindex import (
     PriceIndexError,
     RollingWindow,
     SchemeError,
+    TPDGeometric,
     TornqvistWeights,
     adjusted_laspeyres,
     classical_indices,
@@ -47,6 +48,7 @@ from dynindex import (
     wgm_index,
 )
 from dynindex import engines, references
+from dynindex.simulate import SynthConfig, synth
 from dynindex.engines import (
     CHAINABLE_FAMILIES,
     ENGINE_FAMILIES,
@@ -113,6 +115,28 @@ class TestGk:
 
     def test_small_fixed(self):
         assert gk_index(small_fixed(), BILATERAL).value == pytest.approx(1.5, abs=1e-9)
+
+    @pytest.mark.parametrize("churn", [0.1, 0.25, 0.5])
+    def test_bilateral_gk_ignores_births_and_deaths(self, churn):
+        # with deflated unit values a born item adds e1 to the value ratio's
+        # numerator and e1/P to the quantity index's, a dead one e0 to both
+        # denominators, so they cancel in P = V / quantity index
+        for seed in range(20):
+            ds = synth(SynthConfig(periods=6, initial_items=40, churn_rate=churn,
+                                   seed=seed)).dataset
+            periods = ds.period_indices()
+            for a, base in enumerate(periods):
+                for current in periods[a + 1:]:
+                    shared = ds.universe(base) & ds.universe(current)
+                    if not shared:
+                        continue
+                    matched = Dataset.build({t: {
+                        i: (o.price, o.quantity) for i, o in ds.period_data(t).items.items()
+                        if i in shared} for t in (base, current)})
+                    spec = ComparisonSpec(base, current, Bilateral())
+                    gap = math.log(gk_index(ds, spec).value) - math.log(
+                        gk_index(matched, spec).value)
+                    assert abs(gap) <= 1e-12, (churn, seed, base, current)
 
     def test_decomposition(self):
         result = gk_index(small_dyn(), BILATERAL)
@@ -561,8 +585,12 @@ class TestEngineRegistry:
     @pytest.mark.parametrize("option", NOT_DEFAULT)
     @pytest.mark.parametrize("family", ENGINE_FAMILIES)
     def test_a_family_accepts_exactly_the_options_it_reads(self, family, option):
+        options = {option: NOT_DEFAULT[option]}
+        if option == "fixed_point" and "reference_price" in READS[family]:
+            # a solver config is read only beside an index-coupled price
+            options["reference_price"] = TPDGeometric() if family == "wgm" else DeflatedUnitValue()
         if option in READS[family]:
-            assert EngineSpec(family, **{option: NOT_DEFAULT[option]}).family == family
+            assert EngineSpec(family, **options).family == family
         else:
             message = f"^engine family '{family}' does not read {option}$"
             with pytest.raises(ValueError, match=message):
@@ -573,6 +601,23 @@ class TestEngineRegistry:
         run, options, _chainable = engines._REGISTRY[family]
         assert run.__code__.co_names == (f"{family}_index", *options)
         assert set(options) == READS[family]
+
+    @pytest.mark.parametrize("family", ["guv", "wgm", "rqp"])
+    @pytest.mark.parametrize("price, read", [
+        (None, False), (LehrUnitValue(), False), (FixedBase(), False),
+        (CustomPrices({"a": 1.0}), False), (DeflatedUnitValue(), True), (TPDGeometric(), True),
+    ], ids=["default", "lehr", "fixed-base", "custom", "deflated", "tpd"])
+    def test_fixed_point_needs_an_index_coupled_price(self, family, price, read):
+        options = {"fixed_point": FixedPointConfig(max_iterations=1)}
+        if price is not None:
+            options["reference_price"] = price
+        if read:
+            assert EngineSpec(family, **options).family == family
+        else:
+            message = (f"^engine family '{family}' reads fixed_point only with an "
+                       "index-coupled reference price$")
+            with pytest.raises(ValueError, match=message):
+                EngineSpec(family, **options)
 
     def test_default_labels(self):
         assert {f: EngineSpec(f).label() for f in ENGINE_FAMILIES} == DEFAULT_LABELS
@@ -593,8 +638,10 @@ class TestEngineRegistry:
         (EngineSpec("rqp", alpha=0.25, reference_price=DeflatedUnitValue()),
          "rqp(reference_price=deflated, alpha=0.25)"),
         (EngineSpec("rqp", alpha=0.5), "rqp(alpha=0.5)"),
+        (EngineSpec("wgm", weights=TornqvistWeights()), "wgm(weights=tornqvist)"),
+        (EngineSpec("wgm", weights=ExpenditureShare()), "wgm(weights=share)"),
     ], ids=["scheme", "config", "two-options", "inner", "inner-options", "quantity",
-            "rqp-options", "rqp-default-alpha"])
+            "rqp-options", "rqp-default-alpha", "tornqvist-weights", "share-weights"])
     def test_a_label_names_each_option_not_at_its_default(self, spec, label):
         assert spec.label() == label
 

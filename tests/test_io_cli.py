@@ -830,6 +830,31 @@ class TestEngineFlags:
         assert capsys.readouterr().err == (
             "usage error: --inner is read only by --engine geks and --test transitivity\n")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--engine", "mgk"), ("--periods", "3"), ("--policy", "full-history"),
+        ("--setting", "both")])
+    def test_counterexample_transitivity_refuses_scenario_flags(self, capsys, flag, value):
+        # refused even at its default value, which the search would not read either
+        code = main(["counterexample", "--test", "transitivity", flag, value])
+        assert code == EX_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: {flag} is not read by --test transitivity\n")
+
+    def test_counterexample_transitivity_default_witness(self, capsys):
+        # with no scenario flag given the search takes their defaults, and prints this witness
+        code = main(["counterexample", "--test", "transitivity", "--budget", "20", "--seed", "0"])
+        assert code == EX_OK
+        assert capsys.readouterr().out == (
+            '{"chained": 0.7640250001646333, "full_window": 0.7655755847482433, '
+            '"gap": 0.0020274379207807502, "seed": 13983774088827213383}\n')
+
+    def test_counterexample_help_states_the_scenario_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["counterexample", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for default in ("mgk", "3", "full-history", "both"):
+            assert f"default {default}; not read by --test transitivity" in help_text
+
     def test_counterexample_geks_reads_inner(self, capsys):
         code = main(["counterexample", "--test", "T1", "--engine", "geks", "--inner", "wgm",
                      "--budget", "5", "--seed", "0"])
