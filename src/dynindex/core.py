@@ -193,13 +193,16 @@ class Dataset:
     ingestion can surface them all at once.
 
     The item-major view that multi-period reference tables are sliced
-    from is built on first use (:meth:`_item_view`), never at construction.
+    from is built on first use (:meth:`_item_view`), never at construction,
+    and so is the map of GEKS Lehr legs priced so far (:meth:`_leg_map`).
     """
 
     periods: tuple[PeriodData, ...]
     _by_period: Mapping[int, PeriodData] = field(init=False, repr=False, compare=False)
     _violation: Violation | None = field(init=False, repr=False, compare=False)
     _view: ItemView | None = field(
+        init=False, default=None, repr=False, compare=False)
+    _legs: dict[tuple[int, int], float] | None = field(
         init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -272,6 +275,15 @@ class Dataset:
             view = runs, tuple(entrants)
             object.__setattr__(self, "_view", view)
         return view
+
+    def _leg_map(self) -> dict[tuple[int, int], float]:
+        """The GEKS Lehr legs priced on this dataset, keyed (s, t), s < t; created empty
+        by the first call. Threads that race create it or price a leg twice, harmlessly."""
+        legs = self._legs
+        if legs is None:
+            legs = {}
+            object.__setattr__(self, "_legs", legs)
+        return legs
 
     def period_indices(self) -> tuple[int, ...]:
         return tuple(pd.period for pd in self.periods)

@@ -515,7 +515,8 @@ def _lehr_legs(dataset: Dataset) -> Callable[[int, int], float | None]:
     None where the leg must go through evaluate, which raises the error
     of its data in its order: a shared item whose expenditures or
     quantities sum past the float range, or a value that is not positive
-    and finite.
+    and finite. geks_index asks only for legs its dataset's leg map
+    lacks, so a chain whose legs are all known builds no columns.
     """
     columns: dict[int, tuple[dict[ItemId, int], list, list[float]]] = {}
 
@@ -564,7 +565,10 @@ def geks_index(
     a guv inner with Lehr prices) are priced from per-period columns
     (_lehr_legs) where the chain spans more than two periods; a 2-period
     chain has one leg, which the two walks price faster. Other inners,
-    and column legs that give up, go through evaluate.
+    and column legs that give up, go through evaluate. A Lehr leg depends
+    on its two periods alone, so Dataset._leg_map keeps it, whichever path
+    priced it, unless it raised; other inners' legs are kept for the call,
+    as custom prices may change between calls.
     """
     inner_spec = inner if inner is not None else _MGK
     _require_time_reversible(inner_spec)
@@ -574,11 +578,11 @@ def geks_index(
         inner_spec.family == "guv" and (inner_spec.reference_price is None
                                         or type(inner_spec.reference_price) is LehrUnitValue))
     leg = _lehr_legs(dataset) if lehr and len(periods) > 2 else None
-    cache: dict[tuple[int, int], float] = {}
+    cache = dataset._leg_map() if lehr else {}
 
     # bilateral does not call itself for the reverse direction: a closure
     # that refers to itself is a cycle, which would keep the legs' columns
-    # and the cache alive after the call until the cyclic collector runs.
+    # and a per-call cache alive after the call until the cyclic collector runs.
     def bilateral(s: int, r: int) -> float:
         if s == r:
             return 1.0

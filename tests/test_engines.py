@@ -3,6 +3,7 @@ import gc
 import math
 import re
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -1102,6 +1103,13 @@ def _leg_outcome(compute):
         return type(error), str(error)
 
 
+def _assert_chain_matches(ds, spec, expected):
+    """The chain's series on a fresh dataset, whose every leg is priced in
+    this call, and on ds, whose leg map keeps the legs of earlier calls."""
+    assert _series_outcome(lambda: geks_index(Dataset(ds.periods), spec)) == expected, spec
+    assert _series_outcome(lambda: geks_index(ds, spec)) == expected, spec
+
+
 def _assert_columns_match_kernel(ds, policies=(FullHistory(), RollingWindow(3))):
     """Every leg, and every GEKS chain from the first period, matches the kernel's."""
     periods = ds.period_indices()
@@ -1115,8 +1123,7 @@ def _assert_columns_match_kernel(ds, policies=(FullHistory(), RollingWindow(3)))
             if policy == RollingWindow(3) and t - periods[0] > 2:
                 continue
             spec = ComparisonSpec(periods[0], t, policy)
-            expected = _chained(ds, spec, lambda s, r: _kernel_leg(ds, s, r))
-            assert _series_outcome(lambda: geks_index(ds, spec)) == expected, (policy, t)
+            _assert_chain_matches(ds, spec, _chained(ds, spec, lambda s, r: _kernel_leg(ds, s, r)))
 
 
 # A plain period sharing items with most degenerate tables, to place them inside
@@ -1168,8 +1175,8 @@ class TestGeksColumns:
         for current in range(2, 7):
             for base in range(current - 2, current):
                 spec = ComparisonSpec(base, current, RollingWindow(3))
-                expected = _chained(ds, spec, lambda s, r: _kernel_leg(ds, s, r))
-                assert _series_outcome(lambda: geks_index(ds, spec)) == expected
+                _assert_chain_matches(
+                    ds, spec, _chained(ds, spec, lambda s, r: _kernel_leg(ds, s, r)))
 
     @pytest.mark.parametrize("layout", ["plain-first", "plain-last", "plain-both-ends"])
     @pytest.mark.parametrize("name", _DEGENERATE_TABLES)
@@ -1208,9 +1215,132 @@ class TestGeksColumns:
                   "lehr-subclass": EngineSpec("guv", reference_price=_Lehr()),
                   "custom-prices": EngineSpec("guv", reference_price=CustomPrices(prices))}[inner]
         calls = _count_legs(monkeypatch)
-        geks_index(ds, ComparisonSpec(0, 5, FullHistory()), engine)
+        # their legs are kept for the call only, so a second call prices them again
+        for _ in range(2):
+            geks_index(ds, ComparisonSpec(0, 5, FullHistory()), engine)
         assert sorted(calls, key=lambda c: (c.base, c.current)) == [
-            ComparisonSpec(s, t, Bilateral()) for s in range(6) for t in range(s + 1, 6)]
+            ComparisonSpec(s, t, Bilateral()) for s in range(6) for t in range(s + 1, 6)
+            for _ in range(2)]
+
+
+# ---------------------------------------------------------------------------
+# A Lehr leg is a function of its two periods alone, so GEKS keeps it in the
+# dataset's leg map: later chains over the dataset take it from there, with
+# the values and errors of a dataset that prices it afresh.
+
+
+def _count_column_legs(monkeypatch):
+    """The pairs asked of _lehr_legs's leg from here on."""
+    asked = []
+    columns = engines._lehr_legs
+
+    def counted(dataset):
+        leg = columns(dataset)
+
+        def counted_leg(s, t):
+            asked.append((s, t))
+            return leg(s, t)
+
+        return counted_leg
+
+    monkeypatch.setattr(engines, "_lehr_legs", counted)
+    return asked
+
+
+def _expanding(last):
+    return [ComparisonSpec(0, current, FullHistory()) for current in range(2, last + 1)]
+
+
+def _rolling(last):
+    return [ComparisonSpec(current - 2, current, RollingWindow(3))
+            for current in range(2, last + 1)]
+
+
+class TestGeksLegMap:
+    @pytest.mark.parametrize("inner", [None, EngineSpec("guv"),
+                                       EngineSpec("guv", reference_price=LehrUnitValue())],
+                             ids=["default", "guv", "guv-lehr"])
+    def test_second_call_prices_no_leg(self, monkeypatch, inner):
+        data = {pd.period: {i: (o.price, o.quantity) for i, o in pd.items.items()}
+                for pd in random_market(1, periods=8, items=20, churn=0.2).periods}
+        ds, spec = Dataset.build(data), ComparisonSpec(0, 7, FullHistory())
+        asked, calls = _count_column_legs(monkeypatch), _count_legs(monkeypatch)
+        first = _series_outcome(lambda: geks_index(ds, spec, inner))
+        assert sorted(asked) == [(s, t) for s in range(8) for t in range(s + 1, 8)]
+        asked.clear()
+        second = _series_outcome(lambda: geks_index(ds, spec, inner))
+        assert asked == [] and calls == []
+        assert first == second == _series_outcome(lambda: geks_index(Dataset.build(data), spec))
+
+    def test_inners_share_the_map(self, monkeypatch):
+        ds = random_market(2, periods=5, items=10, churn=0.3)
+        geks_index(ds, ComparisonSpec(0, 4, FullHistory()), EngineSpec("mgk"))
+        asked, calls = _count_column_legs(monkeypatch), _count_legs(monkeypatch)
+        geks_index(ds, ComparisonSpec(1, 4, FullHistory()), EngineSpec("guv"))
+        geks_index(ds, ComparisonSpec(0, 4), EngineSpec("guv", reference_price=LehrUnitValue()))
+        assert asked == [] and calls == []
+
+    def test_two_period_chain_keeps_its_leg(self, monkeypatch):
+        ds = random_market(1, periods=3, items=20, churn=0.2)
+        calls = _count_legs(monkeypatch)
+        for _ in range(2):
+            geks_index(ds, ComparisonSpec(0, 1, FullHistory()))
+        asked = _count_column_legs(monkeypatch)
+        geks_index(ds, ComparisonSpec(0, 2, FullHistory()))
+        assert calls == [ComparisonSpec(0, 1, Bilateral())]
+        assert sorted(asked) == [(0, 2), (1, 2)]
+
+    @pytest.mark.parametrize("layout", ["plain-first", "plain-last", "plain-both-ends"])
+    @pytest.mark.parametrize("name", _DEGENERATE_TABLES)
+    def test_failing_leg_raises_on_every_call(self, name, layout):
+        table = list(_DEGENERATE_TABLES[name].values())
+        chain = {"plain-first": [_PLAIN, *table], "plain-last": [*table, _PLAIN],
+                 "plain-both-ends": [_PLAIN, *table, _PLAIN]}[layout]
+        ds = Dataset.build(dict(enumerate(chain)))
+        spec = ComparisonSpec(0, ds.last_period, FullHistory())
+        outcomes = [_series_outcome(lambda: geks_index(ds, spec)) for _ in range(2)]
+        assert outcomes[0] == outcomes[1] == _series_outcome(
+            lambda: geks_index(Dataset(ds.periods), spec))
+        if isinstance(outcomes[0], tuple):
+            # the failing leg and every one after it in the chain stay unpriced
+            assert len(ds._legs) < ds.last_period * (ds.last_period + 1) // 2
+
+    @pytest.mark.parametrize("sequence", [_expanding, _rolling], ids=["expanding", "rolling"])
+    def test_production_sequences(self, monkeypatch, sequence):
+        ds = random_market(4, periods=8, items=15, churn=0.3)
+        specs = sequence(ds.last_period)
+        expected = [_series_outcome(lambda: geks_index(Dataset(ds.periods), spec))
+                    for spec in specs]
+        asked, calls = _count_column_legs(monkeypatch), _count_legs(monkeypatch)
+        assert [_series_outcome(lambda: geks_index(ds, spec)) for spec in specs] == expected
+        assert calls == [] and len(asked) == len(set(asked))
+        assert set(asked) == set(ds._legs)
+
+    def test_threads_sharing_a_dataset(self):
+        ds = random_market(5, periods=10, items=30, churn=0.2)
+        specs = [ComparisonSpec(0, 9, FullHistory()), *_rolling(9), *_expanding(9)]
+        serial = [_series_outcome(lambda: geks_index(Dataset(ds.periods), spec))
+                  for spec in specs]
+        barrier, results = threading.Barrier(4), {}
+
+        def run(k):
+            barrier.wait(timeout=60)
+            order = specs if k % 2 == 0 else specs[::-1]
+            results[k] = {spec: _series_outcome(lambda: geks_index(ds, spec)) for spec in order}
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        # switch threads often, so that they interleave inside each other's legs
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [[results[k][spec] for spec in specs] for k in range(4)] == [serial] * 4
 
 
 # ---------------------------------------------------------------------------
