@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -88,6 +89,19 @@ ItemRun = tuple[tuple[int, ...], tuple[Observation, ...], tuple[float, ...], tup
                 float | None, float | None]
 # A dataset's item-major view: every item's run, and each position's entrants.
 ItemView = tuple[dict[ItemId, ItemRun], tuple[tuple[ItemId, ...], ...]]
+# A period's shares, price * quantity / total, and log prices, in map order.
+PeriodColumns = tuple[array, array]
+# A run's shares in run order, their fsum W and fsum(w * log p) / W (None for W 0).
+RunShares = tuple[Sequence[float], float, float | None]
+
+
+def _run_shares(positions: Sequence[int], observations: Sequence[Observation],
+                spent: Sequence[float], totals: Sequence[float]) -> RunShares:
+    """A run's RunShares, each share its expenditure over its period's total."""
+    shares = [e / totals[k] for k, e in zip(positions, spent)]
+    weight = math.fsum(shares)
+    terms = [w * math.log(o.price) for w, o in zip(shares, observations)]
+    return shares, weight, math.fsum(terms) / weight if weight else None
 
 
 def _total(column: list[float]) -> float | None:
@@ -157,6 +171,8 @@ class PeriodData:
 
     period: int
     items: Mapping[ItemId, Observation]
+    _columns: PeriodColumns | None = field(
+        init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", MappingProxyType(dict(self.items)))
@@ -179,6 +195,18 @@ class PeriodData:
     def total_expenditure(self) -> float:
         return self._total_expenditure
 
+    def _share_columns(self) -> PeriodColumns:
+        """Internal: the PeriodColumns, built by the first call (inside the input
+        contract only); threads that race build them twice, harmlessly."""
+        columns = self._columns
+        if columns is None:
+            total, log = self._total_expenditure, math.log
+            observations = self.items.values()
+            columns = (array("d", [o.price * o.quantity / total for o in observations]),
+                       array("d", [log(o.price) for o in observations]))
+            object.__setattr__(self, "_columns", columns)
+        return columns
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -194,13 +222,16 @@ class Dataset:
 
     The item-major view that multi-period reference tables are sliced
     from is built on first use (:meth:`_item_view`), never at construction,
-    and so is the map of GEKS Lehr legs priced so far (:meth:`_leg_map`).
+    and so are the runs' shares (:meth:`_share_view`) and the map of GEKS
+    Lehr legs priced so far (:meth:`_leg_map`).
     """
 
     periods: tuple[PeriodData, ...]
     _by_period: Mapping[int, PeriodData] = field(init=False, repr=False, compare=False)
     _violation: Violation | None = field(init=False, repr=False, compare=False)
     _view: ItemView | None = field(
+        init=False, default=None, repr=False, compare=False)
+    _shares: dict[ItemId, RunShares] | None = field(
         init=False, default=None, repr=False, compare=False)
     _legs: dict[tuple[int, int], float] | None = field(
         init=False, default=None, repr=False, compare=False)
@@ -275,6 +306,19 @@ class Dataset:
             view = runs, tuple(entrants)
             object.__setattr__(self, "_view", view)
         return view
+
+    def _share_view(self) -> dict[ItemId, RunShares]:
+        """Each item's RunShares over its run in the item view, its shares an array;
+        built and published as the view is, inside the input contract only."""
+        shares = self._shares
+        if shares is None:
+            totals = [pd.total_expenditure() for pd in self.periods]
+            shares = {}
+            for item, (ks, obs, spent, _, _, _) in self._item_view()[0].items():
+                ws, weight, mean = _run_shares(ks, obs, spent, totals)
+                shares[item] = array("d", ws), weight, mean
+            object.__setattr__(self, "_shares", shares)
+        return shares
 
     def _leg_map(self) -> dict[tuple[int, int], float]:
         """The GEKS Lehr legs priced on this dataset, keyed (s, t), s < t; created empty

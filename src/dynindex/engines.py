@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cache, partial
 from typing import Callable, Iterable, Mapping
 
 from .core import (
@@ -274,42 +273,35 @@ def gk_index(
 # Weighted geometric mean family: WGM, Tornqvist, TPD
 
 
-def _expenditure_shares(data: ReferenceData, position: int) -> dict[ItemId, float]:
-    total = data.totals[position]
-    return {i: o.price * o.quantity / total for i, o in data.period_items[position].items()}
-
-
-def _base_shares(data: ReferenceData) -> Callable[[], dict[ItemId, float]]:
-    """The base period's expenditure shares, computed on the first call only."""
-    return cache(partial(_expenditure_shares, data, data.base))
-
-
-# A weight scheme's weights_for(data) returns weights(k): the base and the
-# period at position k's item weights, for the index of k against the base.
-# weights_for itself computes and checks nothing, so a pricing error is
-# raised before a weighting error.
+# A weight scheme's weights_for(data) returns weights(k): the base's and the
+# period at position k's items, weights and log prices, three parallel
+# iterables each, for the index of k against the base. weights_for itself
+# computes and checks nothing, so a pricing error is raised before a
+# weighting error.
 
 
 class ExpenditureShare:
     """Per-period expenditure shares; defined in any universe."""
 
     def weights_for(self, data):
-        base = _base_shares(data)
-        return lambda k: (base(), _expenditure_shares(data, k))
+        maps = data.period_items
+        return lambda k: ((maps[data.base], *data.columns(data.base)), (maps[k], *data.columns(k)))
 
 
 class TornqvistWeights:
     """Symmetric mean of the two periods' expenditure shares; fixed universe only."""
 
     def weights_for(self, data):
-        base = _base_shares(data)
+        base = data.period_items[data.base]
 
         def weights(k):
-            if data.period_items[k].keys() != data.period_items[data.base].keys():
+            current = data.period_items[k]
+            if current.keys() != base.keys():
                 raise SchemeError("symmetric weights require a fixed item universe")
-            w0, wk = base(), _expenditure_shares(data, k)
-            shared = {i: 0.5 * (w0[i] + wk[i]) for i in w0}
-            return shared, shared
+            (w0, base_logs), (wk, logs) = data.columns(data.base), data.columns(k)
+            wk, logs = dict(zip(current, wk)), dict(zip(current, logs))
+            shared = [0.5 * (w + wk[i]) for i, w in zip(base, w0)]
+            return (base, shared, base_logs), (base, shared, [logs[i] for i in base])
 
         return weights
 
@@ -330,10 +322,18 @@ class CustomWeights:
             if abs(total - 1.0) > 1e-9:
                 raise SchemeError(f"custom weights for period {data.periods[k]} sum to {total!r}")
 
+        def logs(k, weights):
+            period = data.period_items[k]
+            return [math.log(period[i].price) for i in weights]
+
+        # one values view each: the WGM builds its base terms once per price map
+        base_values, current_values = self.base_weights.values(), self.current_weights.values()
+
         def weights(k):
             check(data.base, self.base_weights)
             check(k, self.current_weights)
-            return self.base_weights, self.current_weights
+            return ((self.base_weights, base_values, logs(data.base, self.base_weights)),
+                    (self.current_weights, current_values, logs(k, self.current_weights)))
 
         return weights
 
@@ -357,30 +357,28 @@ def _wgm_index_at(
 ) -> Callable[[int, Mapping[ItemId, float]], float]:
     """The WGM index_at: exp of the fsum of the log terms at the given prices.
 
-    The log terms are w_it log(p_it / p_i) over the period's weights,
-    then -w_i0 log(p_i0 / p_i) over the base weights. A sweep calls it for
-    every period with one price map, and ExpenditureShare hands out one
-    base-weight map for every period, so the base terms are built once
-    per pair of price map and base-weight map (the last pair, told apart
+    The log terms are w_it (log p_it - log p_i) over the period's weights,
+    then -w_i0 (log p_i0 - log p_i) over the base weights. A sweep calls it
+    for every period with one price map, and ExpenditureShare hands out one
+    base share column for every period, so the base terms are built once
+    per pair of price map and base weights (the last pair, told apart
     by identity), on the first call, after the weights' own checks and
     the period's terms, as a fresh build would. Values and errors are
     those of building every term on each call.
     """
     weights_at = weights.weights_for(data)
-    base = data.period_items[data.base]
     log = math.log
     built: tuple[object, object, list[float]] = (None, None, [])
 
     def index_at(k: int, prices: Mapping[ItemId, float]) -> float:
         nonlocal built
-        base_weights, period_weights = weights_at(k)
-        current = data.period_items[k]
+        (base_items, base_weights, base_logs), (items, period_weights, logs) = weights_at(k)
         try:
-            log_terms = [w * (log(current[i].price) - log(prices[i]))
-                         for i, w in period_weights.items()]
+            log_terms = [w * (lg - log(prices[i]))
+                         for i, w, lg in zip(items, period_weights, logs)]
             if built[0] is not prices or built[1] is not base_weights:
-                built = prices, base_weights, [-w * (log(base[i].price) - log(prices[i]))
-                                               for i, w in base_weights.items()]
+                built = prices, base_weights, [-w * (lg - log(prices[i])) for i, w, lg
+                                               in zip(base_items, base_weights, base_logs)]
         except ValueError:
             raise _undefined_log() from None
         log_terms.extend(built[2])

@@ -19,7 +19,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Protocol
 
@@ -30,7 +30,10 @@ from .core import (
     ItemRun,
     NumericalError,
     Observation,
+    PeriodColumns,
     PriceIndexError,
+    RunShares,
+    _run_shares,
 )
 
 
@@ -51,7 +54,7 @@ class ReferenceData:
     the fsum of those expenditures and of those quantities, or None where
     the table does not carry them. The mapping is the table's own; a run is
     a tuple of read-only tuples and totals that may be shared with the
-    dataset and with other tables.
+    dataset and with other tables. dataset is the one they were grouped from.
     """
 
     periods: tuple[int, ...]
@@ -60,6 +63,29 @@ class ReferenceData:
     period_items: tuple[Mapping[ItemId, Observation], ...]
     totals: tuple[float, ...]
     runs: Mapping[ItemId, ItemRun]
+    dataset: Dataset = field(repr=False, compare=False)
+    _shares: tuple[RunShares | None, ...] | None = field(
+        init=False, default=None, repr=False, compare=False)
+
+    def columns(self, k: int) -> PeriodColumns:
+        """Period position k's expenditure shares and log prices, in its map's order."""
+        return self.dataset.period_data(self.periods[k])._share_columns()
+
+    def run_shares(self) -> tuple[RunShares | None, ...]:
+        """Each run's RunShares, in the order of runs, found once per table: the
+        dataset's own for a run taken whole (as long as its item's run there),
+        None for a cut run and for every run of a two-period table."""
+        shares = self._shares
+        if shares is None:
+            if len(self.periods) == 2:
+                shares = (None,) * len(self.runs)
+            else:
+                view = self.dataset._share_view()
+                shares = tuple([carried if len(carried[0]) == len(run[0]) else None
+                                for carried, run in zip(map(view.__getitem__, self.runs),
+                                                        self.runs.values())])
+            object.__setattr__(self, "_shares", shares)
+        return shares
 
 
 def reference_data(
@@ -143,6 +169,7 @@ def reference_data(
         period_items,
         tuple(pd.total_expenditure() for pd in period_data),
         runs,
+        dataset,
     )
 
 
@@ -230,17 +257,22 @@ class TPDGeometric:
         deflators = _deflators(data, index_series)
         totals = data.totals
         prices = {}
-        for item, (ks, obs, spent, _, _, _) in data.runs.items():
+        for (item, (ks, obs, spent, _, _, _)), carried in zip(data.runs.items(),
+                                                               data.run_shares()):
+            if carried is None:
+                shares = [e / totals[k] for k, e in zip(ks, spent)]
+                weight_sum = math.fsum(shares)
+            else:
+                shares, weight_sum, _ = carried
             try:
-                terms = [(e / totals[k], math.log(o.price / deflators[k]))
-                         for k, o, e in zip(ks, obs, spent)]
+                logs = [math.log(o.price / deflators[k]) for k, o in zip(ks, obs)]
             except ValueError:
                 raise _undefined_log() from None
-            weight_sum = math.fsum(w for w, _ in terms)
             if weight_sum == 0:
                 raise NumericalError(f"expenditure shares of item {item!r} sum to {weight_sum!r}")
             try:
-                prices[item] = math.exp(math.fsum(w / weight_sum * lg for w, lg in terms))
+                prices[item] = math.exp(math.fsum(w / weight_sum * lg
+                                                  for w, lg in zip(shares, logs)))
             except OverflowError:
                 raise NumericalError("weighted geometric mean is past the float range") from None
         return prices
@@ -409,9 +441,17 @@ def _solve_linked(
     s != r. Its columns sum to zero, so row pin is dropped and the other
     n - 1 rows are solved by Gaussian elimination with partial pivoting;
     None at a zero pivot, which data spanning many orders of magnitude can
-    round to.
+    round to. Two periods are solved directly, bit for bit as the
+    elimination would (the fsum of x and 0.0 is x, and x - 0.0 is x).
     """
     n = len(links)
+    if n == 2:
+        r = 1 - pin
+        if not links[pin][r] > 0:
+            return None
+        z = [value, value]
+        z[r] = (rhs[r] + links[r][pin] * value) / links[pin][r]
+        return z
     reached, frontier = {pin}, [pin]
     while frontier:
         r = frontier.pop()
@@ -513,31 +553,28 @@ def tpd_start(data: ReferenceData) -> dict[int, float] | None:
     of period r's items, so B is bit-identical to a scan of period r's
     items for the ones in s. Rows visit an item's periods in order, so a
     cursor per item finds period r's entry in its run in data.runs, and
-    the row reads only the later entries.
+    the row reads only the later entries. w_ir and log p_ir come from
+    period r's share columns, W_i and L_i from the run's RunShares.
     """
     runs, totals = data.runs, data.totals
     weight, mean_log = {}, {}
-    for i, (ks, obs, spent, _, _, _) in runs.items():
-        shares = [e / totals[k] for k, e in zip(ks, spent)]
-        weight[i] = item_weight = math.fsum(shares)
-        if not item_weight > 0:
+    for (i, (ks, obs, spent, _, _, _)), carried in zip(runs.items(), data.run_shares()):
+        _, weight[i], mean_log[i] = carried or _run_shares(ks, obs, spent, totals)
+        if not weight[i] > 0:
             return None
-        mean_log[i] = math.fsum([w * math.log(o.price) for w, o in zip(shares, obs)]) / item_weight
     n = len(data.periods)
     links = [[0.0] * n for _ in range(n)]
     rhs = []
     cursor = dict.fromkeys(weight, 0)
     for r, mr in enumerate(data.period_items):
-        total = totals[r]
         row: list[list[float]] = [[] for _ in range(n)]
         constant = []
-        for i, o in mr.items():
+        for i, w, lg in zip(mr, *data.columns(r)):
             j = cursor[i]
             cursor[i] = j + 1
             item_positions, _, spent, _, _, _ = runs[i]
             item_weight = weight[i]
-            w = spent[j] / total
-            constant.append(w * (math.log(o.price) - mean_log[i]))
+            constant.append(w * (lg - mean_log[i]))
             for m in range(j + 1, len(item_positions)):
                 s = item_positions[m]
                 # w is e_ir / T_r, so this is e_ir / T_r * e_is / T_s / W_i

@@ -73,6 +73,36 @@ def test_geks_production_sequences(seed):
                              oracles.geks(market, current - 2, current, 3))
 
 
+# engines run on a dataset before tpd and wgm, so that these read what they left behind
+OTHER_ENGINES = [EngineSpec(family) for family in ("gk", "mgk", "rq", "rqp", "geks")]
+
+
+def _assert_tpd_and_wgm_match(dataset, spec_policy, expected):
+    for (base, current), (wgm, tpd) in expected.items():
+        spec = ComparisonSpec(base, current, spec_policy)
+        value = evaluate(dataset, spec, EngineSpec("wgm")).value
+        assert abs(math.log(value) - math.log(wgm)) <= TOLERANCE, (base, current, value, wgm)
+        _assert_series_close(evaluate(dataset, spec, EngineSpec("tpd")).series, tpd)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("seed", range(3))
+def test_tpd_and_wgm(seed, policy):
+    """Fresh, then warm on one dataset; and on a fresh one after the other engines."""
+    dataset = random_market(seed + 20, periods=5, items=8, churn=0.3)
+    market, (spec_policy, oracle_policy) = _market(dataset), POLICIES[policy]
+    expected = {(base, current): (oracles.lehr_wgm(market, base, current, oracle_policy),
+                                  oracles.tpd(market, base, current, oracle_policy))
+                for base, current in _comparisons(5, oracle_policy)}
+    for _ in range(2):
+        _assert_tpd_and_wgm_match(dataset, spec_policy, expected)
+    dataset = Dataset.build(market)
+    for base, current in expected:
+        for engine in OTHER_ENGINES:
+            evaluate(dataset, ComparisonSpec(base, current, spec_policy), engine)
+    _assert_tpd_and_wgm_match(dataset, spec_policy, expected)
+
+
 def test_oracle_reads_plain_floats():
     """The oracle needs no dynindex object: a hand-worked three-period chain."""
     market = {0: {"a": (1.0, 1.0), "b": (2.0, 3.0)}, 1: {"a": (1.4, 2.0), "b": (1.9, 1.0)},

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -34,6 +35,7 @@ from dynindex import (
     RollingWindow,
     SchemeError,
     TPDGeometric,
+    emit_csv,
     evaluate,
     ingest_csv,
     reference_data,
@@ -41,8 +43,9 @@ from dynindex import (
     reference_quantities,
     solve_fixed_point,
 )
+from dynindex.core import _run_shares
 from dynindex.engines import _guv_index_at, _wgm_index_at
-from dynindex.references import gk_start, tpd_start
+from dynindex.references import _solve_linked, gk_start, tpd_start
 from helpers import (
     OVERFLOWING_QUANTITY_INDEX,
     OVERFLOWING_QUANTITY_SUM,
@@ -166,7 +169,7 @@ def _walked_table(ds, spec, items=None):
                    _carried(spent) if whole else None, _carried(traded) if whole else None)
     return ReferenceData(
         periods, periods.index(spec.base), periods.index(spec.current), maps,
-        tuple(ds.period_data(r).total_expenditure() for r in periods), runs)
+        tuple(ds.period_data(r).total_expenditure() for r in periods), runs, ds)
 
 
 def _windows(ds):
@@ -961,6 +964,9 @@ def test_start_holds_one_row_of_terms_at_a_time(start, share):
     data = reference_data(ds, ComparisonSpec(0, 19, FullHistory()))
     pairs = sum(len(ks) * (len(ks) - 1) for ks, _, _, _, _, _ in data.runs.values())
     every_term = pairs * share * 32
+    # a first call builds what the dataset keeps (TPD's share columns), as
+    # reference_data built the item view; only the start's own terms are measured
+    start(data)
     tracemalloc.start()
     try:
         assert start(data) is not None
@@ -984,3 +990,177 @@ def test_scale_equivariance_of_reference_prices():
     assert tpd_price(scaled, "A", {0: 1.0, 1: 1.0}) == pytest.approx(
         7.0 * tpd_price(ds, "A", {0: 1.0, 1: 1.0}), rel=1e-12
     )
+
+
+# Edge values of a two-period link system: zeros of both signs, the
+# smallest subnormal, ordinary values, the float maximum, inf and nan.
+_LINK_EDGES = [0.0, 5e-324, 0.75, 3.0, sys.float_info.max, math.inf, math.nan]
+_RHS_EDGES = [0.0, -0.0, 5e-324, -1.5, 2.25, -sys.float_info.max, math.inf, -math.inf, math.nan]
+
+
+def test_two_period_solve_is_the_elimination():
+    """The direct two-period answer is bit for bit what the elimination gives."""
+    rng = random.Random(0)
+    for _ in range(3000):
+        a, b = rng.choice(_LINK_EDGES), rng.choice(_LINK_EDGES)
+        rhs = [rng.choice(_RHS_EDGES), rng.choice(_RHS_EDGES)]
+        links = [[0.0, a], [b, 0.0]]
+        for pin in (0, 1):
+            for value in (0.0, 1.0, -2.5):
+                assert _hex_list(_solve_linked(links, rhs, pin, value)) == _hex_list(
+                    _oracle_solve(links, rhs, pin, value)), (links, rhs, pin, value)
+
+
+def _hex_list(values):
+    return None if values is None else [v.hex() for v in values]
+
+
+def _built(ds):
+    """The periods whose share columns are built, and whether the run shares are."""
+    return [pd.period for pd in ds.periods if pd._columns is not None], ds._shares is not None
+
+
+def _outcome_hex(f):
+    """An engine result's value, series and report, floats as float.hex, or its error."""
+    try:
+        result = f()
+    except PriceIndexError as e:
+        return type(e), str(e)
+    series = None if result.series is None else _hex(result.series)
+    return result.value.hex(), series, result.diagnostics
+
+
+_SHARE_SPECS = [ComparisonSpec(0, 7, FullHistory()), ComparisonSpec(0, 4, FullHistory()),
+                ComparisonSpec(3, 7, FullHistory()), ComparisonSpec(5, 7, RollingWindow(4)),
+                ComparisonSpec(2, 5, Bilateral()), ComparisonSpec(6, 7, RollingWindow(2))]
+
+
+class TestShareColumns:
+    """Expenditure shares and log prices, built once per dataset for TPD and WGM."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_period_columns_are_each_items_share_and_log_price(self, seed):
+        for pd in random_market(seed, periods=4, items=10, churn=0.3).periods:
+            shares, logs = pd._share_columns()
+            total = pd.total_expenditure()
+            assert [w.hex() for w in shares] == [
+                (o.price * o.quantity / total).hex() for o in pd.items.values()]
+            assert [lg.hex() for lg in logs] == [
+                math.log(o.price).hex() for o in pd.items.values()]
+            assert pd._share_columns()[0] is shares
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_run_shares_are_each_runs_shares_and_sums(self, seed):
+        ds = random_market(seed, periods=6, items=10, churn=0.3)
+        totals = [pd.total_expenditure() for pd in ds.periods]
+        view = ds._item_view()[0]
+        for item, (shares, weight, mean) in ds._share_view().items():
+            ks, obs, _, _, _, _ = view[item]
+            expected = [o.price * o.quantity / totals[k] for k, o in zip(ks, obs)]
+            assert [w.hex() for w in shares] == [w.hex() for w in expected]
+            assert weight.hex() == math.fsum(expected).hex()
+            assert mean.hex() == (math.fsum([w * math.log(o.price) for w, o in zip(expected, obs)])
+                                  / weight).hex()
+
+    def test_a_run_whose_shares_underflow_has_no_mean(self):
+        ds = Dataset.build({t: {"a": (1e-300, 1e-30), "b": (1.0, 1.0)} for t in range(3)})
+        shares, weight, mean = ds._share_view()["a"]
+        assert list(shares) == [0.0] * 3 and weight == 0.0 and mean is None
+        assert _run_shares((0,), (ds.observation(0, "a"),), (0.0,), (1.0,)) == ([0.0], 0.0, None)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_only_whole_runs_of_longer_tables_carry_the_datasets(self, seed):
+        ds = random_market(seed, periods=8, items=12, churn=0.3)
+        view = ds._item_view()[0]
+        for spec in _SHARE_SPECS:
+            data = reference_data(ds, spec)
+            for (item, run), carried in zip(data.runs.items(), data.run_shares()):
+                if len(data.periods) > 2 and len(run[0]) == len(view[item][0]):
+                    assert carried is ds._shares[item]
+                else:
+                    assert carried is None
+            assert data.run_shares() is data.run_shares()
+
+    def test_two_period_tables_build_no_run_shares(self):
+        ds = random_market(0, periods=4, items=10, churn=0.3)
+        for spec in (ComparisonSpec(0, 3, Bilateral()), ComparisonSpec(2, 3, RollingWindow(2))):
+            assert set(reference_data(ds, spec).run_shares()) == {None}
+            evaluate(ds, spec, EngineSpec("tpd"))
+        assert _built(ds) == ([0, 2, 3], False)
+
+    def test_other_engines_and_the_io_build_none(self, tmp_path):
+        market = {pd.period: {i: (o.price, o.quantity) for i, o in pd.items.items()}
+                  for pd in random_market(3, periods=5, items=10, churn=0.3).periods}
+        path = tmp_path / "market.csv"
+        path.write_text("period,item,price,quantity\n" + "".join(
+            f"{t},{i},{p!r},{q!r}\n" for t, m in market.items() for i, (p, q) in m.items()))
+        built = [Dataset.build(market), ingest_csv(path)]
+        with path.open() as f:
+            built.append(ingest_csv(f))
+        engines = [EngineSpec(family) for family in ("mgk", "gk", "rq", "rqp", "geks")]
+        # the bilateral WGM kernel, and geks legs over it
+        engines.append(EngineSpec("geks", inner=EngineSpec("wgm")))
+        for ds in built:
+            emit_csv(ds, tmp_path / "emitted.csv")
+            for policy in (Bilateral(), FullHistory(), RollingWindow(3)):
+                for base, current in ((0, 1), (0, 2), (1, 4), (2, 4), (3, 4)):
+                    if isinstance(policy, RollingWindow) and current - base >= 3:
+                        continue
+                    spec = ComparisonSpec(base, current, policy)
+                    for engine in engines:
+                        evaluate(ds, spec, engine)
+                    if isinstance(policy, Bilateral):
+                        evaluate(ds, spec, EngineSpec("wgm"))
+            assert _built(ds) == ([], False)
+
+    def test_full_history_wgm_builds_its_compared_periods_only(self):
+        ds = random_market(1, periods=6, items=10, churn=0.3)
+        evaluate(ds, ComparisonSpec(1, 4, FullHistory()), EngineSpec("wgm"))
+        assert _built(ds) == ([1, 4], False)
+        evaluate(ds, ComparisonSpec(0, 5, FullHistory()), EngineSpec("tpd"))
+        assert _built(ds) == ([0, 1, 2, 3, 4, 5], True)
+
+    @pytest.mark.parametrize("family, churn", [("tpd", 0.3), ("wgm", 0.3), ("tornqvist", 0.0)])
+    def test_cold_warm_and_fresh_calls_agree(self, family, churn):
+        market = {pd.period: {i: (o.price, o.quantity) for i, o in pd.items.items()}
+                  for pd in random_market(2, periods=8, items=12, churn=churn).periods}
+        engine = EngineSpec(family)
+
+        def outcomes(ds):
+            return [_outcome_hex(lambda: evaluate(ds, spec, engine)) for spec in _SHARE_SPECS]
+
+        ds = Dataset.build(market)
+        cold = outcomes(ds)
+        assert cold == outcomes(ds)
+        assert cold == outcomes(Dataset.build(market))
+        # and in the other order: the whole history last
+        assert cold[::-1] == outcomes(Dataset.build(market))[::-1]
+
+    def test_threads_racing_to_build_them(self):
+        market = {pd.period: {i: (o.price, o.quantity) for i, o in pd.items.items()}
+                  for pd in random_market(5, periods=10, items=30, churn=0.2).periods}
+        specs = (ComparisonSpec(0, 9, FullHistory()), ComparisonSpec(2, 7, FullHistory()),
+                 ComparisonSpec(6, 9, RollingWindow(4)), ComparisonSpec(3, 4))
+        jobs = [(spec, EngineSpec(family)) for family in ("tpd", "wgm") for spec in specs]
+        serial = [_outcome_hex(lambda: evaluate(Dataset.build(market), *job)) for job in jobs]
+        ds = Dataset.build(market)
+        barrier, results = threading.Barrier(4), {}
+
+        def run(k):
+            barrier.wait(timeout=60)
+            order = jobs if k % 2 == 0 else jobs[::-1]
+            results[k] = {job: _outcome_hex(lambda: evaluate(ds, *job)) for job in order}
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        # switch threads often, so that they interleave inside each other's builds
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [[results[k][job] for job in jobs] for k in range(4)] == [serial] * 4
