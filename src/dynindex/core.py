@@ -91,17 +91,6 @@ ItemRun = tuple[tuple[int, ...], tuple[Observation, ...], tuple[float, ...], tup
 ItemView = tuple[dict[ItemId, ItemRun], tuple[tuple[ItemId, ...], ...]]
 # A period's shares, price * quantity / total, and log prices, in map order.
 PeriodColumns = tuple[array, array]
-# A run's shares in run order, their fsum W and fsum(w * log p) / W (None for W 0).
-RunShares = tuple[Sequence[float], float, float | None]
-
-
-def _run_shares(positions: Sequence[int], observations: Sequence[Observation],
-                spent: Sequence[float], totals: Sequence[float]) -> RunShares:
-    """A run's RunShares, each share its expenditure over its period's total."""
-    shares = [e / totals[k] for k, e in zip(positions, spent)]
-    weight = math.fsum(shares)
-    terms = [w * math.log(o.price) for w, o in zip(shares, observations)]
-    return shares, weight, math.fsum(terms) / weight if weight else None
 
 
 def _total(column: list[float]) -> float | None:
@@ -222,8 +211,8 @@ class Dataset:
 
     The item-major view that multi-period reference tables are sliced
     from is built on first use (:meth:`_item_view`), never at construction,
-    and so are the runs' shares (:meth:`_share_view`) and the map of GEKS
-    Lehr legs priced so far (:meth:`_leg_map`).
+    and so are the map of item runs' shares (:meth:`_share_map`) and the
+    map of GEKS Lehr legs priced so far (:meth:`_leg_map`).
     """
 
     periods: tuple[PeriodData, ...]
@@ -231,7 +220,7 @@ class Dataset:
     _violation: Violation | None = field(init=False, repr=False, compare=False)
     _view: ItemView | None = field(
         init=False, default=None, repr=False, compare=False)
-    _shares: dict[ItemId, RunShares] | None = field(
+    _shares: dict[ItemId, tuple] | None = field(
         init=False, default=None, repr=False, compare=False)
     _legs: dict[tuple[int, int], float] | None = field(
         init=False, default=None, repr=False, compare=False)
@@ -307,16 +296,13 @@ class Dataset:
             object.__setattr__(self, "_view", view)
         return view
 
-    def _share_view(self) -> dict[ItemId, RunShares]:
-        """Each item's RunShares over its run in the item view, its shares an array;
-        built and published as the view is, inside the input contract only."""
+    def _share_map(self) -> dict[ItemId, tuple]:
+        """The item runs' shares kept on this dataset (references.RunShares), keyed by
+        item; created empty by the first call, filled by the tables that take a run
+        whole. Threads that race create it or fill an entry twice, harmlessly."""
         shares = self._shares
         if shares is None:
-            totals = [pd.total_expenditure() for pd in self.periods]
             shares = {}
-            for item, (ks, obs, spent, _, _, _) in self._item_view()[0].items():
-                ws, weight, mean = _run_shares(ks, obs, spent, totals)
-                shares[item] = array("d", ws), weight, mean
             object.__setattr__(self, "_shares", shares)
         return shares
 

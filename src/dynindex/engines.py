@@ -275,7 +275,9 @@ def gk_index(
 
 # A weight scheme's weights_for(data) returns weights(k): the base's and the
 # period at position k's items, weights and log prices, three parallel
-# iterables each, for the index of k against the base. weights_for itself
+# iterables each, read at most once, for the index of k against the base.
+# A base whose weights are the same object on every call has its terms built
+# once per price map (see _wgm_index_at). weights_for itself
 # computes and checks nothing, so a pricing error is raised before a
 # weighting error.
 
@@ -324,9 +326,9 @@ class CustomWeights:
 
         def logs(k, weights):
             period = data.period_items[k]
-            return [math.log(period[i].price) for i in weights]
+            return (math.log(period[i].price) for i in weights)
 
-        # one values view each: the WGM builds its base terms once per price map
+        # one values view each; the logs are read as the WGM builds the terms
         base_values, current_values = self.base_weights.values(), self.current_weights.values()
 
         def weights(k):

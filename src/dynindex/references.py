@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Protocol
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .core import (
     ComparisonSpec,
@@ -32,13 +33,24 @@ from .core import (
     Observation,
     PeriodColumns,
     PriceIndexError,
-    RunShares,
-    _run_shares,
 )
 
 
 class SchemeError(PriceIndexError):
     """A reference price or quantity scheme is inapplicable to an item."""
+
+
+# A run's shares in run order, their fsum W and fsum(w * log p) / W (None for W 0).
+RunShares = tuple[Sequence[float], float, float | None]
+
+
+def _run_shares(positions: Sequence[int], observations: Sequence[Observation],
+                spent: Sequence[float], totals: Sequence[float]) -> RunShares:
+    """A run's RunShares, each share its expenditure over its period's total."""
+    shares = [e / totals[k] for k, e in zip(positions, spent)]
+    weight = math.fsum(shares)
+    terms = [w * math.log(o.price) for w, o in zip(shares, observations)]
+    return shares, weight, math.fsum(terms) / weight if weight else None
 
 
 @dataclass(frozen=True)
@@ -64,26 +76,29 @@ class ReferenceData:
     totals: tuple[float, ...]
     runs: Mapping[ItemId, ItemRun]
     dataset: Dataset = field(repr=False, compare=False)
-    _shares: tuple[RunShares | None, ...] | None = field(
+    _shares: tuple[RunShares, ...] | None = field(
         init=False, default=None, repr=False, compare=False)
 
     def columns(self, k: int) -> PeriodColumns:
         """Period position k's expenditure shares and log prices, in its map's order."""
         return self.dataset.period_data(self.periods[k])._share_columns()
 
-    def run_shares(self) -> tuple[RunShares | None, ...]:
-        """Each run's RunShares, in the order of runs, found once per table: the
-        dataset's own for a run taken whole (as long as its item's run there),
-        None for a cut run and for every run of a two-period table."""
+    def run_shares(self) -> tuple[RunShares, ...]:
+        """Each run's RunShares, in the order of runs, computed once per table. A run
+        that carries the view's totals (one taken whole, or only shifted) gets the
+        dataset's, its shares an array, which the first table to take it computes.
+        Inside the input contract only."""
         shares = self._shares
         if shares is None:
-            if len(self.periods) == 2:
-                shares = (None,) * len(self.runs)
-            else:
-                view = self.dataset._share_view()
-                shares = tuple([carried if len(carried[0]) == len(run[0]) else None
-                                for carried, run in zip(map(view.__getitem__, self.runs),
-                                                        self.runs.values())])
+            kept, shares = self.dataset._share_map(), []
+            for item, (ks, obs, spent, _, expenditure, _) in self.runs.items():
+                carried = None if expenditure is None else kept.get(item)
+                if carried is None:
+                    carried = _run_shares(ks, obs, spent, self.totals)
+                    if expenditure is not None:
+                        carried = kept[item] = array("d", carried[0]), *carried[1:]
+                shares.append(carried)
+            shares = tuple(shares)
             object.__setattr__(self, "_shares", shares)
         return shares
 
@@ -255,15 +270,9 @@ class TPDGeometric:
 
     def prices_for(self, data, index_series=None):
         deflators = _deflators(data, index_series)
-        totals = data.totals
         prices = {}
-        for (item, (ks, obs, spent, _, _, _)), carried in zip(data.runs.items(),
-                                                               data.run_shares()):
-            if carried is None:
-                shares = [e / totals[k] for k, e in zip(ks, spent)]
-                weight_sum = math.fsum(shares)
-            else:
-                shares, weight_sum, _ = carried
+        for (item, (ks, obs, _, _, _, _)), (shares, weight_sum, _) in zip(data.runs.items(),
+                                                                         data.run_shares()):
             try:
                 logs = [math.log(o.price / deflators[k]) for k, o in zip(ks, obs)]
             except ValueError:
@@ -441,17 +450,9 @@ def _solve_linked(
     s != r. Its columns sum to zero, so row pin is dropped and the other
     n - 1 rows are solved by Gaussian elimination with partial pivoting;
     None at a zero pivot, which data spanning many orders of magnitude can
-    round to. Two periods are solved directly, bit for bit as the
-    elimination would (the fsum of x and 0.0 is x, and x - 0.0 is x).
+    round to.
     """
     n = len(links)
-    if n == 2:
-        r = 1 - pin
-        if not links[pin][r] > 0:
-            return None
-        z = [value, value]
-        z[r] = (rhs[r] + links[r][pin] * value) / links[pin][r]
-        return z
     reached, frontier = {pin}, [pin]
     while frontier:
         r = frontier.pop()
@@ -558,8 +559,7 @@ def tpd_start(data: ReferenceData) -> dict[int, float] | None:
     """
     runs, totals = data.runs, data.totals
     weight, mean_log = {}, {}
-    for (i, (ks, obs, spent, _, _, _)), carried in zip(runs.items(), data.run_shares()):
-        _, weight[i], mean_log[i] = carried or _run_shares(ks, obs, spent, totals)
+    for i, (_, weight[i], mean_log[i]) in zip(runs, data.run_shares()):
         if not weight[i] > 0:
             return None
     n = len(data.periods)

@@ -43,9 +43,8 @@ from dynindex import (
     reference_quantities,
     solve_fixed_point,
 )
-from dynindex.core import _run_shares
 from dynindex.engines import _guv_index_at, _wgm_index_at
-from dynindex.references import _solve_linked, gk_start, tpd_start
+from dynindex.references import _run_shares, gk_start, tpd_start
 from helpers import (
     OVERFLOWING_QUANTITY_INDEX,
     OVERFLOWING_QUANTITY_SUM,
@@ -964,9 +963,6 @@ def test_start_holds_one_row_of_terms_at_a_time(start, share):
     data = reference_data(ds, ComparisonSpec(0, 19, FullHistory()))
     pairs = sum(len(ks) * (len(ks) - 1) for ks, _, _, _, _, _ in data.runs.values())
     every_term = pairs * share * 32
-    # a first call builds what the dataset keeps (TPD's share columns), as
-    # reference_data built the item view; only the start's own terms are measured
-    start(data)
     tracemalloc.start()
     try:
         assert start(data) is not None
@@ -992,32 +988,14 @@ def test_scale_equivariance_of_reference_prices():
     )
 
 
-# Edge values of a two-period link system: zeros of both signs, the
-# smallest subnormal, ordinary values, the float maximum, inf and nan.
-_LINK_EDGES = [0.0, 5e-324, 0.75, 3.0, sys.float_info.max, math.inf, math.nan]
-_RHS_EDGES = [0.0, -0.0, 5e-324, -1.5, 2.25, -sys.float_info.max, math.inf, -math.inf, math.nan]
-
-
-def test_two_period_solve_is_the_elimination():
-    """The direct two-period answer is bit for bit what the elimination gives."""
-    rng = random.Random(0)
-    for _ in range(3000):
-        a, b = rng.choice(_LINK_EDGES), rng.choice(_LINK_EDGES)
-        rhs = [rng.choice(_RHS_EDGES), rng.choice(_RHS_EDGES)]
-        links = [[0.0, a], [b, 0.0]]
-        for pin in (0, 1):
-            for value in (0.0, 1.0, -2.5):
-                assert _hex_list(_solve_linked(links, rhs, pin, value)) == _hex_list(
-                    _oracle_solve(links, rhs, pin, value)), (links, rhs, pin, value)
-
-
-def _hex_list(values):
-    return None if values is None else [v.hex() for v in values]
-
-
 def _built(ds):
-    """The periods whose share columns are built, and whether the run shares are."""
-    return [pd.period for pd in ds.periods if pd._columns is not None], ds._shares is not None
+    """The periods whose share columns are built, and the items whose run shares are kept."""
+    return [pd.period for pd in ds.periods if pd._columns is not None], set(ds._shares or ())
+
+
+def _shares_hex(run_shares):
+    shares, weight, mean = run_shares
+    return [w.hex() for w in shares], weight.hex(), None if mean is None else mean.hex()
 
 
 def _outcome_hex(f):
@@ -1052,9 +1030,11 @@ class TestShareColumns:
     @pytest.mark.parametrize("seed", range(2))
     def test_run_shares_are_each_runs_shares_and_sums(self, seed):
         ds = random_market(seed, periods=6, items=10, churn=0.3)
+        reference_data(ds, ComparisonSpec(0, 5, FullHistory())).run_shares()
         totals = [pd.total_expenditure() for pd in ds.periods]
         view = ds._item_view()[0]
-        for item, (shares, weight, mean) in ds._share_view().items():
+        assert ds._shares.keys() == view.keys()
+        for item, (shares, weight, mean) in ds._shares.items():
             ks, obs, _, _, _, _ = view[item]
             expected = [o.price * o.quantity / totals[k] for k, o in zip(ks, obs)]
             assert [w.hex() for w in shares] == [w.hex() for w in expected]
@@ -1064,7 +1044,8 @@ class TestShareColumns:
 
     def test_a_run_whose_shares_underflow_has_no_mean(self):
         ds = Dataset.build({t: {"a": (1e-300, 1e-30), "b": (1.0, 1.0)} for t in range(3)})
-        shares, weight, mean = ds._share_view()["a"]
+        reference_data(ds, ComparisonSpec(0, 2, FullHistory())).run_shares()
+        shares, weight, mean = ds._shares["a"]
         assert list(shares) == [0.0] * 3 and weight == 0.0 and mean is None
         assert _run_shares((0,), (ds.observation(0, "a"),), (0.0,), (1.0,)) == ([0.0], 0.0, None)
 
@@ -1078,15 +1059,27 @@ class TestShareColumns:
                 if len(data.periods) > 2 and len(run[0]) == len(view[item][0]):
                     assert carried is ds._shares[item]
                 else:
-                    assert carried is None
+                    assert carried is not ds._shares.get(item)
+                    ks, obs, spent, _, _, _ = run
+                    assert _shares_hex(carried) == _shares_hex(
+                        _run_shares(ks, obs, spent, data.totals))
             assert data.run_shares() is data.run_shares()
+
+    @pytest.mark.parametrize("churn", [0.0, 0.3])
+    def test_a_window_keeps_only_the_runs_it_takes_whole(self, churn):
+        ds = random_market(4, periods=10, items=12, churn=churn)
+        evaluate(ds, ComparisonSpec(8, 9, RollingWindow(4)), EngineSpec("tpd"))
+        whole = {item for item, run in ds._item_view()[0].items() if run[0][0] >= 6}
+        assert _built(ds) == ([6, 7, 8, 9], whole)
+        # with no churn every run spans the history, so the window cuts them all
+        assert bool(whole) == bool(churn)
 
     def test_two_period_tables_build_no_run_shares(self):
         ds = random_market(0, periods=4, items=10, churn=0.3)
         for spec in (ComparisonSpec(0, 3, Bilateral()), ComparisonSpec(2, 3, RollingWindow(2))):
-            assert set(reference_data(ds, spec).run_shares()) == {None}
+            reference_data(ds, spec).run_shares()
             evaluate(ds, spec, EngineSpec("tpd"))
-        assert _built(ds) == ([0, 2, 3], False)
+        assert _built(ds) == ([0, 2, 3], set())
 
     def test_other_engines_and_the_io_build_none(self, tmp_path):
         market = {pd.period: {i: (o.price, o.quantity) for i, o in pd.items.items()}
@@ -1111,14 +1104,14 @@ class TestShareColumns:
                         evaluate(ds, spec, engine)
                     if isinstance(policy, Bilateral):
                         evaluate(ds, spec, EngineSpec("wgm"))
-            assert _built(ds) == ([], False)
+            assert _built(ds) == ([], set())
 
     def test_full_history_wgm_builds_its_compared_periods_only(self):
         ds = random_market(1, periods=6, items=10, churn=0.3)
         evaluate(ds, ComparisonSpec(1, 4, FullHistory()), EngineSpec("wgm"))
-        assert _built(ds) == ([1, 4], False)
+        assert _built(ds) == ([1, 4], set())
         evaluate(ds, ComparisonSpec(0, 5, FullHistory()), EngineSpec("tpd"))
-        assert _built(ds) == ([0, 1, 2, 3, 4, 5], True)
+        assert _built(ds) == ([0, 1, 2, 3, 4, 5], set(ds._item_view()[0]))
 
     @pytest.mark.parametrize("family, churn", [("tpd", 0.3), ("wgm", 0.3), ("tornqvist", 0.0)])
     def test_cold_warm_and_fresh_calls_agree(self, family, churn):
